@@ -6,10 +6,13 @@ symmetric A.  This module provides:
 
 * :class:`FeedbackMatrix`, the structured symmetric matrices produced by
   the oracle, with exact rational coefficients;
-* :func:`accumulate`, compiling a history of feedback matrices into an
-  implicit operator with a certified spectral-norm bound;
-* :func:`project_embedding`, a randomized sketch of the Gram columns of X
-  (Gaussian probes against a truncated Taylor expansion of exp(A/2));
+* :class:`AccumulatedOperator`, A as a sparse matrix with a certified
+  spectral-norm bound; the solver keeps it current by A + eta * N.sparse
+  each step, and :func:`accumulate` compiles a whole history exactly;
+* :func:`project_embedding`, a randomized sketch of the Gram columns of X:
+  Gaussian probes multiplied by exp(A/2), evaluated by scaling and a
+  Taylor series summed until its terms fall below unit roundoff, in
+  O(nnz(A) d) time per term and without any n x n array;
 * :func:`dense_reference` / :func:`dense_embedding`, the exact
   eigendecomposition-based versions used for validation and at small n;
 * spectral-norm estimation helpers.
@@ -21,6 +24,7 @@ verified without rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -184,6 +188,14 @@ class FeedbackMatrix:
         return structured_entries(self.y, spread, self.path_terms, self.lam)
 
     @cached_property
+    def sparse(self) -> sp.csr_matrix:
+        """The assembled matrix as CSR (both triangles), from the exact
+        entries converted once to float."""
+        return _symmetric_csr(
+            self.n, {key: float(v) for key, v in self.entries().items()}
+        )
+
+    @cached_property
     def _dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
         for (i, j), v in self.entries().items():
@@ -194,11 +206,6 @@ class FeedbackMatrix:
 
     def assemble_dense(self) -> np.ndarray:
         return self._dense.copy()
-
-    @property
-    def nnz(self) -> int:
-        """Structural non-zeros, upper triangle including the diagonal."""
-        return len(self.entries())
 
     def inner(self, x: np.ndarray) -> float:
         """Frobenius inner product N . X for a dense symmetric X."""
@@ -215,13 +222,29 @@ def zero_feedback(n: int, alpha: Rational = 0, xi: Rational = 0) -> FeedbackMatr
     )
 
 
+def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix:
+    """CSR matrix with the given upper-triangle entries mirrored below."""
+    rows, cols, vals = [], [], []
+    for (i, j), v in upper.items():
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+        if i != j:
+            rows.append(j)
+            cols.append(i)
+            vals.append(v)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 @dataclass(frozen=True, eq=False)
 class AccumulatedOperator:
-    """Implicit symmetric operator A = eta * sum_r N^(r).
+    """Symmetric operator A = eta * sum_r N^(r), held as a sparse matrix.
 
-    Matrix-vector products run off a compiled sparse matrix, in time
-    proportional to the total number of non-zeros.  ``lambda_max_bound``
-    is the certified bound eta * sum_r width_bound(N^(r)) >= ||A||.
+    Products run in time proportional to the number of non-zeros.  The
+    matrix comes either from :func:`accumulate` (exact sum of a history)
+    or from the solver's running update A + eta * N.sparse; nothing here
+    forms an n x n array except :meth:`dense`.  ``lambda_max_bound`` is
+    the certified bound eta * sum_r width_bound(N^(r)) >= ||A||.
     """
 
     n: int
@@ -266,19 +289,8 @@ def accumulate(
     for fm in history:
         for key, v in fm.entries().items():
             total[key] = total.get(key, Fraction(0)) + v
-    rows, cols, vals = [], [], []
-    for (i, j), v in total.items():
-        v = v * eta
-        if not v:
-            continue
-        rows.append(i)
-        cols.append(j)
-        vals.append(float(v))
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(float(v))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    scaled = {key: v * eta for key, v in total.items()}
+    mat = _symmetric_csr(n, {key: float(v) for key, v in scaled.items() if v})
     bound = float(eta) * sum(fm.width_bound for fm in history)
     return AccumulatedOperator(n=n, matrix=mat, lambda_max_bound=bound)
 
@@ -304,9 +316,6 @@ class Embedding:
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    def col(self, i: int) -> np.ndarray:
-        return self.vectors[:, i]
-
     @cached_property
     def norms_sq(self) -> np.ndarray:
         return np.sum(self.vectors * self.vectors, axis=0)
@@ -320,6 +329,12 @@ class Embedding:
 
     def gram(self) -> np.ndarray:
         return self.vectors.T @ self.vectors
+
+    def inner(self, m: Union[np.ndarray, sp.spmatrix]) -> float:
+        """Frobenius inner product m . (V^T V) for a symmetric m, dense or
+        sparse, as sum((m V^T) * V^T): O(nnz(m) d), no n x n Gram."""
+        vt = self.vectors.T
+        return float(np.sum((m @ vt) * vt))
 
     def spread_over(self, s: Sequence[int]) -> float:
         """Sum of squared distances over unordered pairs of s."""
@@ -340,14 +355,39 @@ def taylor_terms(
     return int(np.ceil(c_k * need))
 
 
-def _taylor_apply(matvec: Callable[[np.ndarray], np.ndarray], u: np.ndarray, k: int) -> np.ndarray:
-    """Sum of the first k+1 Taylor terms of exp applied to u."""
-    acc = u.copy()
-    term = u
-    for j in range(1, k + 1):
-        term = matvec(term) / j
-        acc = acc + term
-    return acc
+def _expm_action(
+    m: sp.csr_matrix, u: np.ndarray, norm_bound: float, max_terms: int
+) -> np.ndarray:
+    """exp(M) u for a symmetric sparse M with ||M||_2 <= norm_bound.
+
+    Applies exp(M / s) s times, s = max(1, ceil(norm_bound)), so each
+    step's series converges at least as fast as that of exp(1).  A step
+    sums Taylor terms until the largest entry of the term just added is
+    at most machine epsilon times the largest entry of the partial sum.
+    A step that has not stopped within ``max_terms`` terms (non-finite
+    input, or a norm bound far below ||M||) raises ScheduleError.
+    M = 0 returns u itself.
+    """
+    if m.nnz == 0:
+        return u
+    eps = np.finfo(float).eps
+    s = max(1, math.ceil(norm_bound))
+    for _ in range(s):
+        acc = u.copy()
+        term = u
+        for j in range(1, max_terms + 1):
+            term = m @ term
+            term /= s * j
+            acc += term
+            if np.max(np.abs(term)) <= eps * np.max(np.abs(acc)):
+                break
+        else:
+            raise ScheduleError(
+                f"exponential series did not reach unit roundoff within "
+                f"{max_terms} terms (norm bound {norm_bound:.6g})"
+            )
+        u = acc
+    return u
 
 
 def project_embedding(
@@ -363,9 +403,15 @@ def project_embedding(
 ) -> Embedding:
     """Randomized embedding of the Gram columns of n exp(A)/Tr(exp(A)).
 
-    Multiplies d scaled Gaussian probes by a k-term Taylor expansion of
-    exp(A/2) and trace-normalizes the result.  Deterministic for a fixed
-    seed (an int or a numpy Generator).
+    Multiplies d scaled Gaussian probes by exp(A/2) and trace-normalizes
+    the result.  The exponential uses max(1, ceil(lambda_max / 2))
+    scaling steps (lambda_max >= ||A|| is the caller's certified bound),
+    each a Taylor series summed to unit roundoff; the a-priori term count
+    k = taylor_terms(...) caps every step.  Each term costs one sparse
+    product with the n x d probe block, so a call is O(nnz(A) d) per term
+    and allocates nothing n x n.  Raises ScheduleError when d or k exceed
+    their caps or a step fails to converge within k terms.
+    Deterministic for a fixed seed (an int or a numpy Generator).
     """
     if not (0 < gamma < 0.5):
         raise ValueError("gamma must lie in (0, 1/2)")
@@ -382,7 +428,9 @@ def project_embedding(
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((d, n)) / np.sqrt(d)
     half = op.matrix * 0.5
-    sketch = _taylor_apply(lambda u: (half @ u.T).T, probes, k)
+    # the kernel works on the n x d block; the embedding is its d x n transpose
+    cols = _expm_action(half, np.ascontiguousarray(probes.T), lambda_max / 2, k)
+    sketch = np.ascontiguousarray(cols.T)
     trace = float(np.sum(sketch * sketch))
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")

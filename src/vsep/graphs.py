@@ -88,11 +88,6 @@ class WeightedGraph:
             adj[v].append(u)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in set(self.edges)
-
 
 def make_graph(
     n: int,

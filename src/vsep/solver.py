@@ -22,6 +22,7 @@ from itertools import combinations, permutations
 from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embedding import (
     DEFAULT_GAMMA,
@@ -451,18 +452,23 @@ def mmwu_run(
         telemetry=[] if config.telemetry else None
     )
 
-    a_eta = np.zeros((n, n))
+    dense_mode = n <= config.dense_cap
+    # A = eta * sum N and sum N: dense under the cap (eigh needs A dense),
+    # CSR above it, updated from each step's sparse N so that no
+    # iteration of the sketch regime touches an n x n array
+    if dense_mode:
+        a_eta, sum_matrix = np.zeros((n, n)), np.zeros((n, n))
+    else:
+        a_eta, sum_matrix = sp.csr_matrix((n, n)), sp.csr_matrix((n, n))
     eta_width_sum = 0.0
     y_sum = [Fraction(0)] * n
     z_sum: dict[tuple[int, ...], Fraction] = {}
     f_sum: dict[tuple[int, ...], Fraction] = {}
     lam_sum: dict[tuple[int, int], Fraction] = {}
     inner_sum = 0.0
-    sum_matrix = np.zeros((n, n))
     case_counts: dict[str, int] = {}
     widths_max = 0.0
     sigma_now = params.sigma
-    dense_mode = n <= config.dense_cap
     t_run = sched.run_iterations
 
     for t in range(t_run):
@@ -473,7 +479,7 @@ def mmwu_run(
                 tau=tau_val,
             )
         else:
-            op = AccumulatedOperator.from_dense(a_eta, lambda_max_bound=eta_width_sum)
+            op = AccumulatedOperator(n=n, matrix=a_eta, lambda_max_bound=eta_width_sum)
             try:
                 emb = project_embedding(
                     op,
@@ -531,7 +537,8 @@ def mmwu_run(
                 iterations_run=t,
                 alpha=alpha,
             )
-        inner = fm.inner(emb.gram())
+        nm = fm._dense if dense_mode else fm.sparse
+        inner = emb.inner(nm)
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "
@@ -547,9 +554,8 @@ def mmwu_run(
             f_sum[pth] = f_sum.get(pth, Fraction(0)) + fv
         for edge, lv in fm.lam:
             lam_sum[edge] = lam_sum.get(edge, Fraction(0)) + lv
-        nd = fm._dense
-        sum_matrix += nd
-        a_eta = a_eta + sched.eta * nd
+        sum_matrix = sum_matrix + nm
+        a_eta = a_eta + sched.eta * nm
         eta_width_sum += sched.eta * fm.width_bound
         inner_sum += inner
         case_counts[fm.case] = case_counts.get(fm.case, 0) + 1
@@ -610,7 +616,7 @@ def mmwu_run(
         iterations_run=t_run,
         iterations_scheduled=sched.iterations,
         mean_inner=inner_sum / t_run,
-        sum_matrix=sum_matrix,
+        sum_matrix=sum_matrix if dense_mode else sum_matrix.toarray(),
         case_counts=case_counts,
         widths_max=widths_max,
         replication=replication,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from vsep.embedding import (
     DENSE_CAP,
@@ -32,7 +33,7 @@ from vsep.embedding import (
     structured_entries,
     taylor_terms,
     zero_feedback,
-    _taylor_apply,
+    _expm_action,
 )
 
 F = Fraction
@@ -234,6 +235,20 @@ def test_accumulate_empty_history():
         accumulate([zero_feedback(3), zero_feedback(4)], F(1))
 
 
+def test_incremental_sparse_update_matches_accumulate():
+    # the solver's running A + eta * N.sparse against the exact compile
+    rng = np.random.default_rng(13)
+    n = 9
+    history = [make_random_feedback(rng, n) for _ in range(20)]
+    eta = F(2, 7)
+    a = sp.csr_matrix((n, n))
+    for fm in history:
+        a = a + float(eta) * fm.sparse
+    want = accumulate(history, eta).matrix.toarray()
+    assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
+    assert np.array_equal(history[0].sparse.toarray(), history[0].assemble_dense())
+
+
 def test_accumulated_operator_matvec():
     a = np.array([[2.0, -1.0], [-1.0, 3.0]])
     op = AccumulatedOperator.from_dense(a, lambda_max_bound=4.0)
@@ -283,14 +298,51 @@ def test_dense_reference_guards():
     assert math.isclose(gram[0, 0], 2.0, rel_tol=1e-9)
 
 
-def test_taylor_apply_scalar_partial_sum():
-    # one-dimensional case: partial sums of exp(0.7), computed two ways
-    k = 12
-    u = np.array([[1.0]])
-    got = _taylor_apply(lambda w: 0.7 * w, u, k)[0, 0]
-    want = sum(0.7 ** j / math.factorial(j) for j in range(k + 1))
-    assert math.isclose(got, want, rel_tol=1e-13)
-    assert math.isclose(got, math.exp(0.7), rel_tol=1e-9)
+def random_sparse_symmetric(rng, n, norm):
+    """Sparse symmetric matrix with spectral norm exactly ``norm``."""
+    m = sp.random(n, n, density=0.15, random_state=rng)
+    m = (m + m.T).tocsr()
+    return m * (norm / spectral_norm(m.toarray()))
+
+
+def test_expm_action_scalar_and_against_scipy():
+    # one-dimensional case: the series stops at unit roundoff
+    got = _expm_action(sp.csr_matrix([[0.7]]), np.array([[1.0]]), 0.7, 100)
+    assert math.isclose(got[0, 0], math.exp(0.7), rel_tol=1e-14)
+
+    rng = np.random.default_rng(29)
+    n, d = 30, 6
+    u = rng.standard_normal((n, d))
+    for norm in (1e-6, 0.5, 4.0, 40.0):
+        m = random_sparse_symmetric(rng, n, norm)
+        got = _expm_action(m, u, norm, 100)
+        # relative in the Frobenius norm: entries of exp(A) u near zero
+        # carry the references' own cancellation error
+        want = scipy.linalg.expm(m.toarray()) @ u
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # and, tighter, against the eigendecomposition of the symmetric A
+        w, vecs = np.linalg.eigh(m.toarray())
+        want = (vecs * np.exp(w)) @ (vecs.T @ u)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    # at norm 40 only the 40 scaling steps keep each series short: with
+    # the same 30-term budget, one unscaled step cannot converge
+    m = random_sparse_symmetric(rng, n, 40.0)
+    _expm_action(m, u, 40.0, 30)
+    with pytest.raises(ScheduleError):
+        _expm_action(m, u, 1.0, 30)
+
+
+def test_expm_action_zero_and_non_finite():
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((8, 3))
+    got = _expm_action(sp.csr_matrix((8, 8)), u, 0.0, 10)
+    assert np.array_equal(got, u)
+    bad = random_sparse_symmetric(rng, 8, 1.0).tolil()
+    bad[2, 5] = bad[5, 2] = np.nan
+    # a NaN never meets the stopping rule; the term budget ends the loop
+    with pytest.raises(ScheduleError):
+        _expm_action(bad.tocsr(), u, 1.0, 50)
 
 
 def test_dimension_and_term_formulas():

@@ -424,6 +424,35 @@ def test_chain_feedback_coefficients():
     assert fm.width_bound <= MMWUSchedule.case_width_bounds(params)["chain"] * (1 + 1e-9)
 
 
+def test_inner_from_vectors_matches_gram():
+    # the solver's N.X from the embedding vectors, sparse and dense N,
+    # against the Frobenius product with the n x n Gram matrix
+    rng = np.random.default_rng(17)
+    n, alpha = 5, F(3)
+    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25,
+                          tau=0.125, trace_normalized=False)
+    easy = easy_case(collapsed, mk_params(n=n, alpha=3))
+    g, flow_emb, params = flow_setup()
+    flow = matching(g, flow_emb, np.array([1.0, 0.0]), params).feedback
+    chain_fm = _chain_feedback([(0, 1, 2), (3, 4)],
+                               mk_params(n=6, alpha=3, delta_spread=2.0, path_min=2))
+    custom = FeedbackMatrix(
+        n=6, alpha=alpha, xi=F(9, 16), y=(F(1, 2),) * 6,
+        easy_set=((0, 1, 5), F(1, 10)), path_terms=(((0, 2, 4), F(1, 7)),),
+        lam=(((1, 2), F(2, 9)),),
+    )
+    cases = [(easy, collapsed), (flow, flow_emb)] + [
+        (fm, Embedding(vectors=rng.standard_normal((3, 6)), gamma=0.25,
+                       tau=0.125, trace_normalized=False))
+        for fm in (chain_fm, custom)
+    ]
+    assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
+    for fm, emb in cases:
+        want = fm.inner(emb.vectors.T @ emb.vectors)
+        assert math.isclose(emb.inner(fm.sparse), want, rel_tol=1e-10)
+        assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # chain: integration
 # ---------------------------------------------------------------------------
