@@ -438,15 +438,15 @@ def project_embedding(
     return Embedding(vectors=sketch, gamma=gamma, tau=tau, trace_normalized=True)
 
 
-def dense_reference(a: np.ndarray, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """Exact Gram columns of X = n exp(A)/Tr(exp(A)) for small dense A.
+def dense_reference(a: np.ndarray) -> np.ndarray:
+    """Exact Gram columns of X = n exp(A)/Tr(exp(A)) for dense A, n <= DENSE_CAP.
 
     Returns V with X = V^T V; eigenvalues are shifted by the max before
     exponentiation so the computation never overflows.
     """
     n = a.shape[0]
-    if n > dense_cap:
-        raise ValueError(f"dense reference limited to n <= {dense_cap}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense reference limited to n <= {DENSE_CAP}")
     if not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("accumulated matrix must be symmetric")
     vals, vecs = np.linalg.eigh(a)
@@ -459,10 +459,9 @@ def dense_embedding(
     op: AccumulatedOperator,
     gamma: float = DEFAULT_GAMMA,
     tau: float = DEFAULT_TAU,
-    dense_cap: int = DENSE_CAP,
 ) -> Embedding:
     """Exact embedding (d = n) from the dense reference decomposition."""
-    v = dense_reference(op.dense(), dense_cap)
+    v = dense_reference(op.dense())
     return Embedding(vectors=v, gamma=gamma, tau=tau, trace_normalized=True)
 
 
@@ -516,17 +515,17 @@ def power_iteration_norm(
     return float(est)
 
 
-def spectral_norm(m: np.ndarray, dense_cap: int = DENSE_CAP, seed=0) -> float:
-    """||M|| for symmetric M: exact under the dense cap, else estimated."""
-    if m.shape[0] <= dense_cap:
+def spectral_norm(m: np.ndarray, seed=0) -> float:
+    """||M|| for symmetric M: exact for n <= DENSE_CAP, else estimated."""
+    if m.shape[0] <= DENSE_CAP:
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return power_iteration_norm(lambda u: m @ u, m.shape[0], seed=seed)
 
 
-def largest_eigenvalue(m: np.ndarray, dense_cap: int = DENSE_CAP, seed=0) -> float:
-    """lambda_max(M) for symmetric M: exact under the dense cap, else via
+def largest_eigenvalue(m: np.ndarray, seed=0) -> float:
+    """lambda_max(M) for symmetric M: exact for n <= DENSE_CAP, else via
     a spectral shift of power iteration."""
-    if m.shape[0] <= dense_cap:
+    if m.shape[0] <= DENSE_CAP:
         return float(np.max(np.linalg.eigvalsh(m)))
     shift = power_iteration_norm(lambda u: m @ u, m.shape[0], seed=seed) + 1.0
     shifted = power_iteration_norm(

@@ -29,6 +29,10 @@ from .embedding import Embedding, FeedbackMatrix
 from .flow import FlowError, build_split_network, max_flow
 from .graphs import SeparatorSolution, WeightedGraph
 
+# relative slack on the flow-case fire test, against rounding of the
+# embedded distances
+GUARD_BAND = 1e-9
+
 
 class OracleError(RuntimeError):
     """The oracle could not produce an outcome (bad sizing or exhausted
@@ -59,8 +63,6 @@ class OracleParams:
     k_rounds: int
     path_min: int
     attempt_budget: int
-    restrict_sort_to_s: bool = True
-    guard_band: float = 1e-9
 
     def __post_init__(self):
         if not (0 < self.c < Fraction(1, 2)):
@@ -113,14 +115,9 @@ class OracleCounters:
     matching_calls: int = 0
     chain_attempts: int = 0
     outcome_tags: dict = field(default_factory=dict)
-    telemetry: Optional[list] = None
 
     def note(self, tag: str) -> None:
         self.outcome_tags[tag] = self.outcome_tags.get(tag, 0) + 1
-
-    def log(self, line: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.append(line)
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,7 @@ def matching(
     u_canon, flipped = _canonical_direction(np.asarray(u, dtype=float))
     counters.matching_calls += 1
 
-    domain = small_norm_set(emb, params) if params.restrict_sort_to_s else list(range(n))
+    domain = small_norm_set(emb, params)
     if len(domain) < 2 * ab:
         raise OracleError(
             f"sort domain has {len(domain)} vertices, need {2 * ab} for the slices"
@@ -253,10 +250,6 @@ def matching(
         if Fraction(solution.cost) * 2 * params.beta_q > 2 * params.cut_threshold_scaled:
             raise FlowError("separator cost exceeds the cut bound")
         counters.note("separator")
-        counters.log(
-            f"matching outcome=separator cut={result.value} "
-            f"bound={float(params.cut_threshold_scaled):.6g}"
-        )
         return SeparatorOutcome(separator=solution, cut_scaled=result.value)
 
     scale = 2 * params.beta_q
@@ -269,13 +262,9 @@ def matching(
         sum(m * emb.dist_sq(x, y) for (x, y), m in pair_mass.items()) / scale
     )
     fire_at = 2 * float(params.alpha)
-    if routed_cost >= fire_at + params.guard_band * max(1.0, fire_at):
+    if routed_cost >= fire_at + GUARD_BAND * max(1.0, fire_at):
         fm = _flow_feedback(g, net, result, params, flipped)
         counters.note("flow")
-        counters.log(
-            f"matching outcome=flow routed_cost={routed_cost:.6g} "
-            f"threshold={fire_at:.6g}"
-        )
         return FeedbackOutcome(feedback=fm)
 
     # select in canonical orientation, then mirror the output if u was
@@ -298,10 +287,6 @@ def matching(
             used.add(x)
             used.add(y)
     counters.note("matching")
-    counters.log(
-        f"matching outcome=matching routed_cost={routed_cost:.6g} "
-        f"|M_all|={len(m_all)} |M_short|={len(m_short)} |M|={len(chosen)}"
-    )
     if flipped:
         chosen = [(y, x) for (x, y) in chosen]
     return MatchingOutcome(pairs=tuple(chosen))
@@ -435,10 +420,6 @@ def chain(
         forward: list[tuple[tuple[int, int], ...]] = []
         for _ in range(params.k_rounds):
             if calls_spent >= params.attempt_budget:
-                counters.log(
-                    f"chain budget exhausted: calls={calls_spent} "
-                    f"harvested={len(harvested)} need={params.path_min}"
-                )
                 err = OracleError(
                     f"chain attempt budget exhausted after {calls_spent} "
                     f"matching calls with {len(harvested)}/{params.path_min} paths"
@@ -455,10 +436,6 @@ def chain(
         for chains in (_compose(forward), _compose(mirrored)):
             for sub in _harvest_violating(chains, emb, params.delta_spread):
                 harvested.setdefault(sub, None)
-        counters.log(
-            f"chain attempt={counters.chain_attempts} "
-            f"harvested={len(harvested)} need={params.path_min}"
-        )
         if len(harvested) >= params.path_min:
             # exactly path_min paths: keeps the coefficient and the a-priori
             # width bound of this case a function of the schedule alone
@@ -509,6 +486,5 @@ def run_oracle(
     fm = easy_case(emb, params)
     if fm is not None:
         counters.note("easy")
-        counters.log("oracle outcome=easy")
         return FeedbackOutcome(feedback=fm)
     return chain(g, emb, params, rng, counters)

@@ -60,6 +60,14 @@ _EMBED_STREAM = 1
 _ORACLE_STREAM = 2
 _SEARCH_STREAM = 3
 
+# constants of the schedule, fixed by the analysis rather than by a caller
+SIGMA_FLOOR = 1e-4  # the separation margin is never halved below this
+PATH_EXPONENT = 0.25  # chain harvest target n^(1 - PATH_EXPONENT eps)
+THROUGHPUT_MARGIN = Fraction(1, 4)  # c'' of the throughput rationalization
+REPLICATION_CAP = 64  # default replicas per iteration at most
+CONSISTENCY_CAP = 1e9  # schedules with eta*rho*T above this are refused
+REFINE_STEPS = 2  # integer bisection steps after the geometric sweep
+
 
 class CertificationError(RuntimeError):
     """An internal soundness check failed: a certificate flunked its own
@@ -98,61 +106,43 @@ class SolverConfig:
     trading approximation for flow work.  ``t_cap`` truncates runs whose
     scheduled horizon is asymptotic-scale; a truncated run is reported as
     inconclusive, never as a certificate.  ``sigma`` is the projection
-    separation margin; with ``auto_halve_sigma`` a fruitless replica
-    halves it (consuming replication slots, so call accounting is
-    unaffected).  ``rho_override`` substitutes a trusted width bound for
-    the composite one; runs abort if an emitted matrix exceeds it.
+    separation margin; a replica that harvests no path halves it, down
+    to ``SIGMA_FLOOR`` (consuming replication slots, so call accounting
+    is unaffected).  ``certification_tol`` is the relative tolerance of
+    the certificate's top-eigenvalue test.
     """
 
     c: Fraction = Fraction(1, 3)
     epsilon: float = 0.5
     c_prime: Optional[Fraction] = None
     sigma: float = 0.05
-    sigma_floor: float = 1e-4
-    auto_halve_sigma: bool = True
-    chain_rounds_const: float = 1.0
-    path_exponent: float = 0.25
-    throughput_margin: Fraction = Fraction(1, 4)
-    gamma: float = DEFAULT_GAMMA
-    tau: Optional[float] = None
     t_cap: int = 10_000
-    dense_cap: int = DENSE_CAP
     brute_cap: int = 14
     brute_bypass: bool = True
     replication: Optional[int] = None
-    replication_cap: int = 64
     certification_tol: float = 1e-6
-    consistency_cap: float = 1e9
-    restrict_sort_to_s: bool = True
-    refine_steps: int = 2
-    guard_band: float = 1e-9
-    rho_override: Optional[float] = None
-    telemetry: bool = False
 
     def __post_init__(self):
         if not (0 < self.c < Fraction(1, 2)):
             raise ValueError("balance c must lie in (0, 1/2)")
         if self.c_prime is not None and not (0 < self.c_prime <= self.c):
             raise ValueError("achieved balance c' must lie in (0, c]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not (0 < self.throughput_margin < Fraction(1, 2)):
-            raise ValueError("throughput margin must lie in (0, 1/2)")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
         if self.t_cap < 1 or self.brute_cap < 0:
             raise ValueError("caps must be positive")
         if self.replication is not None and self.replication < 1:
             raise ValueError("replication width must be >= 1")
-        if self.sigma < 0 or self.sigma_floor < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and non-negative")
+        # a NaN or infinite tolerance would accept every certificate
+        if not (math.isfinite(self.certification_tol) and self.certification_tol >= 0):
+            raise ValueError("certification_tol must be finite and non-negative")
 
     def resolved_c_prime(self) -> Fraction:
         return self.c_prime if self.c_prime is not None else self.c / 8
 
     def resolved_tau(self) -> float:
-        if self.tau is not None:
-            return self.tau
         xi = Fraction(9, 4) * self.c * self.c
         return float(min(Fraction(2), xi / 2))
 
@@ -160,13 +150,12 @@ class SolverConfig:
         if self.replication is not None:
             return self.replication
         width = math.ceil(n**epsilon * log_guard(n))
-        return max(1, min(width, self.replication_cap))
+        return max(1, min(width, REPLICATION_CAP))
 
 
-def rationalize_beta(
-    beta0: float, n: int, margin: Fraction = Fraction(1, 4)
-) -> tuple[int, int]:
-    """Integer throughput p/q with p = ceil((2n/c'') beta0), q = floor(2n/c'').
+def rationalize_beta(beta0: float, n: int) -> tuple[int, int]:
+    """Integer throughput p/q with p = ceil((2n/c'') beta0), q = floor(2n/c''),
+    c'' = THROUGHPUT_MARGIN.
 
     Guarantees p/q in [beta0, 2 beta0] and keeps both polynomially
     bounded.  pre: beta0 >= c''/n, else the ceiling could overshoot the
@@ -174,14 +163,13 @@ def rationalize_beta(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0 < margin < Fraction(1, 2)):
-        raise ValueError("margin must lie in (0, 1/2)")
     b0 = Fraction(beta0)
-    if b0 < margin / n:
+    if b0 < THROUGHPUT_MARGIN / n:
         raise ValueError(
-            f"beta0={beta0} below the rationalization floor {float(margin) / n:.3g}"
+            f"beta0={beta0} below the rationalization floor "
+            f"{float(THROUGHPUT_MARGIN) / n:.3g}"
         )
-    ratio = 2 * n / margin
+    ratio = 2 * n / THROUGHPUT_MARGIN
     q = math.floor(ratio)
     p = math.ceil(b0 * ratio)
     return p, q
@@ -207,9 +195,9 @@ def make_oracle_params(
     delta_spread = math.sqrt(eps / lg)
     c_prime = config.resolved_c_prime()
     beta0 = float(6 * alpha / (c_prime * n)) / delta_spread
-    p, q = rationalize_beta(beta0, n, config.throughput_margin)
-    k_rounds = max(1, math.ceil(config.chain_rounds_const * delta_spread * lg))
-    path_min = max(1, math.ceil(n ** (1.0 - config.path_exponent * eps)))
+    p, q = rationalize_beta(beta0, n)
+    k_rounds = max(1, math.ceil(delta_spread * lg))
+    path_min = max(1, math.ceil(n ** (1.0 - PATH_EXPONENT * eps)))
     attempt_budget = k_rounds * max(1, math.ceil(n**eps * lg))
     return OracleParams(
         n=n,
@@ -224,8 +212,6 @@ def make_oracle_params(
         k_rounds=k_rounds,
         path_min=path_min,
         attempt_budget=attempt_budget,
-        restrict_sort_to_s=config.restrict_sort_to_s,
-        guard_band=config.guard_band,
     )
 
 
@@ -236,8 +222,7 @@ class MMWUSchedule:
 
     rho is the a-priori width bound, the max of the three per-case bounds
     in ``case_bounds``; the run additionally checks every emitted matrix
-    against its case bound and aborts on violation, so a configured
-    override of rho stays sound.
+    against its case bound and aborts on violation.
     """
 
     alpha: Fraction
@@ -285,9 +270,6 @@ class MMWUSchedule:
         alpha = params.alpha
         bounds = cls.case_width_bounds(params)
         rho = max(bounds.values())
-        if config.rho_override is not None:
-            rho = config.rho_override
-            bounds = {k: min(v, rho) for k, v in bounds.items()}
         delta = alpha / 2
         eta = float(delta) / (2 * n * rho * rho)
         iterations = math.ceil(
@@ -304,10 +286,10 @@ class MMWUSchedule:
         )
         if eta * rho > 1.0:
             raise ScheduleError(f"eta*rho = {eta * rho:.3g} > 1 breaks the regret algebra")
-        if sched.consistency > config.consistency_cap:
+        if sched.consistency > CONSISTENCY_CAP:
             raise ScheduleError(
                 f"schedule consistency eta*rho*T = {sched.consistency:.3g} "
-                f"exceeds the configured cap {config.consistency_cap:.3g}"
+                f"exceeds the cap {CONSISTENCY_CAP:.3g}"
             )
         return sched
 
@@ -448,11 +430,9 @@ def mmwu_run(
     sched = MMWUSchedule.plan(params, config)
     replication = config.resolved_replication(n, params.epsilon)
     tau_val = config.resolved_tau()
-    counters = counters if counters is not None else OracleCounters(
-        telemetry=[] if config.telemetry else None
-    )
+    counters = counters if counters is not None else OracleCounters()
 
-    dense_mode = n <= config.dense_cap
+    dense_mode = n <= DENSE_CAP
     # A = eta * sum N and sum N: dense under the cap (eigh needs A dense),
     # CSR above it, updated from each step's sparse N so that no
     # iteration of the sketch regime touches an n x n array
@@ -474,8 +454,8 @@ def mmwu_run(
     for t in range(t_run):
         if dense_mode:
             emb = Embedding(
-                vectors=dense_reference(a_eta, config.dense_cap),
-                gamma=config.gamma,
+                vectors=dense_reference(a_eta),
+                gamma=DEFAULT_GAMMA,
                 tau=tau_val,
             )
         else:
@@ -483,7 +463,7 @@ def mmwu_run(
             try:
                 emb = project_embedding(
                     op,
-                    config.gamma,
+                    DEFAULT_GAMMA,
                     tau_val,
                     lambda_max=eta_width_sum,
                     seed=_substream(seed, _EMBED_STREAM, t),
@@ -503,12 +483,8 @@ def mmwu_run(
                 )
                 break
             except OracleError as exc:
-                if (
-                    config.auto_halve_sigma
-                    and getattr(exc, "harvested", None) == 0
-                    and sigma_now > config.sigma_floor
-                ):
-                    sigma_now = max(sigma_now / 2.0, config.sigma_floor)
+                if getattr(exc, "harvested", None) == 0 and sigma_now > SIGMA_FLOOR:
+                    sigma_now = max(sigma_now / 2.0, SIGMA_FLOOR)
         if outcome is None:
             return Inconclusive(
                 reason=f"oracle exhausted {replication} replicas at iteration {t}",
@@ -589,8 +565,8 @@ def mmwu_run(
         norm_scale=0.0,
     )
     dense_n = cert.assemble_dense()
-    lam_max = largest_eigenvalue(dense_n, config.dense_cap, seed=seed)
-    scale = spectral_norm(dense_n, config.dense_cap, seed=seed)
+    lam_max = largest_eigenvalue(dense_n, seed=seed)
+    scale = spectral_norm(dense_n, seed=seed)
     cert = replace(cert, lambda_max_estimate=lam_max, norm_scale=scale)
 
     if not cert.nonneg_ok():
@@ -670,7 +646,7 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
         notes.append(
             f"epsilon clamped from {config.epsilon:.6g} to {eps_used:.6g} at n={n}"
         )
-    counters = OracleCounters(telemetry=[] if config.telemetry else None)
+    counters = OracleCounters()
     totals = {"mmwu_runs": 0, "iterations": 0}
 
     if config.brute_bypass and n <= config.brute_cap:
@@ -741,7 +717,7 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
     lo = best_cert.certificate.alpha if best_cert is not None else None
     hi_candidates = [a for a in separator_alphas if lo is None or a > lo]
     hi = min(hi_candidates) if hi_candidates else None
-    for _ in range(config.refine_steps):
+    for _ in range(REFINE_STEPS):
         if lo is None or hi is None or hi - lo <= 1:
             break
         mid = Fraction(math.floor((lo + hi) / 2))

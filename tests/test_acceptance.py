@@ -191,7 +191,7 @@ def _drift_instance(name, g, cfg, alpha, iters, slow, idx, trials):
     for t in range(iters):
         op = AccumulatedOperator.from_dense(a_eta, lambda_max_bound=width_sum)
         emb = project_embedding(
-            op, cfg.gamma, tau_val, width_sum, seed=np.random.default_rng((idx, 7, t))
+            op, DEFAULT_GAMMA, tau_val, width_sum, seed=np.random.default_rng((idx, 7, t))
         )
         exact_cols = dense_reference(a_eta)
         exact_gram = exact_cols.T @ exact_cols

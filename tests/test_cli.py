@@ -1,12 +1,14 @@
 """Command-line behavior: subcommands, formats, exit codes, piping."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from vsep.cli import main
+from vsep.cli import _build_config, build_parser, main
 from vsep.graphs import parse_graph, path_graph, render_graph, grid_graph
+from vsep.solver import SolverConfig
 
 P5_TEXT = render_graph(path_graph(5))
 K4_TEXT = "p 4 6\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -130,6 +132,31 @@ def test_solve_solver_flags(tmp_path, capsys):
     assert code == 0
     assert "via: oracle" in out
     assert "epsilon: 0.75" in out
+
+
+# the solve flag that sets each SolverConfig field to a non-default value
+SOLVE_FLAGS = {
+    "c": ["--c", "1/4"],
+    "epsilon": ["--epsilon", "0.75"],
+    "c_prime": ["--c-prime", "1/40"],
+    "sigma": ["--sigma", "0.1"],
+    "t_cap": ["--t-cap", "7"],
+    "brute_cap": ["--brute-cap", "3"],
+    "brute_bypass": ["--no-brute-bypass"],
+    "replication": ["--replication", "2"],
+}
+
+
+def test_every_config_field_has_a_solve_flag():
+    # a knob no caller can set is a configuration nothing covers;
+    # certification_tol alone is read, not set, by the benchmark
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == set(SOLVE_FLAGS) | {"certification_tol"}
+    default = SolverConfig()
+    parser = build_parser()
+    for name, argv in SOLVE_FLAGS.items():
+        config = _build_config(parser.parse_args(["solve", *argv]))
+        assert getattr(config, name) != getattr(default, name), name
 
 
 def test_validate_rejects_tampered(tmp_path, capsys, monkeypatch):

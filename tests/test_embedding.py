@@ -290,7 +290,7 @@ def test_dense_reference_guards():
     with pytest.raises(ValueError):
         dense_reference(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        dense_reference(np.zeros((65, 65)), dense_cap=64)
+        dense_reference(np.zeros((DENSE_CAP + 1, DENSE_CAP + 1)))
     # large entries must not overflow thanks to the spectral shift
     v = dense_reference(np.diag([1000.0, 0.0]))
     assert np.isfinite(v).all()
@@ -451,13 +451,15 @@ def test_power_iteration_within_tolerance():
 
 
 def test_largest_eigenvalue_power_path_negative_definite():
-    # force the power-iteration branch with a tiny cap: the plain norm
+    # n above DENSE_CAP takes the power-iteration branch: the plain norm
     # sees |lambda_min|, the shifted pass must recover lambda_max < 0
+    n = 80
+    assert n > DENSE_CAP
     rng = np.random.default_rng(41)
-    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-    vals = -np.linspace(1.0, 9.0, 40)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = -np.linspace(1.0, 9.0, n)
     m = (q * vals) @ q.T
-    est = largest_eigenvalue(m, dense_cap=10, seed=1)
+    est = largest_eigenvalue(m, seed=1)
     assert abs(est - (-1.0)) <= 0.05 * 9.0
-    norm_est = spectral_norm(m, dense_cap=10, seed=1)
+    norm_est = spectral_norm(m, seed=1)
     assert abs(norm_est - 9.0) <= 0.05 * 9.0

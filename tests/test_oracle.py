@@ -351,12 +351,6 @@ def test_matching_sizing_errors():
     far = line_embedding([10.0, 20.0, 30.0, 40.0])  # norms all above 4/c
     with pytest.raises(OracleError):
         matching(g, far, np.array([1.0]), mk_params(n=4))
-    # unrestricted sort domain tolerates large norms
-    out = matching(
-        g, far, np.array([1.0]),
-        mk_params(n=4, restrict_sort_to_s=False, beta_p=10),
-    )
-    assert isinstance(out, SeparatorOutcome)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +504,10 @@ def test_chain_fires_on_scripted_matchings(monkeypatch):
         assert f == 2 * F(1) / (2 * F(2.0))
         assert check_violating(p, emb, params.delta_spread)
     assert len(calls) == 2
+    # the emitted matrix's exact norm sits inside its certified width,
+    # which sits inside the chain bound the schedule plans with
+    assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
+    assert fm.width_bound <= MMWUSchedule.case_width_bounds(params)["chain"] * (1 + 1e-9)
 
 
 def test_chain_deduplicates_harvest(monkeypatch):

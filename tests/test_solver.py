@@ -20,7 +20,9 @@ from vsep.graphs import (
     two_blobs_graph,
     with_weights,
 )
+import vsep.solver as solver_mod
 from vsep.solver import (
+    REFINE_STEPS,
     CertificateFound,
     CertificationError,
     DualCertificate,
@@ -64,16 +66,23 @@ def test_config_validation_and_resolution():
     with pytest.raises(ValueError):
         SolverConfig(replication=0)
     with pytest.raises(ValueError):
-        SolverConfig(refine_steps=-1)
+        SolverConfig(certification_tol=-1e-6)
     cfg = SolverConfig()
     assert cfg.resolved_c_prime() == F(1, 24)
     assert cfg.resolved_tau() == 0.125  # min(2, xi/2) at c = 1/3
     assert SolverConfig(c_prime=F(1, 4)).resolved_c_prime() == F(1, 4)
-    assert SolverConfig(tau=0.3).resolved_tau() == 0.3
     # ceil(16^0.5 * ln 16) = ceil(11.09) = 12, under the cap
     assert cfg.resolved_replication(16, 0.5) == 12
     assert SolverConfig(replication=3).resolved_replication(16, 0.5) == 3
     assert cfg.resolved_replication(10 ** 6, 1.0) == 64  # capped
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["epsilon", "sigma", "certification_tol"])
+def test_config_rejects_non_finite(name, bad):
+    # a NaN tolerance makes lambda_max > tol False, accepting any certificate
+    with pytest.raises(ValueError):
+        SolverConfig(**{name: bad})
 
 
 def test_rationalize_beta_examples():
@@ -152,24 +161,11 @@ def test_schedule_formulas_and_bounds():
     assert not sched.completes and sched.run_iterations == 100
 
 
-def test_schedule_rho_override_caps_bounds():
+def test_schedule_consistency_cap(monkeypatch):
     g = grid_graph(4, 4)
-    cfg = SolverConfig(c_prime=F(1, 4), rho_override=5.0)
+    cfg = SolverConfig(c_prime=F(1, 4))
     params = make_oracle_params(g, 4, cfg)
-    sched = MMWUSchedule.plan(params, cfg)
-    assert sched.rho == 5.0
-    assert sched.case_bounds["easy"] == pytest.approx(1.75)  # unchanged
-    assert sched.case_bounds["flow"] == 5.0
-    assert sched.case_bounds["chain"] == 5.0
-    assert sched.iterations == math.ceil(
-        4 * 256 * 25.0 * math.log(16) / 4.0
-    )
-
-
-def test_schedule_consistency_cap():
-    g = grid_graph(4, 4)
-    cfg = SolverConfig(c_prime=F(1, 4), consistency_cap=1.0)
-    params = make_oracle_params(g, 4, cfg)
+    monkeypatch.setattr(solver_mod, "CONSISTENCY_CAP", 1.0)
     with pytest.raises(ScheduleError):
         MMWUSchedule.plan(params, cfg)
 
@@ -307,7 +303,7 @@ def test_solve_grid_separator_sweep():
     assert r.counters["mmwu_runs"] == 5
     # the guess ladder plus refinement can never exceed this
     w = g.total_weight()
-    assert r.counters["mmwu_runs"] <= math.ceil(math.log2(w)) + 1 + cfg.refine_steps
+    assert r.counters["mmwu_runs"] <= math.ceil(math.log2(w)) + 1 + REFINE_STEPS
     assert r.kappa is not None and r.kappa > 0
     assert r.brute_opt is None  # n = 16 sits above the brute cap
     assert r.cost_vs_bound_ok is None  # no certificate on this sweep
