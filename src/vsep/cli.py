@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -77,6 +78,30 @@ def _balance_arg(text: str) -> Fraction:
     if not (0 < c < Fraction(1, 2)):
         raise argparse.ArgumentTypeError("balance must lie in (0, 1/2)")
     return c
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _epsilon_arg(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError("epsilon must be positive")
+    return x
+
+
+def _sigma_arg(text: str) -> float:
+    x = _finite_float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError("sigma must be non-negative")
+    return x
 
 
 def _dump_json(tree) -> str:
@@ -368,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if with_solver:
             p.add_argument("--c", type=_balance_arg, default=Fraction(1, 3))
-            p.add_argument("--epsilon", type=float, default=0.5)
+            p.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
             p.add_argument("--c-prime", dest="c_prime", type=_parse_fraction)
             p.add_argument("--t-cap", dest="t_cap", type=int)
             p.add_argument("--brute-cap", dest="brute_cap", type=int)
             p.add_argument("--replication", type=int)
-            p.add_argument("--sigma", type=float)
+            p.add_argument("--sigma", type=_sigma_arg)
             p.add_argument(
                 "--no-brute-bypass",
                 dest="no_brute_bypass",
@@ -433,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
-        parser.error("epsilon must be positive")
     try:
         return args.func(args)
     except (GraphFormatError, FlowError, _InputError) as exc:

@@ -1,6 +1,11 @@
 """Integer max flow (Dinic), minimum cuts with minimal sink side, and
 path decomposition of flows.
 
+Each Dinic phase runs its blocking flow on the level graph pruned to the
+nodes that reach the sink, and after each augment the walk resumes at the
+first saturated arc; see :class:`_Dinic` for why the augmentations are
+those of the textbook walk that restarts from the source.
+
 Capacities are integers throughout; the split-network builder scales all
 rational capacities up front so that flow values, cuts, and decompositions
 are exact.  "Infinite" arcs use a sentinel capacity strictly larger than
@@ -9,7 +14,6 @@ the sum of all finite capacities, so they can never cross a minimum cut.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +30,7 @@ class FlowNetwork:
 
     Arcs are identified by insertion index.  ``add_arc`` returns that
     index; per-arc flows in :class:`FlowResult` use the same indexing.
+    Arc lists passed to the constructor get the checks ``add_arc`` makes.
     """
 
     num_nodes: int
@@ -42,18 +47,35 @@ class FlowNetwork:
             raise FlowError("source/sink out of range")
         if self.source == self.sink:
             raise FlowError("source and sink must differ")
+        m = len(self.tails)
+        if len(self.heads) != m or len(self.caps) != m:
+            raise FlowError(
+                f"arc lists differ in length: {m} tails, "
+                f"{len(self.heads)} heads, {len(self.caps)} caps"
+            )
+        n = self.num_nodes
+        if m and not (
+            min(self.tails) >= 0 and max(self.tails) < n
+            and min(self.heads) >= 0 and max(self.heads) < n
+            and min(self.caps) >= 0 and max(self.caps) < CAP_LIMIT
+        ):
+            for u, v, cap in zip(self.tails, self.heads, self.caps):
+                self._check_arc(u, v, cap)
 
     @property
     def num_arcs(self) -> int:
         return len(self.tails)
 
-    def add_arc(self, u: int, v: int, cap: int) -> int:
+    def _check_arc(self, u: int, v: int, cap: int) -> None:
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             raise FlowError(f"arc ({u}, {v}) out of range")
         if cap < 0:
             raise FlowError(f"negative capacity on arc ({u}, {v})")
         if cap >= CAP_LIMIT:
             raise FlowError(f"capacity on arc ({u}, {v}) overflows the integer range")
+
+    def add_arc(self, u: int, v: int, cap: int) -> int:
+        self._check_arc(u, v, cap)
         self.tails.append(u)
         self.heads.append(v)
         self.caps.append(int(cap))
@@ -87,98 +109,139 @@ class FlowResult:
 
 
 class _Dinic:
+    """Dinitz's blocking-flow max flow over a pruned level graph.
+
+    Half-arc ``2i`` is input arc ``i`` and ``2i + 1`` its reverse, held in
+    the flat lists ``to`` and ``res``.  Each phase labels nodes by BFS
+    depth from the source, keeps only the nodes that reach the sink over
+    level-graph arcs (``res > 0``, depth + 1), and runs one depth-first
+    walk with per-node arc pointers that augments along every path it
+    finds.
+
+    The augmentations, their order and amounts are those of the plain
+    walk that restarts from the source after each augment and labels
+    every node the BFS reaches:
+
+    * A node at depth >= depth(t), other than t, is on no shortest path.
+    * Augmenting only removes level-graph arcs and adds reverse arcs,
+      which point back a level, so a node that cannot reach t when a
+      phase starts cannot reach it later in the phase.  The plain walk
+      dead-ends at such a node, which advances the parent's arc pointer
+      by one; skipping the pruned node does the same.
+    * After an augment, every arc before the first saturated one keeps
+      residual capacity and its pointer, so a restart from the source
+      walks back exactly to that arc's tail: the walk retreats there.
+    """
+
     def __init__(self, net: FlowNetwork):
         self.n = net.num_nodes
-        self.to: list[int] = []
-        self.res: list[int] = []  # residual capacity per directed half-arc
+        self.caps = net.caps
+        m = len(net.caps)
+        self.to: list[int] = [0] * (2 * m)
+        self.to[0::2] = net.heads
+        self.to[1::2] = net.tails
+        self.res: list[int] = [0] * (2 * m)  # residual capacity per half-arc
+        self.res[0::2] = net.caps
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        self.forward_ids: list[int] = []  # half-arc index of each input arc
-        for u, v, c in zip(net.tails, net.heads, net.caps):
-            self.forward_ids.append(len(self.to))
-            self.adj[u].append(len(self.to))
-            self.to.append(v)
-            self.res.append(c)
-            self.adj[v].append(len(self.to))
-            self.to.append(u)
-            self.res.append(0)
-        self.caps = list(net.caps)
+        adj = self.adj
+        a = 0
+        for u, v in zip(net.tails, net.heads):
+            adj[u].append(a)
+            adj[v].append(a + 1)
+            a += 2
 
     def run(self, s: int, t: int) -> int:
+        to, res, adj = self.to, self.res, self.adj
         total = 0
         while True:
-            level = self._levels(s)
+            level = self._levels(s, t)
             if level[t] < 0:
                 return total
             it = [0] * self.n
+            path: list[int] = []  # half-arcs from s to node
+            node = s
+            # iterative: paths reach thousands of nodes
             while True:
-                pushed = self._dfs(s, t, level, it)
-                if pushed == 0:
+                if node == t:
+                    amt = min(res[a] for a in path)
+                    for a in path:
+                        res[a] -= amt
+                        res[a ^ 1] += amt
+                    total += amt
+                    k = 0
+                    while res[path[k]] > 0:
+                        k += 1
+                    node = to[path[k] ^ 1]
+                    del path[k:]
+                    continue
+                arcs = adj[node]
+                i = it[node]
+                m = len(arcs)
+                nxt = level[node] + 1
+                while i < m:
+                    a = arcs[i]
+                    if res[a] > 0 and level[to[a]] == nxt:
+                        break
+                    i += 1
+                it[node] = i
+                if i < m:
+                    path.append(a)
+                    node = to[a]
+                    continue
+                level[node] = -1  # dead end
+                if not path:
                     break
-                total += pushed
+                node = to[path.pop() ^ 1]
+                it[node] += 1
 
-    def _levels(self, s: int) -> list[int]:
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS depths from s, pruned to the nodes that reach t (others -1)."""
+        to, res, adj = self.to, self.res, self.adj
+        depth = [-1] * self.n
+        depth[s] = 0
+        queue = [s]
+        for v in queue:  # the queue grows while it is read
+            d = depth[v] + 1
+            for a in adj[v]:
+                u = to[a]
+                if depth[u] < 0 and res[a] > 0:
+                    depth[u] = d
+                    queue.append(u)
+            if depth[t] >= 0:
+                break  # nodes deeper than t are on no shortest path
         level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for a in self.adj[v]:
-                if self.res[a] > 0 and level[self.to[a]] < 0:
-                    level[self.to[a]] = level[v] + 1
-                    q.append(self.to[a])
+        if depth[t] < 0:
+            return level
+        level[t] = depth[t]
+        stack = [t]
+        while stack:
+            v = stack.pop()
+            d = level[v] - 1
+            if d < 0:
+                continue
+            for b in adj[v]:
+                u = to[b]
+                if res[b ^ 1] > 0 and depth[u] == d and level[u] < 0:
+                    level[u] = d
+                    stack.append(u)
         return level
 
-    def _dfs(self, v: int, t: int, level: list[int], it: list[int]) -> int:
-        # iterative blocking-flow walk to keep recursion depth flat
-        path: list[int] = []
-        node = v
-        while True:
-            if node == t:
-                amt = min(self.res[a] for a in path)
-                for a in path:
-                    self.res[a] -= amt
-                    self.res[a ^ 1] += amt
-                return amt
-            advanced = False
-            while it[node] < len(self.adj[node]):
-                a = self.adj[node][it[node]]
-                u = self.to[a]
-                if self.res[a] > 0 and level[u] == level[node] + 1:
-                    path.append(a)
-                    node = u
-                    advanced = True
-                    break
-                it[node] += 1
-            if not advanced:
-                level[node] = -1  # dead end; prune
-                if not path:
-                    return 0
-                a = path.pop()
-                node = self.to[a ^ 1]
-                it[node] += 1
-
     def arc_flows(self) -> list[int]:
-        return [
-            self.caps[i] - self.res[fa]
-            for i, fa in enumerate(self.forward_ids)
-        ]
+        return [c - r for c, r in zip(self.caps, self.res[0::2])]
 
     def residual_reaches_sink(self, t: int) -> list[bool]:
-        """Nodes with a residual path to t (reverse BFS over residual arcs)."""
-        rev_adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a in range(len(self.to)):
-            if self.res[a] > 0:
-                rev_adj[self.to[a]].append(a ^ 1)  # a: u->v, record v -> u
+        """Nodes with a residual path to t (reverse search over residual arcs)."""
+        to, res, adj = self.to, self.res, self.adj
         reach = [False] * self.n
         reach[t] = True
-        q = deque([t])
-        while q:
-            v = q.popleft()
-            for a in rev_adj[v]:
-                u = self.to[a]
-                if not reach[u]:
+        stack = [t]
+        while stack:
+            v = stack.pop()
+            for b in adj[v]:
+                u = to[b]
+                if res[b ^ 1] > 0 and not reach[u]:
                     reach[u] = True
-                    q.append(u)
+                    stack.append(u)
         return reach
 
 
@@ -399,25 +462,32 @@ def build_split_network(
     if sentinel >= CAP_LIMIT:
         raise FlowError("scaled capacities overflow the integer range")
 
-    net = FlowNetwork(num_nodes=2 * n + 2, source=2 * n, sink=2 * n + 1)
-    vertex_arc = {}
-    for x in range(n):
-        vertex_arc[x] = net.add_arc(2 * x, 2 * x + 1, graph.weights[x] * q)
+    # arc order: vertex arcs, both directions of each edge, source, sink
+    tails = list(range(0, 2 * n, 2))
+    heads = list(range(1, 2 * n, 2))
+    caps = [int(w * q) for w in graph.weights]
+    vertex_arc = {x: x for x in range(n)}
     edge_arc = {}
     for u, v in graph.edges:
-        edge_arc[(u, v)] = net.add_arc(2 * u + 1, 2 * v, sentinel)
-        edge_arc[(v, u)] = net.add_arc(2 * v + 1, 2 * u, sentinel)
-    source_arc = {}
-    for a in sorted(a_set):
-        source_arc[a] = net.add_arc(2 * n, 2 * a, 2 * p)
-    sink_arc = {}
-    for b in sorted(b_set):
-        sink_arc[b] = net.add_arc(2 * b + 1, 2 * n + 1, 2 * p)
+        edge_arc[(u, v)] = len(tails)
+        edge_arc[(v, u)] = len(tails) + 1
+        tails += (2 * u + 1, 2 * v + 1)
+        heads += (2 * v, 2 * u)
+    caps += [sentinel] * (len(tails) - n)
+    a_sorted, b_sorted = sorted(a_set), sorted(b_set)
+    source_arc = {a: len(tails) + k for k, a in enumerate(a_sorted)}
+    tails += [2 * n] * len(a_sorted)
+    heads += [2 * a for a in a_sorted]
+    sink_arc = {b: len(tails) + k for k, b in enumerate(b_sorted)}
+    tails += [2 * b + 1 for b in b_sorted]
+    heads += [2 * n + 1] * len(b_sorted)
+    caps += [2 * p] * (len(a_sorted) + len(b_sorted))
+    net = FlowNetwork(2 * n + 2, 2 * n, 2 * n + 1, tails, heads, caps)
     return SplitNetwork(
         net=net,
         n=n,
-        a_side=tuple(sorted(a_set)),
-        b_side=tuple(sorted(b_set)),
+        a_side=tuple(a_sorted),
+        b_side=tuple(b_sorted),
         p=p,
         q=q,
         vertex_arc=vertex_arc,

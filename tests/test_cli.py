@@ -315,18 +315,15 @@ def test_bench_bad_grid(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--epsilon", "-1"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--c", "0.7"])  # balance outside (0, 1/2)
-    assert info.value.code == 2
-    capsys.readouterr()
+    bad = [["frobnicate"], ["solve", "--c", "0.7"]]  # balance outside (0, 1/2)
+    for command in ("solve", "bench"):
+        bad += [[command, "--epsilon", x] for x in ("0", "-1", "nan", "inf")]
+        bad += [[command, "--sigma", x] for x in ("-1", "nan", "inf")]
+    for argv in bad:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        capsys.readouterr()
 
 
 def test_bad_graph_input_exits_three(capsys, monkeypatch):

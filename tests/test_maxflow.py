@@ -2,10 +2,12 @@
 
 The reference value for every randomized trial comes from
 ``brute_min_cut`` below, which enumerates all source/sink bipartitions
-directly and never touches the solver code path.
+directly and never touches the solver code path.  The reference for the
+exact flow, paths and cut is ``ReferenceDinic``, the textbook Dinic.
 """
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,11 +16,18 @@ from vsep.flow import (
     CAP_LIMIT,
     FlowError,
     FlowNetwork,
+    FlowResult,
     build_split_network,
     decompose,
     max_flow,
 )
-from vsep.graphs import complete_graph, path_graph, with_weights
+from vsep.graphs import (
+    complete_graph,
+    grid_graph,
+    path_graph,
+    two_blobs_graph,
+    with_weights,
+)
 
 
 def brute_min_cut(num_nodes, source, sink, arcs):
@@ -40,6 +49,108 @@ def brute_min_cut(num_nodes, source, sink, arcs):
     for u, v, cap in arcs:
         total += np.where(side[:, u] & ~side[:, v], cap, 0)
     return int(total.min())
+
+
+class ReferenceDinic:
+    """Textbook Dinic: every node the BFS reaches keeps its level, and the
+    blocking-flow walk restarts from the source after each augment.
+
+    ``max_flow`` prunes its level graph and resumes at the bottleneck, but
+    must make exactly these augmentations, in this order.
+    """
+
+    def __init__(self, net):
+        self.adj = [[] for _ in range(net.num_nodes)]
+        self.to, self.res = [], []
+        for u, v, c in zip(net.tails, net.heads, net.caps):
+            self.adj[u].append(len(self.to))
+            self.to.append(v)
+            self.res.append(c)
+            self.adj[v].append(len(self.to))
+            self.to.append(u)
+            self.res.append(0)
+
+    def run(self, s, t):
+        total = 0
+        while True:
+            level = self.levels(s)
+            if level[t] < 0:
+                return total
+            it = [0] * len(self.adj)
+            while True:
+                pushed = self.augment(s, t, level, it)
+                if pushed == 0:
+                    break
+                total += pushed
+
+    def levels(self, s):
+        level = [-1] * len(self.adj)
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for a in self.adj[v]:
+                if self.res[a] > 0 and level[self.to[a]] < 0:
+                    level[self.to[a]] = level[v] + 1
+                    queue.append(self.to[a])
+        return level
+
+    def augment(self, s, t, level, it):
+        path, node = [], s
+        while True:
+            if node == t:
+                amt = min(self.res[a] for a in path)
+                for a in path:
+                    self.res[a] -= amt
+                    self.res[a ^ 1] += amt
+                return amt
+            while it[node] < len(self.adj[node]):
+                a = self.adj[node][it[node]]
+                if self.res[a] > 0 and level[self.to[a]] == level[node] + 1:
+                    path.append(a)
+                    node = self.to[a]
+                    break
+                it[node] += 1
+            else:
+                level[node] = -1  # dead end
+                if not path:
+                    return 0
+                node = self.to[path.pop() ^ 1]
+                it[node] += 1
+
+
+def reference_max_flow(net):
+    """``FlowResult`` of :class:`ReferenceDinic`, cut and decomposition
+    taken as ``max_flow`` takes them."""
+    dinic = ReferenceDinic(net)
+    value = dinic.run(net.source, net.sink)
+    into = [[] for _ in range(net.num_nodes)]
+    for a, v in enumerate(dinic.to):
+        if dinic.res[a] > 0:
+            into[v].append(dinic.to[a ^ 1])
+    reach = {net.sink}
+    queue = deque([net.sink])
+    while queue:
+        for u in into[queue.popleft()]:
+            if u not in reach:
+                reach.add(u)
+                queue.append(u)
+    paths, flows = decompose(
+        net, [c - dinic.res[2 * i] for i, c in enumerate(net.caps)]
+    )
+    cut = sum(
+        c
+        for u, v, c in zip(net.tails, net.heads, net.caps)
+        if u not in reach and v in reach
+    )
+    return FlowResult(
+        value=value,
+        flow=tuple(flows),
+        s_cut=tuple(v for v in range(net.num_nodes) if v not in reach),
+        t_cut=tuple(v for v in range(net.num_nodes) if v in reach),
+        paths=tuple(paths),
+        cut_capacity=cut,
+    )
 
 
 def random_network(rng):
@@ -136,6 +247,7 @@ def test_random_networks_match_brute_cut():
         )
         check_structural(net, result)
         check_t_cut_minimal(net, result)
+        assert result == reference_max_flow(net)
 
 
 def test_hand_diamond():
@@ -179,6 +291,23 @@ def test_zero_capacity_and_parallel_arcs():
     result = max_flow(net)
     assert result.value == 7
     assert result.flow == (0, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "tails, heads, caps",
+    [
+        ([0], [2], [1 << 63]),  # capacity beyond CAP_LIMIT
+        ([0], [2], [CAP_LIMIT]),
+        ([0], [2], [-3]),  # negative capacity
+        ([0, 1], [2], [1, 1]),  # list lengths differ
+        ([0], [2], [1, 1]),
+        ([3], [2], [1]),  # tail out of range
+        ([0], [-1], [1]),  # head out of range
+    ],
+)
+def test_constructor_rejects_bad_arc_lists(tails, heads, caps):
+    with pytest.raises(FlowError):
+        FlowNetwork(3, 0, 2, tails=tails, heads=heads, caps=caps)
 
 
 def test_construction_errors():
@@ -241,6 +370,11 @@ def test_split_network_shape():
     assert sn.net.caps[sn.vertex_arc[1]] == 2  # weight 1 * q
     assert sn.net.caps[sn.source_arc[0]] == 6  # 2p
     assert len(sn.edge_arc) == 2 * g.m
+    # arc order: vertex arcs, both directions of each edge, source, sink
+    assert sn.net.tails == [0, 2, 4, 1, 3, 3, 5, 6, 5]
+    assert sn.net.heads == [1, 3, 5, 2, 0, 4, 2, 0, 7]
+    assert sn.edge_arc == {(0, 1): 3, (1, 0): 4, (1, 2): 5, (2, 1): 6}
+    assert (sn.source_arc, sn.sink_arc) == ({0: 7}, {2: 8})
     # sentinel exceeds every finite capacity combined
     finite = sum(g.weights) * 2 + 2 * 3 * 2
     assert sn.net.caps[sn.edge_arc[(0, 1)]] == finite + 1
@@ -298,3 +432,27 @@ def test_split_network_input_validation():
         build_split_network(g, [0], [2], p=0, q=1)
     with pytest.raises(FlowError):
         build_split_network(g, [0], [5], p=1, q=1)
+
+
+SPLIT_GRAPHS = (
+    path_graph(60),
+    grid_graph(8, 8),
+    two_blobs_graph(12, 12, 3),
+    complete_graph(10),
+    with_weights(path_graph(41), [1 if i == 20 else 8 for i in range(41)]),
+)
+
+
+def test_split_networks_match_reference_dinic():
+    # unit or random weights, random disjoint sides and random p/q
+    rng = random.Random(20261018)
+    for _ in range(240):
+        g = rng.choice(SPLIT_GRAPHS)
+        if rng.random() < 0.5:
+            g = with_weights(g, [rng.randint(1, 9) for _ in range(g.n)])
+        order = rng.sample(range(g.n), g.n)
+        ka, kb = rng.randint(1, g.n // 3), rng.randint(1, g.n // 3)
+        sn = build_split_network(
+            g, order[:ka], order[ka : ka + kb], rng.randint(1, 20), rng.randint(1, 20)
+        )
+        assert max_flow(sn.net) == reference_max_flow(sn.net)
