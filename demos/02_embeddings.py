@@ -29,10 +29,11 @@ def structured_pieces() -> None:
         n=4,
         alpha=F(2),
         xi=F(1, 4),
-        y=(F(1), F(1), F(0), F(0)),
-        easy_set=((0, 1, 2), F(1, 8)),
-        path_terms=(((0, 2, 3), F(1, 2)),),
-        lam=(((0, 1), F(1, 3)),),
+        y=F(1, 2),
+        unit=F(1, 24),  # coefficients 1/8, 1/2 and 1/3 as multiples of 1/24
+        easy_set=((0, 1, 2), 3),
+        path_terms=(((0, 2, 3), 12),),
+        lam=(((0, 1), 8),),
         case="custom",
         width_bound=4.0,
     )
@@ -42,7 +43,7 @@ def structured_pieces() -> None:
 
 
 def _random_step(rng: np.random.Generator, n: int) -> FeedbackMatrix:
-    y = tuple(F(int(rng.integers(0, 6)), int(rng.integers(1, 7))) for _ in range(n))
+    y = F(int(rng.integers(0, 6)), int(rng.integers(1, 7)))
     length = int(rng.integers(2, 6))
     path = tuple(int(v) for v in rng.permutation(n)[:length])
     i, j = sorted(int(v) for v in rng.permutation(n)[:2])
@@ -51,8 +52,9 @@ def _random_step(rng: np.random.Generator, n: int) -> FeedbackMatrix:
         alpha=F(0),
         xi=F(1, 4),
         y=y,
-        path_terms=((path, F(int(rng.integers(0, 4)), 3)),),
-        lam=(((i, j), F(int(rng.integers(0, 5)), 2)),),
+        unit=F(1, 6),  # path coefficients k/3 and edge coefficients k/2
+        path_terms=((path, 2 * int(rng.integers(0, 4))),),
+        lam=(((i, j), 3 * int(rng.integers(0, 5))),),
         width_bound=float(rng.integers(1, 10)),
     )
 

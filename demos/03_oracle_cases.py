@@ -47,7 +47,8 @@ def easy_case() -> None:
                      np.random.default_rng(0), OracleCounters())
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
-    s, z = fm.easy_set
+    s, m = fm.easy_set
+    z = fm.unit * m
     print(f"case         {fm.case}")
     print(f"spread set   {s} with coefficient z = {z}")
     print(f"budget       {fm.budget_total} >= alpha = {params.alpha}")
@@ -73,7 +74,7 @@ def flow_case() -> None:
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
     print(f"case         {fm.case}")
-    print(f"edge terms   {[(e, str(v)) for e, v in fm.lam]}")
+    print(f"edge terms   {[(e, str(fm.unit * m)) for e, m in fm.lam]}")
     print(f"degree <= w  {fm.degree_ok(g.weights)}")
     print()
 

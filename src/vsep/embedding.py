@@ -5,7 +5,8 @@ The update loop maintains X = n * exp(A) / Tr(exp(A)) for an accumulated
 symmetric A.  This module provides:
 
 * :class:`FeedbackMatrix`, the structured symmetric matrices produced by
-  the oracle, with exact rational coefficients;
+  the oracle: a scalar diagonal y plus one exact rational unit times
+  non-negative integer multiplicities of spread, path and edge terms;
 * :class:`AccumulatedOperator`, A as a sparse matrix with a certified
   spectral-norm bound; the solver keeps it current by A + eta * N.sparse
   each step, and :func:`accumulate` compiles a whole history exactly;
@@ -17,9 +18,10 @@ symmetric A.  This module provides:
   eigendecomposition-based versions used for validation and at small n;
 * spectral-norm estimation helpers.
 
-Floating point is used for everything spectral; the structured
-coefficients stay exact rationals so that certificate identities can be
-verified without rounding.
+Floating point is used for everything spectral.  A feedback matrix's
+entries are exact: integer sums of multiplicities over a common
+denominator, each rounded to float once, so certificate identities can
+be verified without rounding.
 """
 
 from __future__ import annotations
@@ -63,22 +65,23 @@ def _frac(x: Rational) -> Fraction:
 
 
 def structured_entries(
-    y: Iterable[Fraction],
-    spread_terms: Iterable[tuple[tuple[int, ...], Fraction]],
-    path_terms: Iterable[tuple[tuple[int, ...], Fraction]],
-    lam: Iterable[tuple[tuple[int, int], Fraction]],
-) -> dict[tuple[int, int], Fraction]:
+    y: Iterable[Rational],
+    spread_terms: Iterable[tuple[tuple[int, ...], Rational]],
+    path_terms: Iterable[tuple[tuple[int, ...], Rational]],
+    lam: Iterable[tuple[tuple[int, int], Rational]],
+) -> dict[tuple[int, int], Rational]:
     """Exact upper-triangle entries of diag(y) + sum_S z_S K_S
     + sum_p f_p T_p - sum_ij lambda_ij L_ij.
 
-    Exact accumulation makes structural cancellation (e.g. path terms
-    against edge coefficients) produce true zeros, which are dropped.
+    Coefficients are ints or Fractions, and so are the entries.  Exact
+    accumulation makes structural cancellation (e.g. path terms against
+    edge coefficients) produce true zeros, which are dropped.
     """
-    e: dict[tuple[int, int], Fraction] = {}
+    e: dict[tuple[int, int], Rational] = {}
 
-    def add(i: int, j: int, v: Fraction) -> None:
+    def add(i: int, j: int, v: Rational) -> None:
         key = (i, j) if i <= j else (j, i)
-        e[key] = e.get(key, Fraction(0)) + v
+        e[key] = e.get(key, 0) + v
 
     for i, yi in enumerate(y):
         if yi:
@@ -111,47 +114,54 @@ def structured_entries(
     return {k: v for k, v in e.items() if v}
 
 
+def _check_multiplicity(m: int) -> None:
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("multiplicities must be non-negative integers")
+
+
 @dataclass(frozen=True, eq=False)
 class FeedbackMatrix:
-    """One oracle feedback step N = diag(y) + sum_p f_p T_p + sum_S z_S K_S
-    - sum_ij lambda_ij L_ij, kept in structured form.
+    """One oracle feedback step
+    N = y I + unit * (m_S K_S + sum_p m_p T_p - sum_ij m_ij L_ij),
+    kept in structured form.
 
     T_p is the path-inequality matrix of path p (sum of hop Laplacians
     minus the endpoint Laplacian), K_S the pairwise-spread matrix of set S
-    (|S| diag(1_S) - 1_S 1_S^T), and L_ij the single-edge Laplacian.  All
-    coefficients are exact rationals; ``width_bound`` is the certified
+    (|S| diag(1_S) - 1_S 1_S^T), and L_ij the single-edge Laplacian.
+    ``y`` and ``unit`` are exact rationals that one case of one run
+    repeats on every step; the multiplicities m are non-negative integers,
+    so every coefficient is ``unit * m`` and every entry is an integer
+    over one common denominator.  ``width_bound`` is the certified
     spectral-norm bound for this instance of the case that produced it.
     """
 
     n: int
     alpha: Fraction
     xi: Fraction
-    y: tuple[Fraction, ...]
-    easy_set: Optional[tuple[tuple[int, ...], Fraction]] = None
-    path_terms: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
-    lam: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    y: Fraction
+    unit: Fraction
+    easy_set: Optional[tuple[tuple[int, ...], int]] = None
+    path_terms: tuple[tuple[tuple[int, ...], int], ...] = ()
+    lam: tuple[tuple[tuple[int, int], int], ...] = ()
     case: str = "custom"
     width_bound: float = 0.0
 
     def __post_init__(self):
-        if len(self.y) != self.n:
-            raise ValueError("y must have one entry per vertex")
+        if self.unit <= 0:
+            raise ValueError("coefficient unit must be positive")
         if self.easy_set is not None:
-            s, z = self.easy_set
-            if z < 0:
-                raise ValueError("spread coefficient must be non-negative")
+            s, m = self.easy_set
+            _check_multiplicity(m)
             if len(set(s)) != len(s) or any(not 0 <= i < self.n for i in s):
                 raise ValueError("easy set must be distinct in-range vertices")
-        for p, f in self.path_terms:
-            if f < 0:
-                raise ValueError("path coefficients must be non-negative")
+        for p, m in self.path_terms:
+            _check_multiplicity(m)
             if len(p) < 2 or len(set(p)) != len(p):
                 raise ValueError("path must have at least 2 distinct vertices")
             if any(not 0 <= i < self.n for i in p):
                 raise ValueError("path vertex out of range")
-        for (i, j), lam in self.lam:
-            if lam < 0:
-                raise ValueError("edge coefficients must be non-negative")
+        for (i, j), m in self.lam:
+            _check_multiplicity(m)
             if not (0 <= i < j < self.n):
                 raise ValueError("edge coefficients must use ordered vertex pairs")
         if self.budget_total < self.alpha:
@@ -161,65 +171,65 @@ class FeedbackMatrix:
 
     @property
     def budget_total(self) -> Fraction:
-        """sum_i y_i + xi n^2 sum_S z_S, exact."""
-        total = sum(self.y, Fraction(0))
+        """sum_i y_i + xi n^2 z = n y + xi n^2 unit m_S, exact."""
+        total = self.n * self.y
         if self.easy_set is not None:
-            total += self.xi * self.n * self.n * self.easy_set[1]
+            total += self.xi * self.n * self.n * self.unit * self.easy_set[1]
         return total
 
     def lambda_degrees(self) -> list[Fraction]:
         """Per-vertex sums of incident edge coefficients, exact."""
-        deg = [Fraction(0)] * self.n
-        for (i, j), lam in self.lam:
-            deg[i] += lam
-            deg[j] += lam
-        return deg
+        deg = [0] * self.n
+        for (i, j), m in self.lam:
+            deg[i] += m
+            deg[j] += m
+        return [self.unit * d for d in deg]
 
     def degree_ok(self, weights: Sequence[int]) -> bool:
         return all(d <= w for d, w in zip(self.lambda_degrees(), weights))
 
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """Exact upper-triangle entries (i <= j) of the assembled matrix.
+    def _numerators(self) -> tuple[dict[tuple[int, int], int], int]:
+        """Upper-triangle entries (i <= j) as integer numerators over one
+        common denominator, which is returned alongside."""
+        den = math.lcm(self.y.denominator, self.unit.denominator)
+        y = self.y.numerator * (den // self.y.denominator)
+        u = self.unit.numerator * (den // self.unit.denominator)
+        s, m_s = self.easy_set or ((), 0)
+        num = structured_entries(
+            (y,) * self.n,
+            [(s, u * m_s)],
+            [(p, u * m) for p, m in self.path_terms],
+            [(e, u * m) for e, m in self.lam],
+        )
+        return num, den
 
-        Exact accumulation makes structural cancellation (e.g. path terms
-        against edge coefficients) produce true zeros, which are dropped.
-        """
-        spread = (self.easy_set,) if self.easy_set is not None else ()
-        return structured_entries(self.y, spread, self.path_terms, self.lam)
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """Exact upper-triangle entries (i <= j), exact zeros dropped."""
+        num, den = self._numerators()
+        return {key: Fraction(v, den) for key, v in num.items()}
+
+    def _floats(self) -> dict[tuple[int, int], float]:
+        """Upper-triangle entries, each rounded to float once (int / int
+        division is correctly rounded)."""
+        num, den = self._numerators()
+        return {key: v / den for key, v in num.items()}
 
     @cached_property
     def sparse(self) -> sp.csr_matrix:
-        """The assembled matrix as CSR (both triangles), from the exact
-        entries converted once to float."""
-        return _symmetric_csr(
-            self.n, {key: float(v) for key, v in self.entries().items()}
-        )
-
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for (i, j), v in self.entries().items():
-            m[i, j] += float(v)
-            if i != j:
-                m[j, i] += float(v)
-        return m
+        """The assembled matrix as CSR (both triangles)."""
+        return _symmetric_csr(self.n, self._floats())
 
     def assemble_dense(self) -> np.ndarray:
-        return self._dense.copy()
+        """The floats of ``sparse`` as a dense array, built directly: a
+        scipy construction costs more than a whole small-n iteration."""
+        m = np.zeros((self.n, self.n))
+        for (i, j), v in self._floats().items():
+            m[i, j] = m[j, i] = v
+        return m
 
     def inner(self, x: np.ndarray) -> float:
         """Frobenius inner product N . X for a dense symmetric X."""
-        return float(np.sum(self._dense * x))
-
-
-def zero_feedback(n: int, alpha: Rational = 0, xi: Rational = 0) -> FeedbackMatrix:
-    return FeedbackMatrix(
-        n=n,
-        alpha=_frac(alpha),
-        xi=_frac(xi),
-        y=tuple(Fraction(0) for _ in range(n)),
-        case="zero",
-    )
+        return float(np.sum(self.assemble_dense() * x))
 
 
 def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix:
@@ -251,19 +261,8 @@ class AccumulatedOperator:
     matrix: sp.csr_matrix = field(repr=False)
     lambda_max_bound: float = 0.0
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, lambda_max_bound: float) -> "AccumulatedOperator":
-        return cls(
-            n=a.shape[0],
-            matrix=sp.csr_matrix(a),
-            lambda_max_bound=lambda_max_bound,
-        )
 
 
 def accumulate(

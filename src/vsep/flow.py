@@ -391,21 +391,17 @@ class SplitNetwork:
     Each original vertex x becomes an entry node 2x and an exit node 2x+1
     joined by an arc of capacity weight(x)*q; original edges become a pair
     of effectively infinite arcs exit->entry.  The source (node 2n) feeds
-    every entry node of ``a_side`` and every exit node of ``b_side`` drains
+    every entry node of the A side and every exit node of the B side drains
     to the sink (node 2n+1), both at capacity 2p.  All capacities carry the
     integer scale q so that per-unit throughput p/q stays exact.
+
+    Arc x is vertex x's internal arc; edge k = (u, v) of ``graph.edges``
+    owns arcs n + 2k (u to v) and n + 2k + 1 (v to u); the source arcs
+    and then the sink arcs follow, in sorted terminal order.
     """
 
     net: FlowNetwork
     n: int
-    a_side: tuple[int, ...]
-    b_side: tuple[int, ...]
-    p: int
-    q: int
-    vertex_arc: dict[int, int]
-    edge_arc: dict[tuple[int, int], int]
-    source_arc: dict[int, int]
-    sink_arc: dict[int, int]
 
     @property
     def source(self) -> int:
@@ -466,32 +462,15 @@ def build_split_network(
     tails = list(range(0, 2 * n, 2))
     heads = list(range(1, 2 * n, 2))
     caps = [int(w * q) for w in graph.weights]
-    vertex_arc = {x: x for x in range(n)}
-    edge_arc = {}
     for u, v in graph.edges:
-        edge_arc[(u, v)] = len(tails)
-        edge_arc[(v, u)] = len(tails) + 1
         tails += (2 * u + 1, 2 * v + 1)
         heads += (2 * v, 2 * u)
     caps += [sentinel] * (len(tails) - n)
     a_sorted, b_sorted = sorted(a_set), sorted(b_set)
-    source_arc = {a: len(tails) + k for k, a in enumerate(a_sorted)}
     tails += [2 * n] * len(a_sorted)
     heads += [2 * a for a in a_sorted]
-    sink_arc = {b: len(tails) + k for k, b in enumerate(b_sorted)}
     tails += [2 * b + 1 for b in b_sorted]
     heads += [2 * n + 1] * len(b_sorted)
     caps += [2 * p] * (len(a_sorted) + len(b_sorted))
     net = FlowNetwork(2 * n + 2, 2 * n, 2 * n + 1, tails, heads, caps)
-    return SplitNetwork(
-        net=net,
-        n=n,
-        a_side=tuple(a_sorted),
-        b_side=tuple(b_sorted),
-        p=p,
-        q=q,
-        vertex_arc=vertex_arc,
-        edge_arc=edge_arc,
-        source_arc=source_arc,
-        sink_arc=sink_arc,
-    )
+    return SplitNetwork(net=net, n=n)

@@ -162,15 +162,16 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
         return None
     alpha = params.alpha
     z = 2 * alpha / (params.xi * n * n)
-    y = tuple(-alpha / n for _ in range(n))
+    y = -alpha / n
     # exact eigenvalues are -alpha/n and -alpha/n + z |S|
-    width = max(float(alpha / n), abs(float(-alpha / n + z * len(s))))
+    width = max(float(-y), abs(float(y + z * len(s))))
     return FeedbackMatrix(
         n=n,
         alpha=alpha,
         xi=params.xi,
         y=y,
-        easy_set=(tuple(s), z),
+        unit=z,
+        easy_set=(tuple(s), 1),
         case="easy",
         width_bound=width,
     )
@@ -263,7 +264,7 @@ def matching(
     )
     fire_at = 2 * float(params.alpha)
     if routed_cost >= fire_at + GUARD_BAND * max(1.0, fire_at):
-        fm = _flow_feedback(g, net, result, params, flipped)
+        fm = _flow_feedback(g, result, params, flipped)
         counters.note("flow")
         return FeedbackOutcome(feedback=fm)
 
@@ -294,7 +295,6 @@ def matching(
 
 def _flow_feedback(
     g: WeightedGraph,
-    net,
     result,
     params: OracleParams,
     flipped: bool,
@@ -303,37 +303,35 @@ def _flow_feedback(
 
     Path terms come from the decomposition and the edge coefficients from
     per-arc flows, so the assembled matrix telescopes exactly to
-    diag(alpha/n) - L(D) with D the endpoint-mass matrix.
+    diag(alpha/n) - L(D) with D the endpoint-mass matrix.  Both are
+    integer flow amounts in the unit 1/(2q) of the scaled network.
     """
     n = g.n
     alpha = params.alpha
-    scale = 2 * params.beta_q
     path_terms = []
+    deg_mass: dict[int, int] = {}
     for path in result.paths:
         orig = _original_path(path.nodes)
         if flipped:
             orig = tuple(reversed(orig))
         if len(orig) >= 2:
-            path_terms.append((orig, Fraction(path.amount, scale)))
+            path_terms.append((orig, path.amount))
+            deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + path.amount
+            deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + path.amount
+    # edge k's arcs in the split network are n + 2k and n + 2k + 1
     lam = []
-    for (uu, vv) in g.edges:
-        flow_uv = result.flow[net.edge_arc[(uu, vv)]]
-        flow_vu = result.flow[net.edge_arc[(vv, uu)]]
-        total = flow_uv + flow_vu
+    for k, edge in enumerate(g.edges):
+        total = result.flow[n + 2 * k] + result.flow[n + 2 * k + 1]
         if total:
-            lam.append(((uu, vv), Fraction(total, scale)))
-    y = tuple(alpha / n for _ in range(n))
-    deg_mass: dict[int, Fraction] = {}
-    for p, f in path_terms:
-        deg_mass[p[0]] = deg_mass.get(p[0], Fraction(0)) + f
-        deg_mass[p[-1]] = deg_mass.get(p[-1], Fraction(0)) + f
-    max_deg = max(deg_mass.values(), default=Fraction(0))
-    width = float(alpha / n) + 2 * float(max_deg)
+            lam.append((edge, total))
+    scale = 2 * params.beta_q
+    width = float(alpha / n) + 2 * (max(deg_mass.values(), default=0) / scale)
     return FeedbackMatrix(
         n=n,
         alpha=alpha,
         xi=params.xi,
-        y=y,
+        y=alpha / n,
+        unit=Fraction(1, scale),
         path_terms=tuple(path_terms),
         lam=tuple(lam),
         case="flow",
@@ -462,13 +460,13 @@ def _chain_feedback(
     width = float(alpha / n) + float(f) * 2 * (
         max(deg_f.values(), default=0) + max(deg_d.values(), default=0)
     )
-    y = tuple(alpha / n for _ in range(n))
     return FeedbackMatrix(
         n=n,
         alpha=alpha,
         xi=params.xi,
-        y=y,
-        path_terms=tuple((p, f) for p in paths),
+        y=alpha / n,
+        unit=f,
+        path_terms=tuple((p, 1) for p in paths),
         case="chain",
         width_bound=width,
     )

@@ -397,6 +397,22 @@ class Inconclusive:
 MMWUOutcome = Union[SeparatorFound, CertificateFound, Inconclusive]
 
 
+def _add_counts(counts: dict, unit: Fraction, terms) -> None:
+    """Add one step's (term, multiplicity) pairs under its unit."""
+    per_term = counts.setdefault(unit, {})
+    for term, m in terms:
+        per_term[term] = per_term.get(term, 0) + m
+
+
+def _averaged(counts: dict, t_run: int) -> tuple:
+    """Exact per-term averages sum_unit unit * count / t_run, by term."""
+    total: dict = {}
+    for unit, per_term in counts.items():
+        for term, m in per_term.items():
+            total[term] = total.get(term, 0) + unit * m
+    return tuple((term, v / t_run) for term, v in sorted(total.items()))
+
+
 def mmwu_run(
     g: WeightedGraph,
     alpha: Rational,
@@ -441,10 +457,13 @@ def mmwu_run(
     else:
         a_eta, sum_matrix = sp.csr_matrix((n, n)), sp.csr_matrix((n, n))
     eta_width_sum = 0.0
-    y_sum = [Fraction(0)] * n
-    z_sum: dict[tuple[int, ...], Fraction] = {}
-    f_sum: dict[tuple[int, ...], Fraction] = {}
-    lam_sum: dict[tuple[int, int], Fraction] = {}
+    # exact dual sums: one scalar y, and integer multiplicities of each
+    # step's z, f and lambda terms per exact unit; the Fractions of the
+    # averaged dual are formed once, when the certificate is assembled
+    y_sum = Fraction(0)
+    z_counts: dict[Fraction, dict[tuple[int, ...], int]] = {}
+    f_counts: dict[Fraction, dict[tuple[int, ...], int]] = {}
+    lam_counts: dict[Fraction, dict[tuple[int, int], int]] = {}
     inner_sum = 0.0
     case_counts: dict[str, int] = {}
     widths_max = 0.0
@@ -497,7 +516,7 @@ def mmwu_run(
             ok, msg = validate_separator(g, sol, sol.balance_achieved)
             if not ok:
                 raise CertificationError(f"oracle separator failed validation: {msg}")
-            kappa = float(2 * params.c_prime * params.beta * n / alpha)
+            kappa = float(params.separator_cost_bound / alpha)
             return SeparatorFound(
                 separator=sol, alpha=alpha, kappa=kappa, iteration=t, via="oracle"
             )
@@ -513,7 +532,7 @@ def mmwu_run(
                 iterations_run=t,
                 alpha=alpha,
             )
-        nm = fm._dense if dense_mode else fm.sparse
+        nm = fm.assemble_dense() if dense_mode else fm.sparse
         inner = emb.inner(nm)
         if inner > 0:
             raise CertificationError(
@@ -521,15 +540,11 @@ def mmwu_run(
                 f"(case {fm.case}, iteration {t})"
             )
 
-        for i, yi in enumerate(fm.y):
-            y_sum[i] += yi
+        y_sum += fm.y
         if fm.easy_set is not None:
-            s, zv = fm.easy_set
-            z_sum[s] = z_sum.get(s, Fraction(0)) + zv
-        for pth, fv in fm.path_terms:
-            f_sum[pth] = f_sum.get(pth, Fraction(0)) + fv
-        for edge, lv in fm.lam:
-            lam_sum[edge] = lam_sum.get(edge, Fraction(0)) + lv
+            _add_counts(z_counts, fm.unit, (fm.easy_set,))
+        _add_counts(f_counts, fm.unit, fm.path_terms)
+        _add_counts(lam_counts, fm.unit, fm.lam)
         sum_matrix = sum_matrix + nm
         a_eta = a_eta + sched.eta * nm
         eta_width_sum += sched.eta * fm.width_bound
@@ -547,20 +562,15 @@ def mmwu_run(
             alpha=alpha,
         )
 
-    shift = -sched.delta / n
-    y_avg = tuple(shift + ys / t_run for ys in y_sum)
-    z_avg = tuple((s, v / t_run) for s, v in sorted(z_sum.items()))
-    f_avg = tuple((p, v / t_run) for p, v in sorted(f_sum.items()))
-    lam_avg = tuple((e, v / t_run) for e, v in sorted(lam_sum.items()))
     cert = DualCertificate(
         n=n,
         alpha=alpha,
         delta=sched.delta,
         xi=params.xi,
-        y=y_avg,
-        z=z_avg,
-        f=f_avg,
-        lam=lam_avg,
+        y=(-sched.delta / n + y_sum / t_run,) * n,
+        z=_averaged(z_counts, t_run),
+        f=_averaged(f_counts, t_run),
+        lam=_averaged(lam_counts, t_run),
         lambda_max_estimate=0.0,
         norm_scale=0.0,
     )

@@ -6,6 +6,8 @@ captured output and in the pytest report.  Everything is seeded; reruns
 measure identical numbers.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -15,8 +17,10 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conftest
+from test_embedding import floats_are_exact
 from test_maxflow import (
     brute_min_cut,
     check_structural,
@@ -118,7 +122,7 @@ def test_criterion_2_embedding_fidelity():
         gmat = rng.standard_normal((n, n))
         a = (gmat + gmat.T) / (2.0 * math.sqrt(n))
         lam = spectral_norm(a)
-        op = AccumulatedOperator.from_dense(a, lambda_max_bound=lam)
+        op = AccumulatedOperator(n, sp.csr_matrix(a), lam)
         emb = project_embedding(op, DEFAULT_GAMMA, DEFAULT_TAU, lam, seed=trial)
         b, t = approximation_violations(emb, dense_reference(a))
         bad += b
@@ -147,6 +151,7 @@ class OracleTrial:
     width: float  # the matrix's own certified width_bound
     bound: float  # the schedule's per-case width bound
     separator_ok: bool
+    floats_exact: bool = True  # N's floats are its exact entries, each rounded once
 
 
 def _case_bound(fm: FeedbackMatrix, params: OracleParams) -> float:
@@ -158,9 +163,10 @@ def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
         kind=fm.case,
         instance=name,
         nonneg_ok=(
-            (fm.easy_set is None or fm.easy_set[1] >= 0)
-            and all(fv >= 0 for _, fv in fm.path_terms)
-            and all(lv >= 0 for _, lv in fm.lam)
+            fm.unit > 0
+            and (fm.easy_set is None or fm.easy_set[1] >= 0)
+            and all(m >= 0 for _, m in fm.path_terms)
+            and all(m >= 0 for _, m in fm.lam)
         ),
         budget_ok=fm.budget_total >= params.alpha,
         degree_ok=fm.degree_ok(g.weights),
@@ -170,6 +176,7 @@ def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
         width=fm.width_bound,
         bound=_case_bound(fm, params),
         separator_ok=True,
+        floats_exact=floats_are_exact(fm),
     )
 
 
@@ -189,7 +196,7 @@ def _drift_instance(name, g, cfg, alpha, iters, slow, idx, trials):
     sigma_now = params.sigma
     counters = OracleCounters()
     for t in range(iters):
-        op = AccumulatedOperator.from_dense(a_eta, lambda_max_bound=width_sum)
+        op = AccumulatedOperator(n, sp.csr_matrix(a_eta), width_sum)
         emb = project_embedding(
             op, DEFAULT_GAMMA, tau_val, width_sum, seed=np.random.default_rng((idx, 7, t))
         )
@@ -323,6 +330,15 @@ def test_criterion_3_oracle_contract(oracle_trials):
         f"costs within 2c'nb",
     )
     assert ok
+
+
+def test_feedback_floats_are_exact_entries_rounded_once(oracle_trials):
+    # every emitted N.sparse and N.assemble_dense() equal, bitwise, the
+    # matrix whose entries are structured_entries over the exact
+    # coefficients, each float()ed once
+    feedback = [t for t in oracle_trials if t.kind != "separator"]
+    assert feedback
+    assert all(t.floats_exact for t in feedback)
 
 
 def test_criterion_4_width_bounds(oracle_trials):
@@ -459,6 +475,26 @@ def test_criterion_6_regret_arithmetic(staged_run):
     assert ok
 
 
+def test_staged_certificate_digest(staged_run):
+    # sha256 of the exact dual, serialised as the benchmark's
+    # certificate_digest does: any change to the certificate's exact
+    # y, z, f, lambda or objective fails here
+    _, _, out = staged_run
+    assert isinstance(out, CertificateFound)
+    cert = out.certificate
+    tree = {
+        "y": [str(v) for v in cert.y],
+        "z": [[list(s), str(v)] for s, v in cert.z],
+        "f": [[list(p), str(v)] for p, v in cert.f],
+        "lam": [[list(e), str(v)] for e, v in cert.lam],
+        "objective": str(cert.objective()),
+    }
+    text = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "32ec179e601ad2b5b70c872b82c658762f1fa85389d467b801bc8dd7357cb9cb"
+    )
+
+
 # ---------------------------------------------------------------------------
 # 7: determinism and call accounting
 # ---------------------------------------------------------------------------
@@ -484,8 +520,6 @@ def test_criterion_7_determinism_and_accounting(tmp_path, capsys):
         ]
     )
     out = capsys.readouterr().out
-    import json
-
     rows = json.loads(out)["rows"]
     bench_ok = (
         code == 0

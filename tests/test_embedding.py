@@ -32,7 +32,6 @@ from vsep.embedding import (
     spectral_norm,
     structured_entries,
     taylor_terms,
-    zero_feedback,
     _expm_action,
 )
 
@@ -74,6 +73,27 @@ def entries_to_dense(n, entries):
         if i != j:
             m[j, i] += float(v)
     return m
+
+
+def reference_dense(fm):
+    """fm assembled from its exact coefficients unit * m by
+    structured_entries, with one float() per entry."""
+    spread = ()
+    if fm.easy_set is not None:
+        spread = ((fm.easy_set[0], fm.unit * fm.easy_set[1]),)
+    return entries_to_dense(fm.n, structured_entries(
+        (fm.y,) * fm.n,
+        spread,
+        [(p, fm.unit * m) for p, m in fm.path_terms],
+        [(e, fm.unit * m) for e, m in fm.lam],
+    ))
+
+
+def floats_are_exact(fm):
+    """Both float forms of fm equal reference_dense bitwise."""
+    want = reference_dense(fm)
+    return (np.array_equal(fm.sparse.toarray(), want)
+            and np.array_equal(fm.assemble_dense(), want))
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +138,16 @@ def test_path_term_cancels_against_edge_coefficient():
 
 def test_feedback_matrix_dense_and_inner():
     n = 5
+    # coefficients 1/10, 1/7 and 2/9 in the common unit 1/630
     fm = FeedbackMatrix(
         n=n,
         alpha=F(1),
         xi=F(9, 16),
-        y=(F(1, 5),) * n,
-        easy_set=((0, 1, 2), F(1, 10)),
-        path_terms=(((0, 2, 4), F(1, 7)),),
-        lam=(((1, 2), F(2, 9)),),
+        y=F(1, 5),
+        unit=F(1, 630),
+        easy_set=((0, 1, 2), 63),
+        path_terms=(((0, 2, 4), 90),),
+        lam=(((1, 2), 140),),
         case="custom",
         width_bound=10.0,
     )
@@ -149,32 +171,30 @@ def test_feedback_matrix_dense_and_inner():
 
 
 def test_feedback_matrix_validation():
-    ok = dict(n=3, alpha=F(0), xi=F(9, 16), y=(F(0),) * 3)
-    FeedbackMatrix(**ok)
+    ok = dict(n=3, alpha=F(0), xi=F(9, 16), y=F(0), unit=F(1))
+    zero = FeedbackMatrix(**ok)
+    assert zero.entries() == {}
+    assert zero.budget_total == 0
+    assert np.array_equal(zero.assemble_dense(), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "y": (F(0),) * 2})
+        FeedbackMatrix(**{**ok, "unit": F(0)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "easy_set": ((0, 0), F(1))})
+        FeedbackMatrix(**{**ok, "easy_set": ((0, 0), 1)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "easy_set": ((0, 1), F(-1))})
+        FeedbackMatrix(**{**ok, "easy_set": ((0, 1), -1)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "path_terms": (((0, 1, 0), F(1)),)})
+        FeedbackMatrix(**{**ok, "path_terms": (((0, 1, 0), 1),)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "path_terms": (((2,), F(1)),)})
+        FeedbackMatrix(**{**ok, "path_terms": (((2,), 1),)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "lam": (((2, 1), F(1)),)})
+        FeedbackMatrix(**{**ok, "path_terms": (((0, 1), F(1, 2)),)})
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "lam": (((1, 2), F(-1)),)})
+        FeedbackMatrix(**{**ok, "lam": (((2, 1), 1),)})
+    with pytest.raises(ValueError):
+        FeedbackMatrix(**{**ok, "lam": (((1, 2), -1),)})
     with pytest.raises(ValueError):
         # budget: sum(y) = 0 < alpha = 1
         FeedbackMatrix(**{**ok, "alpha": F(1)})
-
-
-def test_zero_feedback():
-    fm = zero_feedback(4)
-    assert fm.entries() == {}
-    assert fm.budget_total == 0
-    assert np.array_equal(fm.assemble_dense(), np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +202,23 @@ def test_zero_feedback():
 # ---------------------------------------------------------------------------
 
 def make_random_feedback(rng, n):
-    # y stays non-negative so sum(y) >= alpha = 0 always holds
-    y = tuple(F(rng.integers(0, 6).item(), rng.integers(1, 7).item()) for _ in range(n))
+    # y stays non-negative so sum(y) >= alpha = 0 always holds; path
+    # coefficients k/3 and edge coefficients k/2 in the unit 1/6
+    y = F(rng.integers(0, 6).item(), rng.integers(1, 7).item())
     paths = []
     for _ in range(rng.integers(0, 3)):
         length = int(rng.integers(2, min(n, 5) + 1))
         p = tuple(int(v) for v in rng.permutation(n)[:length])
-        paths.append((p, F(rng.integers(0, 4).item(), 3)))
+        paths.append((p, 2 * rng.integers(0, 4).item()))
     lam = []
     i, j = sorted(rng.permutation(n)[:2].tolist())
-    lam.append(((int(i), int(j)), F(rng.integers(0, 5).item(), 2)))
+    lam.append(((int(i), int(j)), 3 * rng.integers(0, 5).item()))
     return FeedbackMatrix(
         n=n,
         alpha=F(0),
         xi=F(9, 16),
         y=y,
+        unit=F(1, 6),
         path_terms=tuple(paths),
         lam=tuple(lam),
         width_bound=float(rng.integers(1, 10)),
@@ -232,7 +254,8 @@ def test_accumulate_empty_history():
     with pytest.raises(ValueError):
         accumulate([], F(1, 2))
     with pytest.raises(ValueError):
-        accumulate([zero_feedback(3), zero_feedback(4)], F(1))
+        accumulate([FeedbackMatrix(n=k, alpha=F(0), xi=F(9, 16), y=F(0), unit=F(1))
+                    for k in (3, 4)], F(1))
 
 
 def test_incremental_sparse_update_matches_accumulate():
@@ -246,14 +269,15 @@ def test_incremental_sparse_update_matches_accumulate():
         a = a + float(eta) * fm.sparse
     want = accumulate(history, eta).matrix.toarray()
     assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
-    assert np.array_equal(history[0].sparse.toarray(), history[0].assemble_dense())
+    for fm in history:
+        assert floats_are_exact(fm)
 
 
 def test_accumulated_operator_matvec():
     a = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    op = AccumulatedOperator.from_dense(a, lambda_max_bound=4.0)
+    op = AccumulatedOperator(2, sp.csr_matrix(a), 4.0)
     u = np.array([1.0, 2.0])
-    assert np.allclose(op.matvec(u), a @ u)
+    assert np.allclose(op.matrix @ u, a @ u)
     assert np.array_equal(op.dense(), a)
 
 
@@ -362,7 +386,7 @@ def test_project_embedding_deterministic_and_normalized():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10))
     a = (a + a.T) / 4
-    op = AccumulatedOperator.from_dense(a, lambda_max_bound=float(spectral_norm(a)))
+    op = AccumulatedOperator(10, sp.csr_matrix(a), float(spectral_norm(a)))
     e1 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=42)
     e2 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=42)
     e3 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=43)
@@ -395,7 +419,7 @@ def test_projection_accuracy_against_dense():
         a = rng.standard_normal((n, n))
         a = (a + a.T) / (2 * n)  # keep ||A|| modest, as the schedule does
         lam = float(spectral_norm(a))
-        op = AccumulatedOperator.from_dense(a, lambda_max_bound=lam)
+        op = AccumulatedOperator(n, sp.csr_matrix(a), lam)
         emb = project_embedding(op, 0.25, 0.125, lam, seed=trial)
         exact = dense_reference(a)
         b, t = approximation_violations(emb, exact)
@@ -409,7 +433,7 @@ def test_dense_embedding_is_exact():
     rng = np.random.default_rng(23)
     a = rng.standard_normal((8, 8))
     a = (a + a.T) / 4
-    op = AccumulatedOperator.from_dense(a, lambda_max_bound=10.0)
+    op = AccumulatedOperator(8, sp.csr_matrix(a), 10.0)
     emb = dense_embedding(op)
     exact = dense_reference(a)
     bad, total = approximation_violations(emb, exact)

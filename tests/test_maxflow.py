@@ -367,17 +367,15 @@ def test_split_network_shape():
     sn = build_split_network(g, [0], [2], p=3, q=2)
     assert sn.net.num_nodes == 8
     assert sn.source == 6 and sn.sink == 7
-    assert sn.net.caps[sn.vertex_arc[1]] == 2  # weight 1 * q
-    assert sn.net.caps[sn.source_arc[0]] == 6  # 2p
-    assert len(sn.edge_arc) == 2 * g.m
-    # arc order: vertex arcs, both directions of each edge, source, sink
+    # arc order: vertex arcs, both directions of each edge, source, sink;
+    # edge k = (u, v) owns arcs n + 2k (u to v) and n + 2k + 1 (v to u)
+    assert g.edges == ((0, 1), (1, 2))
     assert sn.net.tails == [0, 2, 4, 1, 3, 3, 5, 6, 5]
     assert sn.net.heads == [1, 3, 5, 2, 0, 4, 2, 0, 7]
-    assert sn.edge_arc == {(0, 1): 3, (1, 0): 4, (1, 2): 5, (2, 1): 6}
-    assert (sn.source_arc, sn.sink_arc) == ({0: 7}, {2: 8})
-    # sentinel exceeds every finite capacity combined
+    # vertex arcs weight 1 * q, edge arcs a sentinel exceeding every
+    # finite capacity combined, terminal arcs 2p
     finite = sum(g.weights) * 2 + 2 * 3 * 2
-    assert sn.net.caps[sn.edge_arc[(0, 1)]] == finite + 1
+    assert sn.net.caps == [2, 2, 2] + [finite + 1] * 4 + [6, 6]
 
 
 def test_split_network_bottleneck_vertex():
@@ -408,9 +406,12 @@ def test_split_network_cut_avoids_edge_arcs():
     sn = build_split_network(g, [0, 1], [2, 3], p=5, q=4)
     result = max_flow(sn.net)
     t_side = set(result.t_cut)
-    for key, idx in sn.edge_arc.items():
-        u, v = sn.net.tails[idx], sn.net.heads[idx]
-        assert not (u not in t_side and v in t_side), f"cut crosses edge arc {key}"
+    n = g.n
+    for k, (x, y) in enumerate(g.edges):
+        for idx, (a, b) in ((n + 2 * k, (x, y)), (n + 2 * k + 1, (y, x))):
+            u, v = sn.net.tails[idx], sn.net.heads[idx]
+            assert (u, v) == (2 * a + 1, 2 * b)
+            assert not (u not in t_side and v in t_side), f"cut crosses edge arc {a, b}"
 
 
 def test_split_network_separator_disconnects():

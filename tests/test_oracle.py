@@ -40,6 +40,7 @@ from vsep.oracle import (
     _original_path,
 )
 from vsep.solver import MMWUSchedule
+from test_embedding import floats_are_exact
 
 F = Fraction
 
@@ -129,9 +130,10 @@ def test_easy_case_collapsed_embedding():
     params = mk_params(n=n, alpha=3)
     fm = easy_case(emb, params)
     assert fm is not None and fm.case == "easy"
-    assert fm.y == tuple(-alpha / n for _ in range(n))
-    s, z = fm.easy_set
-    assert s == tuple(range(n))
+    assert fm.y == -alpha / n
+    s, m = fm.easy_set
+    assert s == tuple(range(n)) and m == 1
+    z = fm.unit
     assert z == 2 * alpha / (params.xi * n * n)
     assert fm.budget_total == alpha  # -alpha + 2 alpha, exact
 
@@ -233,7 +235,8 @@ def test_matching_flow_feedback_telescopes():
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
     assert fm.case == "flow"
-    assert fm.y == tuple(F(5, 4) for _ in range(4))
+    assert fm.y == F(5, 4)
+    assert fm.unit == F(1, 2 * params.beta_q)
     assert counters.outcome_tags == {"flow": 1}
 
     # independent telescoping: N = diag(alpha/n) - sum d_xy L_xy over
@@ -241,9 +244,9 @@ def test_matching_flow_feedback_telescopes():
     dense = fm.assemble_dense()
     want = np.diag([1.25] * 4)
     mass = {}
-    for p, f in fm.path_terms:
+    for p, m in fm.path_terms:
         key = (min(p[0], p[-1]), max(p[0], p[-1]))
-        mass[key] = mass.get(key, F(0)) + f
+        mass[key] = mass.get(key, F(0)) + fm.unit * m
     for (i, j), m in mass.items():
         lap = np.zeros((4, 4))
         lap[i, i] = lap[j, j] = 1.0
@@ -253,7 +256,9 @@ def test_matching_flow_feedback_telescopes():
 
     # inner product telescopes to (alpha/n) sum||v||^2 - routed cost
     total_norms = float(np.sum(emb.norms_sq))
-    routed = sum(float(f) * emb.dist_sq(p[0], p[-1]) for p, f in fm.path_terms)
+    routed = sum(
+        float(fm.unit * m) * emb.dist_sq(p[0], p[-1]) for p, m in fm.path_terms
+    )
     assert math.isclose(
         fm.inner(emb.gram()), 1.25 * total_norms - routed, rel_tol=1e-9
     )
@@ -261,7 +266,7 @@ def test_matching_flow_feedback_telescopes():
 
     # edge coefficients stay within vertex weights, exactly
     assert fm.degree_ok(g.weights)
-    total_mass = sum(f for _, f in fm.path_terms)
+    total_mass = fm.unit * sum(m for _, m in fm.path_terms)
     assert fm.width_bound == pytest.approx(1.25 + 2 * float(total_mass))
 
 
@@ -394,8 +399,9 @@ def test_chain_feedback_coefficients():
     fm = _chain_feedback([(0, 1, 2), (3, 4)], params)
     assert fm.case == "chain"
     f = 2 * F(3) / (2 * F(2.0))
-    assert fm.path_terms == (((0, 1, 2), f), ((3, 4), f))
-    assert fm.y == tuple(F(1, 2) for _ in range(6))
+    assert fm.unit == f
+    assert fm.path_terms == (((0, 1, 2), 1), ((3, 4), 1))
+    assert fm.y == F(1, 2)
     assert fm.budget_total == 3
     # deg_F max is 2 (vertex 1), deg_D max is 1
     assert fm.width_bound == pytest.approx(0.5 + float(f) * 2 * 3)
@@ -431,9 +437,9 @@ def test_inner_from_vectors_matches_gram():
     chain_fm = _chain_feedback([(0, 1, 2), (3, 4)],
                                mk_params(n=6, alpha=3, delta_spread=2.0, path_min=2))
     custom = FeedbackMatrix(
-        n=6, alpha=alpha, xi=F(9, 16), y=(F(1, 2),) * 6,
-        easy_set=((0, 1, 5), F(1, 10)), path_terms=(((0, 2, 4), F(1, 7)),),
-        lam=(((1, 2), F(2, 9)),),
+        n=6, alpha=alpha, xi=F(9, 16), y=F(1, 2), unit=F(1, 630),
+        easy_set=((0, 1, 5), 63), path_terms=(((0, 2, 4), 90),),
+        lam=(((1, 2), 140),),
     )
     cases = [(easy, collapsed), (flow, flow_emb)] + [
         (fm, Embedding(vectors=rng.standard_normal((3, 6)), gamma=0.25,
@@ -500,10 +506,13 @@ def test_chain_fires_on_scripted_matchings(monkeypatch):
     fm = out.feedback
     assert fm.case == "chain"
     assert sorted(p for p, _ in fm.path_terms) == [(0, 1, 4), (2, 3, 5)]
-    for p, f in fm.path_terms:
-        assert f == 2 * F(1) / (2 * F(2.0))
+    assert fm.unit == 2 * F(1) / (2 * F(2.0))
+    for p, m in fm.path_terms:
+        assert m == 1
         assert check_violating(p, emb, params.delta_spread)
     assert len(calls) == 2
+    # each float entry is its exact value rounded once
+    assert floats_are_exact(fm)
     # the emitted matrix's exact norm sits inside its certified width,
     # which sits inside the chain bound the schedule plans with
     assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
