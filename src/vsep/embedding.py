@@ -16,7 +16,8 @@ symmetric A.  This module provides:
   O(nnz(A) d) time per term and without any n x n array;
 * :func:`dense_reference` / :func:`dense_embedding`, the exact
   eigendecomposition-based versions used for validation and at small n;
-* spectral-norm estimation helpers.
+* :func:`spectral_norm` / :func:`largest_eigenvalue`, by ``eigvalsh`` at
+  every n.
 
 Floating point is used for everything spectral.  A feedback matrix's
 entries are exact: integer sums of multiplicities over a common
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,14 +223,18 @@ class FeedbackMatrix:
     def assemble_dense(self) -> np.ndarray:
         """The floats of ``sparse`` as a dense array, built directly: a
         scipy construction costs more than a whole small-n iteration."""
-        m = np.zeros((self.n, self.n))
-        for (i, j), v in self._floats().items():
-            m[i, j] = m[j, i] = v
-        return m
+        return symmetric_dense(self.n, self._floats())
 
-    def inner(self, x: np.ndarray) -> float:
-        """Frobenius inner product N . X for a dense symmetric X."""
-        return float(np.sum(self.assemble_dense() * x))
+
+def symmetric_dense(
+    n: int, upper: dict[tuple[int, int], Union[Rational, float]]
+) -> np.ndarray:
+    """Dense n x n array with the given upper-triangle entries mirrored
+    below, each converted to float once."""
+    m = np.zeros((n, n))
+    for (i, j), v in upper.items():
+        m[i, j] = m[j, i] = float(v)
+    return m
 
 
 def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix:
@@ -446,7 +451,8 @@ def dense_reference(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n > DENSE_CAP:
         raise ValueError(f"dense reference limited to n <= {DENSE_CAP}")
-    if not np.allclose(a, a.T, atol=1e-12):
+    # exact: A is a sum of mirrored fills, and eigh reads one triangle only
+    if not np.array_equal(a, a.T):
         raise ValueError("accumulated matrix must be symmetric")
     vals, vecs = np.linalg.eigh(a)
     e = np.exp(vals - vals.max())
@@ -493,41 +499,11 @@ def approximation_violations(
     return bad, total
 
 
-def power_iteration_norm(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    iters: int = 200,
-    seed=0,
-) -> float:
-    """Spectral-norm estimate of a symmetric operator by power iteration."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = matvec(x)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        est = norm
-        x = y / norm
-    return float(est)
+def spectral_norm(m: np.ndarray) -> float:
+    """||M|| for symmetric M, from all its eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
-def spectral_norm(m: np.ndarray, seed=0) -> float:
-    """||M|| for symmetric M: exact for n <= DENSE_CAP, else estimated."""
-    if m.shape[0] <= DENSE_CAP:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return power_iteration_norm(lambda u: m @ u, m.shape[0], seed=seed)
-
-
-def largest_eigenvalue(m: np.ndarray, seed=0) -> float:
-    """lambda_max(M) for symmetric M: exact for n <= DENSE_CAP, else via
-    a spectral shift of power iteration."""
-    if m.shape[0] <= DENSE_CAP:
-        return float(np.max(np.linalg.eigvalsh(m)))
-    shift = power_iteration_norm(lambda u: m @ u, m.shape[0], seed=seed) + 1.0
-    shifted = power_iteration_norm(
-        lambda u: m @ u + shift * u, m.shape[0], seed=seed
-    )
-    return float(shifted - shift)
+def largest_eigenvalue(m: np.ndarray) -> float:
+    """lambda_max(M) for symmetric M, from all its eigenvalues."""
+    return float(np.max(np.linalg.eigvalsh(m)))

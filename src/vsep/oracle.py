@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +33,12 @@ from .graphs import SeparatorSolution, WeightedGraph
 # relative slack on the flow-case fire test, against rounding of the
 # embedded distances
 GUARD_BAND = 1e-9
+
+
+def spread_xi(c: Fraction) -> Fraction:
+    """xi = 9 c^2 / 4: the spread constraint asks a pairwise spread of at
+    least xi n^2 over every set of at least (1 - c/4) n vertices."""
+    return Fraction(9, 4) * c * c
 
 
 class OracleError(RuntimeError):
@@ -80,9 +87,9 @@ class OracleParams:
         if self.sigma < 0:
             raise ValueError("separation margin must be non-negative")
 
-    @property
+    @cached_property
     def xi(self) -> Fraction:
-        return Fraction(9, 4) * self.c * self.c
+        return spread_xi(self.c)
 
     @property
     def beta(self) -> Fraction:
@@ -476,13 +483,18 @@ def run_oracle(
     g: WeightedGraph,
     emb: Embedding,
     params: OracleParams,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Sequence[int]],
     counters: Optional[OracleCounters] = None,
 ) -> OracleOutcome:
-    """Full oracle: easy-case shortcut, then the chaining procedure."""
+    """Full oracle: easy-case shortcut, then the chaining procedure.
+
+    ``rng`` is a Generator or a seed key for ``np.random.default_rng``;
+    a key becomes a Generator only when the chaining procedure runs, so
+    an easy step never pays for one.
+    """
     counters = counters if counters is not None else OracleCounters()
     fm = easy_case(emb, params)
     if fm is not None:
         counters.note("easy")
         return FeedbackOutcome(feedback=fm)
-    return chain(g, emb, params, rng, counters)
+    return chain(g, emb, params, np.random.default_rng(rng), counters)

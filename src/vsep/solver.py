@@ -37,6 +37,7 @@ from .embedding import (
     project_embedding,
     spectral_norm,
     structured_entries,
+    symmetric_dense,
 )
 from .graphs import (
     SeparatorSolution,
@@ -50,6 +51,7 @@ from .oracle import (
     OracleParams,
     SeparatorOutcome,
     run_oracle,
+    spread_xi,
 )
 
 # substream tags of the documented splitting scheme
@@ -143,8 +145,7 @@ class SolverConfig:
         return self.c_prime if self.c_prime is not None else self.c / 8
 
     def resolved_tau(self) -> float:
-        xi = Fraction(9, 4) * self.c * self.c
-        return float(min(Fraction(2), xi / 2))
+        return float(min(Fraction(2), spread_xi(self.c) / 2))
 
     def resolved_replication(self, n: int, epsilon: float) -> int:
         if self.replication is not None:
@@ -330,12 +331,7 @@ class DualCertificate:
         return structured_entries(self.y, self.z, self.f, self.lam)
 
     def assemble_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for (i, j), v in self.entries().items():
-            out[i, j] += float(v)
-            if i != j:
-                out[j, i] += float(v)
-        return out
+        return symmetric_dense(self.n, self.entries())
 
     def nonneg_ok(self) -> bool:
         return (
@@ -365,7 +361,6 @@ class RunDiagnostics:
     iterations_run: int
     iterations_scheduled: int
     mean_inner: float
-    sum_matrix: np.ndarray = field(repr=False)
     case_counts: dict = field(repr=False)
     widths_max: float = 0.0
     replication: int = 1
@@ -449,13 +444,10 @@ def mmwu_run(
     counters = counters if counters is not None else OracleCounters()
 
     dense_mode = n <= DENSE_CAP
-    # A = eta * sum N and sum N: dense under the cap (eigh needs A dense),
-    # CSR above it, updated from each step's sparse N so that no
-    # iteration of the sketch regime touches an n x n array
-    if dense_mode:
-        a_eta, sum_matrix = np.zeros((n, n)), np.zeros((n, n))
-    else:
-        a_eta, sum_matrix = sp.csr_matrix((n, n)), sp.csr_matrix((n, n))
+    # A = eta * sum N: dense under the cap (eigh needs A dense), CSR above
+    # it, updated from each step's sparse N so that no iteration of the
+    # sketch regime touches an n x n array
+    a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
     eta_width_sum = 0.0
     # exact dual sums: one scalar y, and integer multiplicities of each
     # step's z, f and lambda terms per exact unit; the Fractions of the
@@ -497,8 +489,9 @@ def mmwu_run(
             if params.sigma != sigma_now:
                 params = replace(params, sigma=sigma_now)
             try:
+                # a seed key: the oracle builds its Generator only if it chains
                 outcome = run_oracle(
-                    g, emb, params, _substream(seed, _ORACLE_STREAM, t, r), counters
+                    g, emb, params, [seed, _ORACLE_STREAM, t, r], counters
                 )
                 break
             except OracleError as exc:
@@ -545,7 +538,6 @@ def mmwu_run(
             _add_counts(z_counts, fm.unit, (fm.easy_set,))
         _add_counts(f_counts, fm.unit, fm.path_terms)
         _add_counts(lam_counts, fm.unit, fm.lam)
-        sum_matrix = sum_matrix + nm
         a_eta = a_eta + sched.eta * nm
         eta_width_sum += sched.eta * fm.width_bound
         inner_sum += inner
@@ -575,8 +567,8 @@ def mmwu_run(
         norm_scale=0.0,
     )
     dense_n = cert.assemble_dense()
-    lam_max = largest_eigenvalue(dense_n, seed=seed)
-    scale = spectral_norm(dense_n, seed=seed)
+    lam_max = largest_eigenvalue(dense_n)
+    scale = spectral_norm(dense_n)
     cert = replace(cert, lambda_max_estimate=lam_max, norm_scale=scale)
 
     if not cert.nonneg_ok():
@@ -602,7 +594,6 @@ def mmwu_run(
         iterations_run=t_run,
         iterations_scheduled=sched.iterations,
         mean_inner=inner_sum / t_run,
-        sum_matrix=sum_matrix if dense_mode else sum_matrix.toarray(),
         case_counts=case_counts,
         widths_max=widths_max,
         replication=replication,
@@ -892,8 +883,7 @@ def primal_witness(
         sampled += 1
     checks.append(f"path-family-sampled[{sampled}]")
 
-    xi = Fraction(9, 4) * c * c
-    spread_floor = xi * n * n
+    spread_floor = spread_xi(c) * n * n
     min_size = math.ceil((1 - c / 4) * n)
     max_deficiency = n - min_size
 

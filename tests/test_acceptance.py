@@ -159,6 +159,7 @@ def _case_bound(fm: FeedbackMatrix, params: OracleParams) -> float:
 
 
 def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
+    dense = fm.assemble_dense()
     return OracleTrial(
         kind=fm.case,
         instance=name,
@@ -170,9 +171,9 @@ def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
         ),
         budget_ok=fm.budget_total >= params.alpha,
         degree_ok=fm.degree_ok(g.weights),
-        inner_surrogate=fm.inner(surrogate_gram),
-        inner_exact=fm.inner(exact_gram),
-        norm=spectral_norm(fm.assemble_dense()),
+        inner_surrogate=float(np.sum(dense * surrogate_gram)),
+        inner_exact=float(np.sum(dense * exact_gram)),
+        norm=spectral_norm(dense),
         width=fm.width_bound,
         bound=_case_bound(fm, params),
         separator_ok=True,
@@ -456,8 +457,10 @@ def test_criterion_6_regret_arithmetic(staged_run):
     spectral_ok = cert.lambda_max_estimate <= 1e-6 * max(cert.norm_scale, 1e-12)
     objective_ok = cert.objective() == cert.alpha - cert.delta
 
-    sum_sym = (diag.sum_matrix + diag.sum_matrix.T) / 2
-    lhs = float(np.linalg.eigvalsh(sum_sym).max()) / diag.iterations_run
+    # sum N / T = certificate matrix + (delta/n) I exactly: the
+    # certificate's y is -delta/n + sum y / T, its z, f, lambda the averages
+    mean_n = cert.assemble_dense() + float(cert.delta / g.n) * np.eye(g.n)
+    lhs = float(np.linalg.eigvalsh(mean_n).max())
     rhs = (
         diag.mean_inner / g.n
         + diag.eta * diag.rho**2

@@ -148,7 +148,7 @@ def test_easy_case_collapsed_embedding():
     assert math.isclose(fm.width_bound, expect_high, rel_tol=1e-12)
 
     # the fire condition bounds the inner product by -alpha/2
-    assert fm.inner(emb.gram()) <= -float(alpha) / 2
+    assert emb.inner(fm.assemble_dense()) <= -float(alpha) / 2
 
 
 def test_easy_case_threshold_is_strict():
@@ -260,7 +260,7 @@ def test_matching_flow_feedback_telescopes():
         float(fm.unit * m) * emb.dist_sq(p[0], p[-1]) for p, m in fm.path_terms
     )
     assert math.isclose(
-        fm.inner(emb.gram()), 1.25 * total_norms - routed, rel_tol=1e-9
+        emb.inner(dense), 1.25 * total_norms - routed, rel_tol=1e-9
     )
     assert routed >= 2 * float(params.alpha)
 
@@ -448,7 +448,7 @@ def test_inner_from_vectors_matches_gram():
     ]
     assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
     for fm, emb in cases:
-        want = fm.inner(emb.vectors.T @ emb.vectors)
+        want = float(np.sum(fm.assemble_dense() * (emb.vectors.T @ emb.vectors)))
         assert math.isclose(emb.inner(fm.sparse), want, rel_tol=1e-10)
         assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
 
@@ -566,3 +566,24 @@ def test_run_oracle_falls_through_to_matching():
     out = run_oracle(g, emb, params, np.random.default_rng(4), counters)
     assert isinstance(out, SeparatorOutcome)
     assert counters.outcome_tags == {"separator": 1}
+
+
+def test_run_oracle_seed_key_matches_generator(monkeypatch):
+    # a seed key draws the same directions as the Generator of its
+    # SeedSequence, so passing keys leaves every solve's stream unchanged
+    g, emb, params = separator_setup()
+    real_matching = oracle_mod.matching
+    drawn = []
+
+    def recording(g_, emb_, u_, params_, counters_=None):
+        drawn.append(u_.copy())
+        return real_matching(g_, emb_, u_, params_, counters_)
+
+    monkeypatch.setattr(oracle_mod, "matching", recording)
+    key = [7, 2, 0, 0]
+    by_key = run_oracle(g, emb, params, key, OracleCounters())
+    ss = np.random.SeedSequence(key)
+    by_gen = run_oracle(g, emb, params, np.random.default_rng(ss), OracleCounters())
+    assert len(drawn) == 2
+    assert np.array_equal(drawn[0], drawn[1])
+    assert by_key.separator == by_gen.separator
