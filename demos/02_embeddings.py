@@ -2,8 +2,9 @@
 
 The solver never materializes its (dense, exponential) primal iterate;
 it works with a low-dimensional random sketch whose pairwise distances
-approximate the exact ones.  This demo accumulates a few structured
-matrices and compares the sketch against the exact reference.
+approximate the exact ones.  This demo builds A from a few structured
+matrices the way the solver does, A + eta * N.sparse per step, and
+compares the sketch against the exact reference.
 
 Run with: python3 demos/02_embeddings.py
 """
@@ -11,12 +12,13 @@ Run with: python3 demos/02_embeddings.py
 from fractions import Fraction as F
 
 import numpy as np
+import scipy.sparse as sp
 
 from vsep.embedding import (
+    AccumulatedOperator,
+    Embedding,
     FeedbackMatrix,
-    accumulate,
     approximation_violations,
-    dense_embedding,
     dense_reference,
     project_embedding,
     spectral_norm,
@@ -63,19 +65,25 @@ def sketch_accuracy() -> None:
     print("== sketch vs exact reference ==")
     rng = np.random.default_rng(7)
     n = 48
-    history = [_random_step(rng, n) for _ in range(12)]
-    op = accumulate(history, eta=F(1, 50))
-    exact = dense_reference(op.dense())
-    emb = project_embedding(op, gamma=0.25, tau=0.125,
-                            lambda_max=op.lambda_max_bound, seed=1)
+    eta = 1 / 50
+    a = sp.csr_matrix((n, n))
+    lambda_max = 0.0  # eta * sum of width bounds, a certified bound on ||A||
+    for _ in range(12):
+        fm = _random_step(rng, n)
+        a = a + eta * fm.sparse
+        lambda_max += eta * fm.width_bound
+    exact = dense_reference(a.toarray())
+    emb = project_embedding(AccumulatedOperator(n=n, matrix=a), gamma=0.25,
+                            tau=0.125, lambda_max=lambda_max, seed=1)
     bad, total = approximation_violations(emb, exact)
     print(f"n = {n}, sketch dimension d = {emb.d}")
     print(f"distance/norm checks violated: {bad} of {total}")
     print(f"trace of sketch Gram: {emb.norms_sq.sum():.6f} (normalized to n)")
-    exact_emb = dense_embedding(op)
+    exact_emb = Embedding(vectors=exact, gamma=0.25, tau=0.125)
     bad0, _ = approximation_violations(exact_emb, exact)
     print(f"exact embedding violates {bad0} (by construction)")
-    print(f"spectral norm of accumulated matrix: {spectral_norm(op.dense()):.4f}")
+    print(f"spectral norm of A: {spectral_norm(a.toarray()):.4f} "
+          f"(certified bound {lambda_max:.4f})")
 
 
 if __name__ == "__main__":

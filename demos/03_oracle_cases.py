@@ -25,12 +25,7 @@ from vsep.oracle import (
 
 
 def line(coords) -> Embedding:
-    return Embedding(
-        vectors=np.array([coords], dtype=float),
-        gamma=0.25,
-        tau=0.125,
-        trace_normalized=False,
-    )
+    return Embedding(vectors=np.array([coords], dtype=float), gamma=0.25, tau=0.125)
 
 
 def easy_case() -> None:
@@ -68,7 +63,7 @@ def flow_case() -> None:
     )
     emb = Embedding(
         vectors=np.array([[-1.7, 0.0, 0.0, 1.7], [0.0, 1.0, -1.0, 0.0]]),
-        gamma=0.25, tau=0.125, trace_normalized=False,
+        gamma=0.25, tau=0.125,
     )
     out = run_oracle(g, emb, params, np.random.default_rng(0), OracleCounters())
     assert isinstance(out, FeedbackOutcome)

@@ -25,6 +25,7 @@ from typing import Optional
 from .embedding import ScheduleError
 from .flow import FlowError, FlowNetwork, max_flow
 from .graphs import (
+    DEFAULT_BRUTE_FORCE_CAP,
     GENERATOR_KINDS,
     GraphFormatError,
     WeightedGraph,
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute = sub.add_parser("brute", help="exact optimum by enumeration")
     add_common(p_brute)
     p_brute.add_argument("--c", type=_balance_arg, default=Fraction(1, 3))
-    p_brute.add_argument("--cap", type=int, default=14)
+    p_brute.add_argument("--cap", type=int, default=DEFAULT_BRUTE_FORCE_CAP)
     p_brute.set_defaults(func=_cmd_brute)
 
     p_flow = sub.add_parser("flow", help="max flow on an explicit network")

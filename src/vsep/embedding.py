@@ -7,15 +7,14 @@ symmetric A.  This module provides:
 * :class:`FeedbackMatrix`, the structured symmetric matrices produced by
   the oracle: a scalar diagonal y plus one exact rational unit times
   non-negative integer multiplicities of spread, path and edge terms;
-* :class:`AccumulatedOperator`, A as a sparse matrix with a certified
-  spectral-norm bound; the solver keeps it current by A + eta * N.sparse
-  each step, and :func:`accumulate` compiles a whole history exactly;
+* :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
+  it current by A + eta * N.sparse each step;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
   Gaussian probes multiplied by exp(A/2), evaluated by scaling and a
   Taylor series summed until its terms fall below unit roundoff, in
   O(nnz(A) d) time per term and without any n x n array;
-* :func:`dense_reference` / :func:`dense_embedding`, the exact
-  eigendecomposition-based versions used for validation and at small n;
+* :func:`dense_reference`, the exact eigendecomposition-based Gram
+  columns, used wherever :func:`embeds_exactly` holds and for validation;
 * :func:`spectral_norm` / :func:`largest_eigenvalue`, by ``eigvalsh`` at
   every n.
 
@@ -39,12 +38,10 @@ import scipy.sparse as sp
 Rational = Union[int, Fraction]
 
 DEFAULT_GAMMA = 0.25
-DEFAULT_TAU = 0.125
 DEFAULT_C_D = 4.0
 DEFAULT_C_K = 4.0
 DEFAULT_D_CAP = 5000
 DEFAULT_K_CAP = 2000
-DENSE_CAP = 64
 
 
 class ScheduleError(RuntimeError):
@@ -55,14 +52,6 @@ class ScheduleError(RuntimeError):
 def log_guard(n: int) -> float:
     """max(ln n, 1): keeps schedule formulas positive at tiny n."""
     return max(np.log(max(n, 1)), 1.0)
-
-
-def _frac(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def structured_entries(
@@ -255,62 +244,25 @@ def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix
 class AccumulatedOperator:
     """Symmetric operator A = eta * sum_r N^(r), held as a sparse matrix.
 
-    Products run in time proportional to the number of non-zeros.  The
-    matrix comes either from :func:`accumulate` (exact sum of a history)
-    or from the solver's running update A + eta * N.sparse; nothing here
-    forms an n x n array except :meth:`dense`.  ``lambda_max_bound`` is
-    the certified bound eta * sum_r width_bound(N^(r)) >= ||A||.
+    The solver keeps the matrix current by A + eta * N.sparse; products
+    run in time proportional to the number of non-zeros.
     """
 
     n: int
     matrix: sp.csr_matrix = field(repr=False)
-    lambda_max_bound: float = 0.0
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def accumulate(
-    history: Sequence[FeedbackMatrix], eta: Rational, n: Optional[int] = None
-) -> AccumulatedOperator:
-    """Compile A = eta * sum of the history into an implicit operator.
-
-    Entries are summed exactly before a single float conversion, so the
-    result is invariant under permutation of the history.  ``n`` is only
-    required when the history is empty (A = 0).
-    """
-    eta = _frac(eta)
-    if not history:
-        if n is None:
-            raise ValueError("empty history needs an explicit vertex count")
-        return AccumulatedOperator(
-            n=n, matrix=sp.csr_matrix((n, n)), lambda_max_bound=0.0
-        )
-    n = history[0].n
-    if any(fm.n != n for fm in history):
-        raise ValueError("feedback matrices span different vertex sets")
-    total: dict[tuple[int, int], Fraction] = {}
-    for fm in history:
-        for key, v in fm.entries().items():
-            total[key] = total.get(key, Fraction(0)) + v
-    scaled = {key: v * eta for key, v in total.items()}
-    mat = _symmetric_csr(n, {key: float(v) for key, v in scaled.items() if v})
-    bound = float(eta) * sum(fm.width_bound for fm in history)
-    return AccumulatedOperator(n=n, matrix=mat, lambda_max_bound=bound)
 
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Columns of a d x n sketch whose Gram matrix approximates X.
 
-    ``vectors[:, i]`` is the embedded vector of vertex i.  After trace
-    normalization the squared column norms sum to n.
+    ``vectors[:, i]`` is the embedded vector of vertex i.  For the exact
+    and the sketched embedding of X the squared column norms sum to n.
     """
 
     vectors: np.ndarray
     gamma: float
     tau: float
-    trace_normalized: bool = True
 
     @property
     def n(self) -> int:
@@ -323,9 +275,6 @@ class Embedding:
     @cached_property
     def norms_sq(self) -> np.ndarray:
         return np.sum(self.vectors * self.vectors, axis=0)
-
-    def norm_sq(self, i: int) -> float:
-        return float(self.norms_sq[i])
 
     def dist_sq(self, i: int, j: int) -> float:
         diff = self.vectors[:, i] - self.vectors[:, j]
@@ -357,6 +306,13 @@ def taylor_terms(
 ) -> int:
     need = max(lambda_max * lambda_max, np.log(n ** 2.5 / tau), 1.0)
     return int(np.ceil(c_k * need))
+
+
+def embeds_exactly(n: int) -> bool:
+    """The embedding regime: exact (eigh, d = n) iff the sketch would need
+    at least n probes, i.e. n <= projection_dimension(n, DEFAULT_GAMMA);
+    the crossover is at n = 381."""
+    return n <= projection_dimension(n, DEFAULT_GAMMA)
 
 
 def _expm_action(
@@ -400,10 +356,6 @@ def project_embedding(
     tau: float,
     lambda_max: float,
     seed,
-    c_d: float = DEFAULT_C_D,
-    c_k: float = DEFAULT_C_K,
-    d_cap: int = DEFAULT_D_CAP,
-    k_cap: int = DEFAULT_K_CAP,
 ) -> Embedding:
     """Randomized embedding of the Gram columns of n exp(A)/Tr(exp(A)).
 
@@ -414,7 +366,8 @@ def project_embedding(
     k = taylor_terms(...) caps every step.  Each term costs one sparse
     product with the n x d probe block, so a call is O(nnz(A) d) per term
     and allocates nothing n x n.  Raises ScheduleError when d or k exceed
-    their caps or a step fails to converge within k terms.
+    DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
+    terms.
     Deterministic for a fixed seed (an int or a numpy Generator).
     """
     if not (0 < gamma < 0.5):
@@ -422,11 +375,12 @@ def project_embedding(
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = op.n
-    d = projection_dimension(n, gamma, c_d)
-    k = taylor_terms(n, tau, lambda_max, c_k)
-    if d > d_cap or k > k_cap:
+    d = projection_dimension(n, gamma)
+    k = taylor_terms(n, tau, lambda_max)
+    if d > DEFAULT_D_CAP or k > DEFAULT_K_CAP:
         raise ScheduleError(
-            f"projection needs d={d}, k={k} (caps {d_cap}, {k_cap}); "
+            f"projection needs d={d}, k={k} "
+            f"(caps {DEFAULT_D_CAP}, {DEFAULT_K_CAP}); "
             "the schedule is mis-set for this instance"
         )
     rng = np.random.default_rng(seed)
@@ -439,18 +393,19 @@ def project_embedding(
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")
     sketch = sketch * np.sqrt(n / trace)
-    return Embedding(vectors=sketch, gamma=gamma, tau=tau, trace_normalized=True)
+    return Embedding(vectors=sketch, gamma=gamma, tau=tau)
 
 
 def dense_reference(a: np.ndarray) -> np.ndarray:
-    """Exact Gram columns of X = n exp(A)/Tr(exp(A)) for dense A, n <= DENSE_CAP.
+    """Exact Gram columns of X = n exp(A)/Tr(exp(A)) for a dense A whose
+    size passes :func:`embeds_exactly`.
 
     Returns V with X = V^T V; eigenvalues are shifted by the max before
     exponentiation so the computation never overflows.
     """
     n = a.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"dense reference limited to n <= {DENSE_CAP}")
+    if not embeds_exactly(n):
+        raise ValueError(f"dense reference limited to n <= d(n); n = {n}")
     # exact: A is a sum of mirrored fills, and eigh reads one triangle only
     if not np.array_equal(a, a.T):
         raise ValueError("accumulated matrix must be symmetric")
@@ -458,16 +413,6 @@ def dense_reference(a: np.ndarray) -> np.ndarray:
     e = np.exp(vals - vals.max())
     scale = n * e / e.sum()
     return (vecs * np.sqrt(scale)).T
-
-
-def dense_embedding(
-    op: AccumulatedOperator,
-    gamma: float = DEFAULT_GAMMA,
-    tau: float = DEFAULT_TAU,
-) -> Embedding:
-    """Exact embedding (d = n) from the dense reference decomposition."""
-    v = dense_reference(op.dense())
-    return Embedding(vectors=v, gamma=gamma, tau=tau, trace_normalized=True)
 
 
 def approximation_violations(

@@ -91,6 +91,21 @@ class OracleParams:
     def xi(self) -> Fraction:
         return spread_xi(self.c)
 
+    @cached_property
+    def easy_y(self) -> Fraction:
+        """Diagonal -alpha/n of the easy-case feedback."""
+        return -self.alpha / self.n
+
+    @cached_property
+    def easy_z(self) -> Fraction:
+        """Spread coefficient 2 alpha / (xi n^2) of the easy-case feedback."""
+        return 2 * self.alpha / (self.xi * self.n * self.n)
+
+    @cached_property
+    def easy_threshold(self) -> float:
+        """Fire threshold xi n^2 / 4 of the easy case's spread test."""
+        return float(self.xi * self.n * self.n) / 4.0
+
     @property
     def beta(self) -> Fraction:
         return Fraction(self.beta_p, self.beta_q)
@@ -150,7 +165,7 @@ def small_norm_set(emb: Embedding, params: OracleParams) -> list[int]:
     """Vertices with squared norm at most 4/c; holds >= (1 - c/4)n of V
     because the squared norms sum to n."""
     cap = params.norm_cap
-    return [i for i in range(emb.n) if emb.norm_sq(i) <= cap]
+    return np.flatnonzero(emb.norms_sq <= cap).tolist()
 
 
 def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
@@ -161,20 +176,15 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
     The fire condition itself bounds N . X_tilde <= -alpha/2 < 0; the
     budget identity sum(y) + xi n^2 z = alpha holds exactly.
     """
-    n = params.n
     s = small_norm_set(emb, params)
-    spread = emb.spread_over(s)
-    threshold = float(params.xi * n * n) / 4.0
-    if spread >= threshold:
+    if emb.spread_over(s) >= params.easy_threshold:
         return None
-    alpha = params.alpha
-    z = 2 * alpha / (params.xi * n * n)
-    y = -alpha / n
+    y, z = params.easy_y, params.easy_z
     # exact eigenvalues are -alpha/n and -alpha/n + z |S|
     width = max(float(-y), abs(float(y + z * len(s))))
     return FeedbackMatrix(
-        n=n,
-        alpha=alpha,
+        n=params.n,
+        alpha=params.alpha,
         xi=params.xi,
         y=y,
         unit=z,
@@ -413,7 +423,7 @@ def chain(
     Each attempt samples K directions, runs the matching round on each,
     and composes the results; the mirrored (sign-flipped) composition
     comes for free from skew-symmetry.  Separator or feedback outcomes of
-    any matching round short-circuit.  Harvested paths accumulate across
+    any matching round short-circuit.  Harvested paths are pooled across
     attempts; at ``path_min`` of them the chaining feedback is emitted.
     Exhausting the matching-call budget raises OracleError.
     """

@@ -26,12 +26,12 @@ import scipy.sparse as sp
 
 from .embedding import (
     DEFAULT_GAMMA,
-    DENSE_CAP,
     AccumulatedOperator,
     Embedding,
     Rational,
     ScheduleError,
     dense_reference,
+    embeds_exactly,
     largest_eigenvalue,
     log_guard,
     project_embedding,
@@ -40,6 +40,7 @@ from .embedding import (
     symmetric_dense,
 )
 from .graphs import (
+    DEFAULT_BRUTE_FORCE_CAP,
     SeparatorSolution,
     WeightedGraph,
     brute_force_opt,
@@ -119,7 +120,7 @@ class SolverConfig:
     c_prime: Optional[Fraction] = None
     sigma: float = 0.05
     t_cap: int = 10_000
-    brute_cap: int = 14
+    brute_cap: int = DEFAULT_BRUTE_FORCE_CAP
     brute_bypass: bool = True
     replication: Optional[int] = None
     certification_tol: float = 1e-6
@@ -417,8 +418,8 @@ def mmwu_run(
 ) -> MMWUOutcome:
     """One run at objective guess alpha.
 
-    Each iteration embeds the current exponential iterate (exactly under
-    the dense cap, by randomized projection above it), then asks the
+    Each iteration embeds the current exponential iterate (exactly where
+    ``embeds_exactly(n)``, by randomized projection otherwise), then asks the
     oracle, replicating over independent substreams until one replica
     produces an outcome.  A separator outcome returns immediately; a full
     horizon of feedback assembles the averaged certificate and verifies
@@ -443,10 +444,10 @@ def mmwu_run(
     tau_val = config.resolved_tau()
     counters = counters if counters is not None else OracleCounters()
 
-    dense_mode = n <= DENSE_CAP
-    # A = eta * sum N: dense under the cap (eigh needs A dense), CSR above
-    # it, updated from each step's sparse N so that no iteration of the
-    # sketch regime touches an n x n array
+    dense_mode = embeds_exactly(n)
+    # A = eta * sum N: dense where the embedding is exact (eigh needs A
+    # dense), CSR otherwise, updated from each step's sparse N so that no
+    # iteration of the sketch regime touches an n x n array
     a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
     eta_width_sum = 0.0
     # exact dual sums: one scalar y, and integer multiplicities of each
@@ -470,7 +471,7 @@ def mmwu_run(
                 tau=tau_val,
             )
         else:
-            op = AccumulatedOperator(n=n, matrix=a_eta, lambda_max_bound=eta_width_sum)
+            op = AccumulatedOperator(n=n, matrix=a_eta)
             try:
                 emb = project_embedding(
                     op,

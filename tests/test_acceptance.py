@@ -30,7 +30,6 @@ from test_maxflow import (
 from vsep.cli import main as cli_main
 from vsep.embedding import (
     DEFAULT_GAMMA,
-    DEFAULT_TAU,
     AccumulatedOperator,
     Embedding,
     FeedbackMatrix,
@@ -122,8 +121,8 @@ def test_criterion_2_embedding_fidelity():
         gmat = rng.standard_normal((n, n))
         a = (gmat + gmat.T) / (2.0 * math.sqrt(n))
         lam = spectral_norm(a)
-        op = AccumulatedOperator(n, sp.csr_matrix(a), lam)
-        emb = project_embedding(op, DEFAULT_GAMMA, DEFAULT_TAU, lam, seed=trial)
+        op = AccumulatedOperator(n, sp.csr_matrix(a))
+        emb = project_embedding(op, DEFAULT_GAMMA, 0.125, lam, seed=trial)
         b, t = approximation_violations(emb, dense_reference(a))
         bad += b
         total += t
@@ -197,7 +196,7 @@ def _drift_instance(name, g, cfg, alpha, iters, slow, idx, trials):
     sigma_now = params.sigma
     counters = OracleCounters()
     for t in range(iters):
-        op = AccumulatedOperator(n, sp.csr_matrix(a_eta), width_sum)
+        op = AccumulatedOperator(n, sp.csr_matrix(a_eta))
         emb = project_embedding(
             op, DEFAULT_GAMMA, tau_val, width_sum, seed=np.random.default_rng((idx, 7, t))
         )
@@ -258,7 +257,7 @@ def _line_separator_fixture(n, idx, trials):
     )
     emb = Embedding(
         vectors=np.array([[0.5 * i for i in range(n)]]),
-        gamma=0.25, tau=0.125, trace_normalized=False,
+        gamma=0.25, tau=0.125,
     )
     out = run_oracle(g, emb, params, np.random.default_rng((idx, n)), OracleCounters())
     assert isinstance(out, SeparatorOutcome)

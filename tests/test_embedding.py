@@ -1,4 +1,4 @@
-"""Structured feedback matrices, exact accumulation, matrix-exponential
+"""Structured feedback matrices, the running update of A, matrix-exponential
 embeddings, and spectral estimates.
 
 Reference values come from two routes that never share code with the
@@ -14,16 +14,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import vsep.embedding
 from vsep.embedding import (
-    DENSE_CAP,
     AccumulatedOperator,
     Embedding,
     FeedbackMatrix,
     ScheduleError,
-    accumulate,
     approximation_violations,
-    dense_embedding,
     dense_reference,
+    embeds_exactly,
     largest_eigenvalue,
     log_guard,
     project_embedding,
@@ -224,49 +223,20 @@ def make_random_feedback(rng, n):
     )
 
 
-def test_accumulate_permutation_invariant_and_exact():
-    rng = np.random.default_rng(7)
-    n = 8
-    history = [make_random_feedback(rng, n) for _ in range(12)]
-    eta = F(3, 7)
-    a = accumulate(history, eta)
-    b = accumulate(list(reversed(history)), eta)
-    assert np.array_equal(a.dense(), b.dense())
-    assert math.isclose(a.lambda_max_bound, b.lambda_max_bound, rel_tol=1e-12)
-    # exact route: sum entries as Fractions, then convert once
-    total = np.zeros((n, n))
-    for fm in history:
-        total += entries_to_dense(n, {k: v * eta for k, v in fm.entries().items()})
-    assert np.allclose(a.dense(), total, atol=1e-12)
-    assert math.isclose(
-        a.lambda_max_bound,
-        float(eta) * sum(fm.width_bound for fm in history),
-        rel_tol=1e-12,
-    )
-
-
-def test_accumulate_empty_history():
-    op = accumulate([], F(1, 2), n=6)
-    assert op.n == 6
-    assert op.lambda_max_bound == 0.0
-    assert np.array_equal(op.dense(), np.zeros((6, 6)))
-    with pytest.raises(ValueError):
-        accumulate([], F(1, 2))
-    with pytest.raises(ValueError):
-        accumulate([FeedbackMatrix(n=k, alpha=F(0), xi=F(9, 16), y=F(0), unit=F(1))
-                    for k in (3, 4)], F(1))
-
-
 def test_incremental_sparse_update_matches_accumulate():
-    # the solver's running A + eta * N.sparse against the exact compile
+    # the solver's running A + eta * N.sparse against the exact sum of
+    # the history, formed as Fractions and rounded once
     rng = np.random.default_rng(13)
     n = 9
     history = [make_random_feedback(rng, n) for _ in range(20)]
     eta = F(2, 7)
     a = sp.csr_matrix((n, n))
+    total: dict = {}
     for fm in history:
         a = a + float(eta) * fm.sparse
-    want = accumulate(history, eta).matrix.toarray()
+        for key, v in fm.entries().items():
+            total[key] = total.get(key, 0) + v * eta
+    want = entries_to_dense(n, total)
     assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
     for fm in history:
         assert floats_are_exact(fm)
@@ -274,10 +244,10 @@ def test_incremental_sparse_update_matches_accumulate():
 
 def test_accumulated_operator_matvec():
     a = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    op = AccumulatedOperator(2, sp.csr_matrix(a), 4.0)
+    op = AccumulatedOperator(2, sp.csr_matrix(a))
     u = np.array([1.0, 2.0])
     assert np.allclose(op.matrix @ u, a @ u)
-    assert np.array_equal(op.dense(), a)
+    assert np.array_equal(op.matrix.toarray(), a)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +286,9 @@ def test_dense_reference_guards():
     near = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25 + 1e-9, 3.0]])
     with pytest.raises(ValueError):
         dense_reference(near)
+    # the size guard is the embedding rule n <= d(n): 382 > d(382) = 381
     with pytest.raises(ValueError):
-        dense_reference(np.zeros((DENSE_CAP + 1, DENSE_CAP + 1)))
+        dense_reference(np.zeros((382, 382)))
     # large entries must not overflow thanks to the spectral shift
     v = dense_reference(np.diag([1000.0, 0.0]))
     assert np.isfinite(v).all()
@@ -377,6 +348,10 @@ def test_dimension_and_term_formulas():
         4.0 * math.log(64) / 0.0625
     )
     assert projection_dimension(2, 0.25) == math.ceil(4.0 / 0.0625)  # log guard
+    # the embedding rule n <= d(n) flips between 381 and 382
+    assert projection_dimension(381, 0.25) == projection_dimension(382, 0.25) == 381
+    assert embeds_exactly(2) and embeds_exactly(381)
+    assert not embeds_exactly(382) and not embeds_exactly(1000)
     assert taylor_terms(64, 0.125, 1.0) == math.ceil(
         4.0 * math.log(64 ** 2.5 / 0.125)
     )
@@ -389,25 +364,32 @@ def test_project_embedding_deterministic_and_normalized():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10))
     a = (a + a.T) / 4
-    op = AccumulatedOperator(10, sp.csr_matrix(a), float(spectral_norm(a)))
-    e1 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=42)
-    e2 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=42)
-    e3 = project_embedding(op, 0.25, 0.125, op.lambda_max_bound, seed=43)
+    op = AccumulatedOperator(10, sp.csr_matrix(a))
+    lam = spectral_norm(a)
+    e1 = project_embedding(op, 0.25, 0.125, lam, seed=42)
+    e2 = project_embedding(op, 0.25, 0.125, lam, seed=42)
+    e3 = project_embedding(op, 0.25, 0.125, lam, seed=43)
     assert np.array_equal(e1.vectors, e2.vectors)
     assert not np.array_equal(e1.vectors, e3.vectors)
     assert math.isclose(float(np.sum(e1.norms_sq)), 10.0, rel_tol=1e-9)
 
 
-def test_project_embedding_guards():
-    op = accumulate([], F(1), n=4)
+def test_project_embedding_guards(monkeypatch):
+    op = AccumulatedOperator(4, sp.csr_matrix((4, 4)))
     with pytest.raises(ValueError):
         project_embedding(op, 0.6, 0.125, 0.0, seed=0)
     with pytest.raises(ValueError):
         project_embedding(op, 0.25, 0.0, 0.0, seed=0)
-    with pytest.raises(ScheduleError):
-        project_embedding(op, 0.25, 0.125, 0.0, seed=0, d_cap=2)
-    with pytest.raises(ScheduleError):
-        project_embedding(op, 0.25, 0.125, 0.0, seed=0, k_cap=2)
+    with monkeypatch.context() as m:
+        m.setattr(vsep.embedding, "DEFAULT_D_CAP", 2)
+        with pytest.raises(ScheduleError):
+            project_embedding(op, 0.25, 0.125, 0.0, seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(vsep.embedding, "DEFAULT_K_CAP", 2)
+        with pytest.raises(ScheduleError):
+            project_embedding(op, 0.25, 0.125, 0.0, seed=0)
+    # at the default caps the same call succeeds
+    assert project_embedding(op, 0.25, 0.125, 0.0, seed=0).n == 4
 
 
 def test_projection_accuracy_against_dense():
@@ -422,7 +404,7 @@ def test_projection_accuracy_against_dense():
         a = rng.standard_normal((n, n))
         a = (a + a.T) / (2 * n)  # keep ||A|| modest, as the schedule does
         lam = float(spectral_norm(a))
-        op = AccumulatedOperator(n, sp.csr_matrix(a), lam)
+        op = AccumulatedOperator(n, sp.csr_matrix(a))
         emb = project_embedding(op, 0.25, 0.125, lam, seed=trial)
         exact = dense_reference(a)
         b, t = approximation_violations(emb, exact)
@@ -433,14 +415,17 @@ def test_projection_accuracy_against_dense():
 
 
 def test_dense_embedding_is_exact():
+    # V = dense_reference(A) against the symmetric square root of
+    # X = n expm(A) / Tr(expm(A)), both Gram factorizations of X
     rng = np.random.default_rng(23)
     a = rng.standard_normal((8, 8))
     a = (a + a.T) / 4
-    op = AccumulatedOperator(8, sp.csr_matrix(a), 10.0)
-    emb = dense_embedding(op)
-    exact = dense_reference(a)
-    bad, total = approximation_violations(emb, exact)
+    emb = Embedding(vectors=dense_reference(a), gamma=0.25, tau=0.125)
+    ex = scipy.linalg.expm(a)
+    x = 8 * ex / np.trace(ex)
+    bad, total = approximation_violations(emb, np.real(scipy.linalg.sqrtm(x)))
     assert bad == 0 and total == 8 + 28
+    assert np.allclose(emb.gram(), x, atol=1e-10)
     assert math.isclose(float(np.sum(emb.norms_sq)), 8.0, rel_tol=1e-12)
 
 
@@ -468,11 +453,10 @@ def test_spectral_norm_dense_exact():
 
 
 def test_forged_certificate_above_dense_cap_rejected():
-    # above DENSE_CAP the eigen-check is still exact: one small positive
-    # eigenvalue next to close negative ones must be seen, and the
-    # certificate's top-eigenvalue test must reject the matrix
+    # the eigen-check is exact at every n: one small positive eigenvalue
+    # next to close negative ones must be seen, and the certificate's
+    # top-eigenvalue test must reject the matrix
     n = 80
-    assert n > DENSE_CAP
     rng = np.random.default_rng(41)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     for top in (1e-4, 1e-3):

@@ -60,7 +60,7 @@ def line_embedding(coords):
     """One-dimensional embedding with the given x coordinates."""
     return Embedding(
         vectors=np.array([coords], dtype=float),
-        gamma=0.25, tau=0.125, trace_normalized=False,
+        gamma=0.25, tau=0.125,
     )
 
 
@@ -125,7 +125,6 @@ def test_easy_case_collapsed_embedding():
     n, alpha = 5, F(3)
     emb = Embedding(
         vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25, tau=0.125,
-        trace_normalized=False,
     )
     params = mk_params(n=n, alpha=3)
     fm = easy_case(emb, params)
@@ -164,9 +163,7 @@ def test_easy_case_threshold_is_strict():
 
 def test_easy_case_abstains_when_spread():
     n = 6
-    emb = Embedding(
-        vectors=np.eye(n), gamma=0.25, tau=0.125, trace_normalized=False
-    )
+    emb = Embedding(vectors=np.eye(n), gamma=0.25, tau=0.125)
     assert easy_case(emb, mk_params(n=n)) is None
 
 
@@ -221,8 +218,7 @@ def flow_setup():
         [-1.7, 0.0, 0.0, 1.7],
         [0.0, 1.0, -1.0, 0.0],
     ])
-    emb = Embedding(vectors=vectors, gamma=0.25, tau=0.125,
-                    trace_normalized=False)
+    emb = Embedding(vectors=vectors, gamma=0.25, tau=0.125)
     params = mk_params(n=4, alpha=5, c_prime=F(1, 8), beta_p=1, beta_q=1)
     assert params.ab_size == 1
     return g, emb, params
@@ -322,8 +318,7 @@ def test_matching_exact_reversal_symmetry_sweep():
         g = gnp_graph(n, 0.5, seed=int(rng.integers(0, 10 ** 6)))
         vecs = rng.standard_normal((3, n))
         vecs *= math.sqrt(6.0 / max(np.sum(vecs * vecs, axis=0).max(), 1e-9))
-        emb = Embedding(vectors=vecs, gamma=0.25, tau=0.125,
-                        trace_normalized=False)
+        emb = Embedding(vectors=vecs, gamma=0.25, tau=0.125)
         params = mk_params(
             n=n,
             alpha=int(rng.integers(1, n)),
@@ -430,7 +425,7 @@ def test_inner_from_vectors_matches_gram():
     rng = np.random.default_rng(17)
     n, alpha = 5, F(3)
     collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25,
-                          tau=0.125, trace_normalized=False)
+                          tau=0.125)
     easy = easy_case(collapsed, mk_params(n=n, alpha=3))
     g, flow_emb, params = flow_setup()
     flow = matching(g, flow_emb, np.array([1.0, 0.0]), params).feedback
@@ -442,8 +437,7 @@ def test_inner_from_vectors_matches_gram():
         lam=(((1, 2), 140),),
     )
     cases = [(easy, collapsed), (flow, flow_emb)] + [
-        (fm, Embedding(vectors=rng.standard_normal((3, 6)), gamma=0.25,
-                       tau=0.125, trace_normalized=False))
+        (fm, Embedding(vectors=rng.standard_normal((3, 6)), gamma=0.25, tau=0.125))
         for fm in (chain_fm, custom)
     ]
     assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
@@ -471,8 +465,7 @@ def test_chain_budget_exhaustion():
     # endpoint distance 2, so nothing ever violates and the budget runs out
     n = 6
     g = with_weights(complete_graph(n), [3] * n)
-    emb = Embedding(vectors=np.eye(n), gamma=0.25, tau=0.125,
-                    trace_normalized=False)
+    emb = Embedding(vectors=np.eye(n), gamma=0.25, tau=0.125)
     params = mk_params(n=n, alpha=1, c_prime=F(1, 6), beta_p=1, beta_q=4,
                        delta_spread=3.0, k_rounds=2, attempt_budget=6)
     counters = OracleCounters()
@@ -549,8 +542,7 @@ def test_chain_deduplicates_harvest(monkeypatch):
 
 def test_run_oracle_easy_precedence():
     g = complete_graph(5)
-    emb = Embedding(vectors=np.ones((2, 5)) * 0.5, gamma=0.25, tau=0.125,
-                    trace_normalized=False)
+    emb = Embedding(vectors=np.ones((2, 5)) * 0.5, gamma=0.25, tau=0.125)
     counters = OracleCounters()
     out = run_oracle(g, emb, mk_params(n=5), np.random.default_rng(3), counters)
     assert isinstance(out, FeedbackOutcome)

@@ -235,6 +235,29 @@ def test_mmwu_run_iteration_cap_is_inconclusive():
     assert out.alpha == 1
 
 
+def test_embedding_regime_boundary(monkeypatch):
+    # exact iff n <= d(n) = ceil(64 ln n): d(381) = 381, d(382) = 381
+    calls = {"dense": 0, "sketch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        solver_mod, "dense_reference", counted("dense", solver_mod.dense_reference)
+    )
+    monkeypatch.setattr(
+        solver_mod, "project_embedding", counted("sketch", solver_mod.project_embedding)
+    )
+    cfg = SolverConfig(t_cap=1)
+    for n, want in ((381, {"dense": 1, "sketch": 0}), (382, {"dense": 0, "sketch": 1})):
+        calls.update(dense=0, sketch=0)
+        mmwu_run(path_graph(n), 2, cfg, seed=0)
+        assert calls == want, n
+
+
 def test_mmwu_run_oracle_starvation_is_inconclusive():
     # floor(2 c' n) = 0 slices: every oracle replica fails, no outcome
     cfg = SolverConfig(brute_bypass=False, c_prime=F(1, 100))
