@@ -42,6 +42,8 @@ DEFAULT_C_D = 4.0
 DEFAULT_C_K = 4.0
 DEFAULT_D_CAP = 5000
 DEFAULT_K_CAP = 2000
+# largest n embedded exactly; above it every embedding is a sketch
+DENSE_CAP = 64
 
 
 class ScheduleError(RuntimeError):
@@ -309,10 +311,9 @@ def taylor_terms(
 
 
 def embeds_exactly(n: int) -> bool:
-    """The embedding regime: exact (eigh, d = n) iff the sketch would need
-    at least n probes, i.e. n <= projection_dimension(n, DEFAULT_GAMMA);
-    the crossover is at n = 381."""
-    return n <= projection_dimension(n, DEFAULT_GAMMA)
+    """The embedding regime: exact (eigh, d = n) iff n <= DENSE_CAP, the
+    sketch of :func:`project_embedding` otherwise."""
+    return n <= DENSE_CAP
 
 
 def _expm_action(
@@ -405,7 +406,7 @@ def dense_reference(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[0]
     if not embeds_exactly(n):
-        raise ValueError(f"dense reference limited to n <= d(n); n = {n}")
+        raise ValueError(f"dense reference limited to n <= {DENSE_CAP}; n = {n}")
     # exact: A is a sum of mirrored fills, and eigh reads one triangle only
     if not np.array_equal(a, a.T):
         raise ValueError("accumulated matrix must be symmetric")

@@ -91,21 +91,6 @@ class OracleParams:
     def xi(self) -> Fraction:
         return spread_xi(self.c)
 
-    @cached_property
-    def easy_y(self) -> Fraction:
-        """Diagonal -alpha/n of the easy-case feedback."""
-        return -self.alpha / self.n
-
-    @cached_property
-    def easy_z(self) -> Fraction:
-        """Spread coefficient 2 alpha / (xi n^2) of the easy-case feedback."""
-        return 2 * self.alpha / (self.xi * self.n * self.n)
-
-    @cached_property
-    def easy_threshold(self) -> float:
-        """Fire threshold xi n^2 / 4 of the easy case's spread test."""
-        return float(self.xi * self.n * self.n) / 4.0
-
     @property
     def beta(self) -> Fraction:
         return Fraction(self.beta_p, self.beta_q)
@@ -176,15 +161,20 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
     The fire condition itself bounds N . X_tilde <= -alpha/2 < 0; the
     budget identity sum(y) + xi n^2 z = alpha holds exactly.
     """
+    n = params.n
     s = small_norm_set(emb, params)
-    if emb.spread_over(s) >= params.easy_threshold:
+    spread = emb.spread_over(s)
+    threshold = float(params.xi * n * n) / 4.0
+    if spread >= threshold:
         return None
-    y, z = params.easy_y, params.easy_z
+    alpha = params.alpha
+    z = 2 * alpha / (params.xi * n * n)
+    y = -alpha / n
     # exact eigenvalues are -alpha/n and -alpha/n + z |S|
     width = max(float(-y), abs(float(y + z * len(s))))
     return FeedbackMatrix(
-        n=params.n,
-        alpha=params.alpha,
+        n=n,
+        alpha=alpha,
         xi=params.xi,
         y=y,
         unit=z,

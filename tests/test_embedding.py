@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 import vsep.embedding
 from vsep.embedding import (
+    DENSE_CAP,
     AccumulatedOperator,
     Embedding,
     FeedbackMatrix,
@@ -286,9 +287,9 @@ def test_dense_reference_guards():
     near = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25 + 1e-9, 3.0]])
     with pytest.raises(ValueError):
         dense_reference(near)
-    # the size guard is the embedding rule n <= d(n): 382 > d(382) = 381
+    # the size guard is the embedding rule
     with pytest.raises(ValueError):
-        dense_reference(np.zeros((382, 382)))
+        dense_reference(np.zeros((DENSE_CAP + 1, DENSE_CAP + 1)))
     # large entries must not overflow thanks to the spectral shift
     v = dense_reference(np.diag([1000.0, 0.0]))
     assert np.isfinite(v).all()
@@ -348,10 +349,8 @@ def test_dimension_and_term_formulas():
         4.0 * math.log(64) / 0.0625
     )
     assert projection_dimension(2, 0.25) == math.ceil(4.0 / 0.0625)  # log guard
-    # the embedding rule n <= d(n) flips between 381 and 382
-    assert projection_dimension(381, 0.25) == projection_dimension(382, 0.25) == 381
-    assert embeds_exactly(2) and embeds_exactly(381)
-    assert not embeds_exactly(382) and not embeds_exactly(1000)
+    assert embeds_exactly(2) and embeds_exactly(DENSE_CAP)
+    assert not embeds_exactly(DENSE_CAP + 1) and not embeds_exactly(1000)
     assert taylor_terms(64, 0.125, 1.0) == math.ceil(
         4.0 * math.log(64 ** 2.5 / 0.125)
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsep.embedding import ScheduleError
+from vsep.embedding import DENSE_CAP, ScheduleError
 from vsep.graphs import (
     SeparatorSolution,
     complete_graph,
@@ -236,7 +236,7 @@ def test_mmwu_run_iteration_cap_is_inconclusive():
 
 
 def test_embedding_regime_boundary(monkeypatch):
-    # exact iff n <= d(n) = ceil(64 ln n): d(381) = 381, d(382) = 381
+    # exact iff n <= DENSE_CAP, by the sketch above it
     calls = {"dense": 0, "sketch": 0}
 
     def counted(name, fn):
@@ -252,7 +252,10 @@ def test_embedding_regime_boundary(monkeypatch):
         solver_mod, "project_embedding", counted("sketch", solver_mod.project_embedding)
     )
     cfg = SolverConfig(t_cap=1)
-    for n, want in ((381, {"dense": 1, "sketch": 0}), (382, {"dense": 0, "sketch": 1})):
+    for n, want in (
+        (DENSE_CAP, {"dense": 1, "sketch": 0}),
+        (DENSE_CAP + 1, {"dense": 0, "sketch": 1}),
+    ):
         calls.update(dense=0, sketch=0)
         mmwu_run(path_graph(n), 2, cfg, seed=0)
         assert calls == want, n
