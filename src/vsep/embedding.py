@@ -368,7 +368,7 @@ def project_embedding(
     product with the n x d probe block, so a call is O(nnz(A) d) per term
     and allocates nothing n x n.  Raises ScheduleError when d or k exceed
     DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
-    terms.
+    terms.  At A = 0 the sketch is the scaled probe block itself.
     Deterministic for a fixed seed (an int or a numpy Generator).
     """
     if not (0 < gamma < 0.5):
@@ -386,10 +386,14 @@ def project_embedding(
         )
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((d, n)) / np.sqrt(d)
-    half = op.matrix * 0.5
-    # the kernel works on the n x d block; the embedding is its d x n transpose
-    cols = _expm_action(half, np.ascontiguousarray(probes.T), lambda_max / 2, k)
-    sketch = np.ascontiguousarray(cols.T)
+    if op.matrix.nnz == 0:
+        sketch = probes  # exp(0) = I: the probes, in the same C layout
+    else:
+        # the kernel works on the n x d block; the embedding is its d x n
+        # transpose
+        half = op.matrix * 0.5
+        cols = _expm_action(half, np.ascontiguousarray(probes.T), lambda_max / 2, k)
+        sketch = np.ascontiguousarray(cols.T)
     trace = float(np.sum(sketch * sketch))
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")

@@ -10,11 +10,20 @@ Capacities are integers throughout; the split-network builder scales all
 rational capacities up front so that flow values, cuts, and decompositions
 are exact.  "Infinite" arcs use a sentinel capacity strictly larger than
 the sum of all finite capacities, so they can never cross a minimum cut.
+
+Only work whose result is read is done.  A split network's vertex and
+edge arcs depend on the graph alone, so they and their half-arc lists are
+built once per graph (:class:`SplitSkeleton`) and each network adds only
+its capacities and terminal arcs.  A max flow is decomposed into paths
+the first time its paths or its acyclic flow are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from operator import gt, index, not_, sub
 from typing import Optional, Sequence
 
 CAP_LIMIT = 1 << 62  # reject capacities that would not fit a fixed-width int
@@ -31,6 +40,11 @@ class FlowNetwork:
     Arcs are identified by insertion index.  ``add_arc`` returns that
     index; per-arc flows in :class:`FlowResult` use the same indexing.
     Arc lists passed to the constructor get the checks ``add_arc`` makes.
+    Node ids and capacities must be integers (numpy integers included).
+
+    ``skeleton``, when set, is the :class:`SplitSkeleton` whose arcs are
+    this network's first arcs, in order; max flow then reuses its
+    prebuilt half-arc lists instead of rebuilding them.
     """
 
     num_nodes: int
@@ -39,8 +53,13 @@ class FlowNetwork:
     tails: list[int] = field(default_factory=list)
     heads: list[int] = field(default_factory=list)
     caps: list[int] = field(default_factory=list)
+    skeleton: Optional[SplitSkeleton] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            index(self.num_nodes), index(self.source), index(self.sink)
+        except TypeError:
+            raise FlowError("node count, source and sink must be integers") from None
         if not (0 <= self.source < self.num_nodes) or not (
             0 <= self.sink < self.num_nodes
         ):
@@ -54,31 +73,55 @@ class FlowNetwork:
                 f"{len(self.heads)} heads, {len(self.caps)} caps"
             )
         n = self.num_nodes
-        if m and not (
-            min(self.tails) >= 0 and max(self.tails) < n
-            and min(self.heads) >= 0 and max(self.heads) < n
-            and min(self.caps) >= 0 and max(self.caps) < CAP_LIMIT
+        skel = self.skeleton
+        k = 0 if skel is None else skel.num_arcs
+        if skel is not None and not (
+            n == skel.num_nodes
+            and self.tails[:k] == skel.tails
+            and self.heads[:k] == skel.heads
         ):
-            for u, v, cap in zip(self.tails, self.heads, self.caps):
+            raise FlowError("network does not start with its skeleton's arcs")
+        # a skeleton's arcs join vertices of a validated graph, so only the
+        # node ids after them need the range check.  A sum of plain ints is
+        # a plain int; anything else gets the per-arc check, which also
+        # accepts numpy integers.
+        tails, heads, caps = self.tails[k:], self.heads[k:], self.caps
+        if m and not (
+            type(sum(tails)) is int
+            and type(sum(heads)) is int
+            and type(sum(caps)) is int
+            and min(tails, default=0) >= 0 and max(tails, default=0) < n
+            and min(heads, default=0) >= 0 and max(heads, default=0) < n
+            and min(caps) >= 0 and max(caps) < CAP_LIMIT
+        ):
+            for u, v, cap in zip(self.tails, self.heads, caps):
                 self._check_arc(u, v, cap)
 
     @property
     def num_arcs(self) -> int:
         return len(self.tails)
 
-    def _check_arc(self, u: int, v: int, cap: int) -> None:
+    def _check_arc(self, u, v, cap) -> tuple[int, int, int]:
+        try:
+            u, v, cap = index(u), index(v), index(cap)
+        except TypeError:
+            raise FlowError(
+                f"arc ({u}, {v}) with capacity {cap!r}: "
+                "node ids and capacities must be integers"
+            ) from None
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             raise FlowError(f"arc ({u}, {v}) out of range")
         if cap < 0:
             raise FlowError(f"negative capacity on arc ({u}, {v})")
         if cap >= CAP_LIMIT:
             raise FlowError(f"capacity on arc ({u}, {v}) overflows the integer range")
+        return u, v, cap
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
-        self._check_arc(u, v, cap)
+        u, v, cap = self._check_arc(u, v, cap)
         self.tails.append(u)
         self.heads.append(v)
-        self.caps.append(int(cap))
+        self.caps.append(cap)
         return len(self.tails) - 1
 
 
@@ -92,20 +135,67 @@ class FlowPath:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Max-flow output: value, per-arc flow, minimum cut, decomposition.
+    """Max-flow output: value, minimum cut, per-arc flow, decomposition.
 
     ``t_cut`` is the unique inclusion-minimal sink side (all nodes that can
     reach the sink in the residual graph); ``s_cut`` is its complement.
-    ``flow`` is acyclic: any cycles produced during augmentation are
-    cancelled before it is reported, so the paths re-add exactly to it.
+    ``raw_flow`` is the per-arc flow the solver found.
+
+    ``flow`` and ``paths`` are computed from ``raw_flow`` by
+    :func:`decompose` the first time either is read, so a caller that
+    needs only the value and the cut never decomposes; ``net`` must not
+    change before then.  ``flow`` is acyclic: any cycles produced during
+    augmentation are cancelled, so the paths re-add exactly to it.
     """
 
     value: int
-    flow: tuple[int, ...]
     s_cut: tuple[int, ...]
     t_cut: tuple[int, ...]
-    paths: tuple[FlowPath, ...]
     cut_capacity: int
+    raw_flow: tuple[int, ...]
+    net: FlowNetwork = field(repr=False, compare=False)
+
+    @cached_property
+    def _decomposition(self) -> tuple[tuple[FlowPath, ...], tuple[int, ...]]:
+        paths, flows = decompose(self.net, self.raw_flow)
+        return tuple(paths), tuple(flows)
+
+    @property
+    def paths(self) -> tuple[FlowPath, ...]:
+        return self._decomposition[0]
+
+    @property
+    def flow(self) -> tuple[int, ...]:
+        return self._decomposition[1]
+
+
+def _half_arcs(
+    num_nodes: int,
+    tails: Sequence[int],
+    heads: Sequence[int],
+    base: Optional[SplitSkeleton] = None,
+) -> tuple[list[int], list[list[int]]]:
+    """Half-arc targets and per-node half-arc lists of the given arcs.
+
+    Half-arc ``2i`` is arc ``i`` and ``2i + 1`` its reverse.  With a
+    ``base``, the arcs are numbered after the base's and each node lists
+    the base's half-arcs first; the base's lists are shared, and only
+    those that gain a half-arc are copied first.
+    """
+    base_to, base_adj = (base.to, base.adj) if base is not None else ([], [])
+    a = len(base_to)
+    to = base_to + [0] * (2 * len(tails))
+    to[a::2] = heads
+    to[a + 1 :: 2] = tails
+    adj = base_adj + [[] for _ in range(num_nodes - len(base_adj))]
+    if base_adj:
+        for x in {*tails, *heads}:
+            adj[x] = adj[x].copy()
+    for u, v in zip(tails, heads):
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        a += 2
+    return to, adj
 
 
 class _Dinic:
@@ -131,24 +221,20 @@ class _Dinic:
     * After an augment, every arc before the first saturated one keeps
       residual capacity and its pointer, so a restart from the source
       walks back exactly to that arc's tail: the walk retreats there.
+
+    ``to`` and ``adj`` are only read, so a network's skeleton lists are
+    shared rather than copied.
     """
 
     def __init__(self, net: FlowNetwork):
         self.n = net.num_nodes
         self.caps = net.caps
-        m = len(net.caps)
-        self.to: list[int] = [0] * (2 * m)
-        self.to[0::2] = net.heads
-        self.to[1::2] = net.tails
-        self.res: list[int] = [0] * (2 * m)  # residual capacity per half-arc
+        k = net.skeleton.num_arcs if net.skeleton is not None else 0
+        self.to, self.adj = _half_arcs(
+            self.n, net.tails[k:], net.heads[k:], net.skeleton
+        )
+        self.res: list[int] = [0] * len(self.to)  # residual capacity per half-arc
         self.res[0::2] = net.caps
-        self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        adj = self.adj
-        a = 0
-        for u, v in zip(net.tails, net.heads):
-            adj[u].append(a)
-            adj[v].append(a + 1)
-            a += 2
 
     def run(self, s: int, t: int) -> int:
         to, res, adj = self.to, self.res, self.adj
@@ -227,7 +313,7 @@ class _Dinic:
         return level
 
     def arc_flows(self) -> list[int]:
-        return [c - r for c, r in zip(self.caps, self.res[0::2])]
+        return list(map(sub, self.caps, self.res[0::2]))
 
     def residual_reaches_sink(self, t: int) -> list[bool]:
         """Nodes with a residual path to t (reverse search over residual arcs)."""
@@ -249,48 +335,55 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     """Maximum s-t flow with exact integer arithmetic.
 
     The input network is not mutated.  The reported minimum cut is the one
-    with inclusion-minimal sink side, and the path decomposition re-adds
-    arc-exactly to the reported (acyclic) flow.
+    with inclusion-minimal sink side, and the path decomposition, made
+    when it is first read, re-adds arc-exactly to the reported (acyclic)
+    flow.
     """
     dinic = _Dinic(net)
     value = dinic.run(net.source, net.sink)
     reach = dinic.residual_reaches_sink(net.sink)
     if reach[net.source]:
         raise FlowError("source still reaches sink in residual graph")
-    t_cut = tuple(v for v in range(net.num_nodes) if reach[v])
-    s_cut = tuple(v for v in range(net.num_nodes) if not reach[v])
+    nodes = range(net.num_nodes)
+    t_cut = tuple(compress(nodes, reach))
+    s_cut = tuple(compress(nodes, map(not_, reach)))
     flows = dinic.arc_flows()
-    paths, flows = decompose(net, flows)
-    cut_cap = sum(
-        c
-        for u, v, c in zip(net.tails, net.heads, net.caps)
-        if not reach[u] and reach[v]
-    )
+    _check_feasible(net, flows)
+    # arcs from the source side (reach False) into the sink side (True)
+    at = reach.__getitem__
+    cut_cap = sum(compress(net.caps, map(gt, map(at, net.heads), map(at, net.tails))))
     if cut_cap != value:
         raise FlowError(
             f"internal check failed: cut capacity {cut_cap} != flow value {value}"
         )
     return FlowResult(
         value=value,
-        flow=tuple(flows),
         s_cut=s_cut,
         t_cut=t_cut,
-        paths=tuple(paths),
         cut_capacity=cut_cap,
+        raw_flow=tuple(flows),
+        net=net,
     )
 
 
 def _check_feasible(net: FlowNetwork, flows: Sequence[int]) -> None:
-    if len(flows) != net.num_arcs:
+    m = net.num_arcs
+    if len(flows) != m:
         raise FlowError("flow vector length does not match arc count")
+    caps = net.caps
+    if min(flows, default=0) < 0 or any(map(gt, flows, caps)):
+        for i, f in enumerate(flows):
+            if f < 0 or f > caps[i]:
+                raise FlowError(f"arc {i} flow {f} outside [0, cap]")
+    # only arcs that carry flow move excess
+    tails, heads = net.tails, net.heads
     excess = [0] * net.num_nodes
-    for i, f in enumerate(flows):
-        if f < 0 or f > net.caps[i]:
-            raise FlowError(f"arc {i} flow {f} outside [0, cap]")
-        excess[net.tails[i]] -= f
-        excess[net.heads[i]] += f
-    for v in range(net.num_nodes):
-        if v not in (net.source, net.sink) and excess[v] != 0:
+    for i in compress(range(m), flows):
+        f = flows[i]
+        excess[tails[i]] -= f
+        excess[heads[i]] += f
+    for v in compress(range(net.num_nodes), excess):
+        if v != net.source and v != net.sink:
             raise FlowError(f"flow not conserved at node {v}")
 
 
@@ -385,6 +478,39 @@ def decompose(
 
 
 @dataclass(frozen=True)
+class SplitSkeleton:
+    """The arcs of a graph's split network that do not depend on A, B,
+    p or q: every vertex arc, then both directions of every edge.
+
+    ``to`` and ``adj`` are these arcs' half-arc targets and each node's
+    half-arc list, as max flow lays them out.  A graph builds its skeleton
+    once (``WeightedGraph.split_skeleton``) and every split network of the
+    graph shares it, so none of its lists may be mutated.
+    """
+
+    num_nodes: int
+    tails: list[int]
+    heads: list[int]
+    to: list[int]
+    adj: list[list[int]]
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self.tails)
+
+    @classmethod
+    def of(cls, graph) -> SplitSkeleton:
+        n = graph.n
+        tails = list(range(0, 2 * n, 2))
+        heads = list(range(1, 2 * n, 2))
+        for u, v in graph.edges:
+            tails += (2 * u + 1, 2 * v + 1)
+            heads += (2 * v, 2 * u)
+        to, adj = _half_arcs(2 * n + 2, tails, heads)
+        return cls(2 * n + 2, tails, heads, to, adj)
+
+
+@dataclass(frozen=True)
 class SplitNetwork:
     """Vertex-capacitated flow network over a split graph.
 
@@ -458,19 +584,13 @@ def build_split_network(
     if sentinel >= CAP_LIMIT:
         raise FlowError("scaled capacities overflow the integer range")
 
-    # arc order: vertex arcs, both directions of each edge, source, sink
-    tails = list(range(0, 2 * n, 2))
-    heads = list(range(1, 2 * n, 2))
+    # arc order: the skeleton's vertex and edge arcs, then source, then sink
+    skel = graph.split_skeleton
     caps = [int(w * q) for w in graph.weights]
-    for u, v in graph.edges:
-        tails += (2 * u + 1, 2 * v + 1)
-        heads += (2 * v, 2 * u)
-    caps += [sentinel] * (len(tails) - n)
+    caps += [sentinel] * (skel.num_arcs - n)
     a_sorted, b_sorted = sorted(a_set), sorted(b_set)
-    tails += [2 * n] * len(a_sorted)
-    heads += [2 * a for a in a_sorted]
-    tails += [2 * b + 1 for b in b_sorted]
-    heads += [2 * n + 1] * len(b_sorted)
+    tails = skel.tails + [2 * n] * len(a_sorted) + [2 * b + 1 for b in b_sorted]
+    heads = skel.heads + [2 * a for a in a_sorted] + [2 * n + 1] * len(b_sorted)
     caps += [2 * p] * (len(a_sorted) + len(b_sorted))
-    net = FlowNetwork(2 * n + 2, 2 * n, 2 * n + 1, tails, heads, caps)
+    net = FlowNetwork(2 * n + 2, 2 * n, 2 * n + 1, tails, heads, caps, skel)
     return SplitNetwork(net=net, n=n)

@@ -11,7 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+from .flow import SplitSkeleton
 
 DEFAULT_BRUTE_FORCE_CAP = 14
 DEFAULT_WEIGHT_EXPONENT = 3
@@ -80,6 +83,12 @@ class WeightedGraph:
 
     def weight_of(self, vertices: Iterable[int]) -> int:
         return sum(self.weights[v] for v in vertices)
+
+    @cached_property
+    def split_skeleton(self) -> SplitSkeleton:
+        """The graph-only arcs of this graph's split flow network, built
+        on first use and shared by every ``build_split_network`` call."""
+        return SplitSkeleton.of(self)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]

@@ -3,6 +3,10 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,20 @@ def test_bad_graph_input_exits_three(capsys, monkeypatch):
     assert "input error" in err
     code, _, err = run_cli(["solve", "--input", "/nonexistent/x"], capsys)
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # every command starts with `import vsep`; each of these subpackages
+    # takes a tenth of a second or more to import
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys, vsep; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

@@ -373,6 +373,21 @@ def test_project_embedding_deterministic_and_normalized():
     assert math.isclose(float(np.sum(e1.norms_sq)), 10.0, rel_tol=1e-9)
 
 
+def test_project_embedding_at_zero_matches_the_series_path():
+    # A = 0 skips the exponential; the sketch must be bit-identical to the
+    # one the series path gives, layout included
+    n, seed = 30, 5
+    zero = sp.csr_matrix((n, n))
+    d = projection_dimension(n, 0.25)
+    probes = np.random.default_rng(seed).standard_normal((d, n)) / np.sqrt(d)
+    cols = _expm_action(zero, np.ascontiguousarray(probes.T), 0.0, 10)
+    want = np.ascontiguousarray(cols.T)
+    want = want * np.sqrt(n / float(np.sum(want * want)))
+    got = project_embedding(AccumulatedOperator(n, zero), 0.25, 0.125, 0.0, seed)
+    assert np.array_equal(got.vectors, want)
+    assert got.vectors.flags.c_contiguous
+
+
 def test_project_embedding_guards(monkeypatch):
     op = AccumulatedOperator(4, sp.csr_matrix((4, 4)))
     with pytest.raises(ValueError):

@@ -120,8 +120,9 @@ class ReferenceDinic:
 
 
 def reference_max_flow(net):
-    """``FlowResult`` of :class:`ReferenceDinic`, cut and decomposition
-    taken as ``max_flow`` takes them."""
+    """``FlowResult`` of :class:`ReferenceDinic`, cut taken as ``max_flow``
+    takes it.  Results compare equal when their raw per-arc flows do, so
+    an equal result also decomposes into the same paths."""
     dinic = ReferenceDinic(net)
     value = dinic.run(net.source, net.sink)
     into = [[] for _ in range(net.num_nodes)]
@@ -135,9 +136,6 @@ def reference_max_flow(net):
             if u not in reach:
                 reach.add(u)
                 queue.append(u)
-    paths, flows = decompose(
-        net, [c - dinic.res[2 * i] for i, c in enumerate(net.caps)]
-    )
     cut = sum(
         c
         for u, v, c in zip(net.tails, net.heads, net.caps)
@@ -145,11 +143,11 @@ def reference_max_flow(net):
     )
     return FlowResult(
         value=value,
-        flow=tuple(flows),
         s_cut=tuple(v for v in range(net.num_nodes) if v not in reach),
         t_cut=tuple(v for v in range(net.num_nodes) if v in reach),
-        paths=tuple(paths),
         cut_capacity=cut,
+        raw_flow=tuple(c - dinic.res[2 * i] for i, c in enumerate(net.caps)),
+        net=net,
     )
 
 
@@ -303,6 +301,10 @@ def test_zero_capacity_and_parallel_arcs():
         ([0], [2], [1, 1]),
         ([3], [2], [1]),  # tail out of range
         ([0], [-1], [1]),  # head out of range
+        ([0, 1], [1, 2], [1.5, 2.5]),  # fractional capacities
+        ([0], [2], [2.0]),  # float capacity
+        ([0.0], [2], [1]),  # float node id
+        ([0], [np.float64(2)], [1]),
     ],
 )
 def test_constructor_rejects_bad_arc_lists(tails, heads, caps):
@@ -322,6 +324,17 @@ def test_construction_errors():
         net.add_arc(0, 1, -1)
     with pytest.raises(FlowError):
         net.add_arc(0, 1, CAP_LIMIT)
+    with pytest.raises(FlowError):
+        net.add_arc(0, 1, 1.5)
+    with pytest.raises(FlowError):
+        net.add_arc(0.0, 1, 1)
+    with pytest.raises(FlowError):
+        FlowNetwork(num_nodes=3, source=0.0, sink=2)
+    assert net.num_arcs == 0
+    # numpy integers are integers
+    net.add_arc(np.int64(0), np.int32(1), np.int64(4))
+    net = FlowNetwork(3, 0, 2, [0, np.int64(1)], [1, 2], [np.int64(3), 5])
+    assert max_flow(net).value == 3
 
 
 def test_decompose_rejects_infeasible():
@@ -457,3 +470,37 @@ def test_split_networks_match_reference_dinic():
             g, order[:ka], order[ka : ka + kb], rng.randint(1, 20), rng.randint(1, 20)
         )
         assert max_flow(sn.net) == reference_max_flow(sn.net)
+
+
+def test_split_networks_share_one_skeleton():
+    # back-to-back networks on one graph: each equals the reference max
+    # flow on a network built afresh, and the shared lists never change
+    rng = random.Random(7)
+    g = with_weights(grid_graph(6, 6), [rng.randint(1, 9) for _ in range(36)])
+    skel = g.split_skeleton
+    before = (list(skel.tails), list(skel.heads), list(skel.to), [list(a) for a in skel.adj])
+    for _ in range(30):
+        order = rng.sample(range(g.n), g.n)
+        ka, kb = rng.randint(1, 12), rng.randint(1, 12)
+        sn = build_split_network(
+            g, order[:ka], order[ka : ka + kb], rng.randint(1, 20), rng.randint(1, 20)
+        )
+        assert sn.net.skeleton is skel
+        fresh = FlowNetwork(
+            sn.net.num_nodes, sn.source, sn.sink,
+            list(sn.net.tails), list(sn.net.heads), list(sn.net.caps),
+        )
+        got = max_flow(sn.net)
+        want = reference_max_flow(fresh)
+        assert got == want
+        assert (got.paths, got.flow) == (want.paths, want.flow)
+    assert (skel.tails, skel.heads, skel.to, skel.adj) == before
+    assert g.split_skeleton is skel
+
+
+def test_network_must_start_with_its_skeleton():
+    g = path_graph(3)
+    sn = build_split_network(g, [0], [2], p=1, q=1)
+    net = sn.net
+    with pytest.raises(FlowError):
+        FlowNetwork(net.num_nodes, 6, 7, net.tails[1:], net.heads[1:], net.caps[1:], net.skeleton)

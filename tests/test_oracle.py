@@ -278,6 +278,26 @@ def test_matching_flow_feedback_orientation_independent():
     assert fwd == rev
 
 
+def test_matching_decomposes_only_when_paths_are_read(monkeypatch):
+    import vsep.flow
+
+    calls = []
+    original = vsep.flow.decompose
+
+    def counting(net, flows):
+        calls.append(1)
+        return original(net, flows)
+
+    monkeypatch.setattr(vsep.flow, "decompose", counting)
+    g, emb, params = separator_setup()
+    assert isinstance(matching(g, emb, np.array([1.0]), params), SeparatorOutcome)
+    assert calls == []
+    g, emb, params = flow_setup()
+    out = matching(g, emb, np.array([1.0, 0.0]), params)
+    assert isinstance(out, FeedbackOutcome) and out.feedback.case == "flow"
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # matching: matching branch and exact reversal symmetry
 # ---------------------------------------------------------------------------
