@@ -32,7 +32,7 @@ def vertex_capacities() -> None:
     g = with_weights(path_graph(5), [9, 9, 1, 9, 9])
     split = build_split_network(g, (0,), (4,), p=10, q=1)
     result = max_flow(split.net)
-    sep = split.separator_from_cut(result)
+    _, _, sep = split.sides(result)
     print(f"graph          weighted path, middle vertex costs 1")
     print(f"flow value     {result.value} (scaled units)")
     print(f"vertex cut     {sep} at cost {sum(g.weights[i] for i in sep)}")

@@ -115,18 +115,11 @@ def _load_graph(path: Optional[str]) -> WeightedGraph:
 
 def _build_config(args) -> SolverConfig:
     kwargs = {"c": args.c, "epsilon": args.epsilon}
-    if getattr(args, "c_prime", None) is not None:
-        kwargs["c_prime"] = args.c_prime
-    if getattr(args, "t_cap", None) is not None:
-        kwargs["t_cap"] = args.t_cap
-    if getattr(args, "brute_cap", None) is not None:
-        kwargs["brute_cap"] = args.brute_cap
-    if getattr(args, "replication", None) is not None:
-        kwargs["replication"] = args.replication
-    if getattr(args, "no_brute_bypass", False):
+    for name in ("c_prime", "t_cap", "brute_cap", "replication", "sigma"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
+    if args.no_brute_bypass:
         kwargs["brute_bypass"] = False
-    if getattr(args, "sigma", None) is not None:
-        kwargs["sigma"] = args.sigma
     return SolverConfig(**kwargs)
 
 

@@ -327,10 +327,7 @@ def _expm_action(
     at most machine epsilon times the largest entry of the partial sum.
     A step that has not stopped within ``max_terms`` terms (non-finite
     input, or a norm bound far below ||M||) raises ScheduleError.
-    M = 0 returns u itself.
     """
-    if m.nnz == 0:
-        return u
     eps = np.finfo(float).eps
     s = max(1, math.ceil(norm_bound))
     for _ in range(s):
@@ -420,18 +417,15 @@ def dense_reference(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(scale)).T
 
 
-def approximation_violations(
-    emb: Embedding, exact_cols: np.ndarray, gamma: Optional[float] = None, tau: Optional[float] = None
-) -> tuple[int, int]:
+def approximation_violations(emb: Embedding, exact_cols: np.ndarray) -> tuple[int, int]:
     """Count failures of the two sketch-accuracy inequalities.
 
     Checks |~n_i - n_i| <= gamma (~n_i + tau) for the n squared norms and
     the analogous bound for all n(n-1)/2 squared pairwise distances,
-    where n_i comes from the exact Gram columns.  Returns
-    (violations, checks).
+    where n_i comes from the exact Gram columns, at the embedding's own
+    gamma and tau.  Returns (violations, checks).
     """
-    g = emb.gamma if gamma is None else gamma
-    t = emb.tau if tau is None else tau
+    g, t = emb.gamma, emb.tau
     n = emb.n
     approx_n = emb.norms_sq
     exact_n = np.sum(exact_cols * exact_cols, axis=0)

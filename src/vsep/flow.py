@@ -16,6 +16,10 @@ edge arcs depend on the graph alone, so they and their half-arc lists are
 built once per graph (:class:`SplitSkeleton`) and each network adds only
 its capacities and terminal arcs.  A max flow is decomposed into paths
 the first time its paths or its acyclic flow are read.
+
+:class:`SplitNetwork` alone knows the split layout's node and arc
+numbers: it reads a max flow's cut, paths and edge flows back as vertex
+sides, vertex paths and per-edge loads of the graph.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import gt, index, not_, sub
+from operator import add, gt, index, not_, sub
 from typing import Optional, Sequence
 
 CAP_LIMIT = 1 << 62  # reject capacities that would not fit a fixed-width int
@@ -393,9 +397,10 @@ def decompose(
     """Decompose a feasible flow into source-sink paths.
 
     Cycles (possible in principle with some augmenting solvers) are
-    cancelled and discarded first; the returned per-arc flow is the
-    cancelled, acyclic one and equals the sum of the returned paths.
-    At most num_arcs paths are produced: every strip zeroes an arc.
+    discarded; the returned per-arc flow is the acyclic rest and equals
+    the sum of the returned paths.  Flow that still enters the source
+    once the paths are stripped raises FlowError.  At most num_arcs paths
+    are produced: every strip zeroes an arc.
     """
     _check_feasible(net, flows)
     work = [int(f) for f in flows]
@@ -449,29 +454,9 @@ def decompose(
             stripped[i] += amt
         paths.append(FlowPath(nodes=tuple(nodes), amount=amt))
 
-    # anything left over is circulation; cancel it silently
-    for start in range(net.num_nodes):
-        while next_arc(start) is not None:
-            node_pos = {start: 0}
-            nodes = [start]
-            arcs = []
-            v = start
-            while True:
-                a = next_arc(v)
-                if a is None:
-                    raise FlowError(f"leftover flow walk stuck at node {v}")
-                u = net.heads[a]
-                if u in node_pos:
-                    k = node_pos[u]
-                    cyc = arcs[k:] + [a]
-                    amt = min(work[i] for i in cyc)
-                    for i in cyc:
-                        work[i] -= amt
-                    break
-                node_pos[u] = len(nodes)
-                nodes.append(u)
-                arcs.append(a)
-                v = u
+    # what is left is circulation, unless it still enters the source
+    if any(f for f, v in zip(work, net.heads) if v == s):
+        raise FlowError(f"flow into source {s} is left after the paths")
 
     # stripped is acyclic by construction and equals the sum of the paths
     return paths, stripped
@@ -512,7 +497,8 @@ class SplitSkeleton:
 
 @dataclass(frozen=True)
 class SplitNetwork:
-    """Vertex-capacitated flow network over a split graph.
+    """Vertex-capacitated flow network over a split graph, and the one
+    place that maps its nodes and arcs back to the graph.
 
     Each original vertex x becomes an entry node 2x and an exit node 2x+1
     joined by an arc of capacity weight(x)*q; original edges become a pair
@@ -523,7 +509,9 @@ class SplitNetwork:
 
     Arc x is vertex x's internal arc; edge k = (u, v) of ``graph.edges``
     owns arcs n + 2k (u to v) and n + 2k + 1 (v to u); the source arcs
-    and then the sink arcs follow, in sorted terminal order.
+    and then the sink arcs follow, in sorted terminal order.  Callers read
+    a max flow of ``net`` in graph terms through :meth:`sides`,
+    :meth:`vertex_paths` and :meth:`edge_loads`.
     """
 
     net: FlowNetwork
@@ -537,25 +525,38 @@ class SplitNetwork:
     def sink(self) -> int:
         return 2 * self.n + 1
 
-    def separator_from_cut(self, result: FlowResult) -> tuple[int, ...]:
-        """Vertices whose internal arc crosses the minimum cut.
+    def sides(self, result: FlowResult) -> tuple[list[int], list[int], list[int]]:
+        """(A, B, C) of the minimum cut: the vertices with both split
+        nodes on the source side, both on the sink side, and those whose
+        internal arc crosses the cut.
 
-        Removing them disconnects a_side from b_side in the original graph,
-        and their total weight times q is at most the cut capacity.
+        Removing C disconnects A from B in the original graph, and its
+        total weight times q is at most the cut capacity.  The three
+        partition V: an entry node on the sink side has its exit node
+        there too.
         """
         t_side = set(result.t_cut)
-        return tuple(
-            x for x in range(self.n) if 2 * x not in t_side and 2 * x + 1 in t_side
-        )
+        a, b, c = [], [], []
+        for x in range(self.n):
+            if 2 * x + 1 not in t_side:
+                a.append(x)
+            elif 2 * x in t_side:
+                b.append(x)
+            else:
+                c.append(x)
+        return a, b, c
 
-    def routed_pairs(self, result: FlowResult) -> list[tuple[int, int, int]]:
-        """(a, b, scaled_amount) per decomposed path, a in A side, b in B."""
-        out = []
-        for path in result.paths:
-            a = path.nodes[1] // 2
-            b = path.nodes[-2] // 2
-            out.append((a, b, path.amount))
-        return out
+    def vertex_paths(self, result: FlowResult) -> list[tuple[tuple[int, ...], int]]:
+        """(original vertices, scaled amount) per decomposed path; each
+        path starts in the A side and ends in the B side."""
+        return [(tuple(v // 2 for v in p.nodes[1:-1:2]), p.amount) for p in result.paths]
+
+    def edge_loads(self, result: FlowResult) -> list[int]:
+        """Flow over both arcs of each edge of ``graph.edges``, read from
+        the acyclic ``result.flow``."""
+        n, end = self.n, self.net.skeleton.num_arcs
+        flow = result.flow
+        return list(map(add, flow[n:end:2], flow[n + 1 : end : 2]))
 
 
 def build_split_network(

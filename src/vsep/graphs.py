@@ -30,14 +30,14 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-def max_weight_bound(n: int, exponent: int = DEFAULT_WEIGHT_EXPONENT) -> int:
+def max_weight_bound(n: int) -> int:
     """Largest admissible vertex weight for an n-vertex instance.
 
     Weights are kept polynomial in n so that scaled flow capacities stay
     small integers.  The floor of 4 keeps tiny instances usable (a lone
     vertex may still carry a nontrivial weight).
     """
-    return max(n, 4) ** exponent
+    return max(n, 4) ** DEFAULT_WEIGHT_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -449,7 +449,7 @@ def gnp_graph(n: int, p: float, seed: int = 0) -> WeightedGraph:
     return make_graph(n, edges)
 
 
-def two_blobs_graph(a: int, b: int, bridge: int, seed: int = 0) -> WeightedGraph:
+def two_blobs_graph(a: int, b: int, bridge: int) -> WeightedGraph:
     """Two cliques of sizes a and b sharing `bridge` common vertices.
 
     The shared vertices form the only small cut set, so the optimum
@@ -492,7 +492,5 @@ def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
     if kind == "gnp":
         return gnp_graph(int(params["n"]), float(params["p"]), seed)
     if kind == "two_blobs":
-        return two_blobs_graph(
-            int(params["a"]), int(params["b"]), int(params["bridge"]), seed
-        )
+        return two_blobs_graph(int(params["a"]), int(params["b"]), int(params["bridge"]))
     raise ValueError(f"unknown generator kind '{kind}' (try one of {GENERATOR_KINDS})")

@@ -198,12 +198,6 @@ def _canonical_direction(u: np.ndarray) -> tuple[np.ndarray, bool]:
     return u, False
 
 
-def _original_path(nodes: Sequence[int]) -> tuple[int, ...]:
-    """Original-graph vertices of a split-network source-sink path."""
-    inner = nodes[1:-1]
-    return tuple(inner[i] // 2 for i in range(0, len(inner), 2))
-
-
 def matching(
     g: WeightedGraph,
     emb: Embedding,
@@ -246,12 +240,7 @@ def matching(
     result = max_flow(net.net)
 
     if result.value < params.cut_threshold_scaled:
-        t_side = set(result.t_cut)
-        sep = net.separator_from_cut(result)
-        x_side = [
-            x for x in range(n) if 2 * x not in t_side and 2 * x + 1 not in t_side
-        ]
-        y_side = [x for x in range(n) if 2 * x in t_side and 2 * x + 1 in t_side]
+        x_side, y_side, sep = net.sides(result)
         solution = SeparatorSolution.build(
             g, x_side, y_side, sep, balance_achieved=params.c_prime
         )
@@ -261,9 +250,11 @@ def matching(
         return SeparatorOutcome(separator=solution, cut_scaled=result.value)
 
     scale = 2 * params.beta_q
+    routes = net.vertex_paths(result)
     pair_mass: dict[tuple[int, int], int] = {}
-    for a, b, amount in net.routed_pairs(result):
-        pair_mass[(a, b)] = pair_mass.get((a, b), 0) + amount
+    for path, amount in routes:
+        ends = (path[0], path[-1])
+        pair_mass[ends] = pair_mass.get(ends, 0) + amount
 
     # line-7 test: routed mass weighted by embedded squared distances
     routed_cost = (
@@ -271,19 +262,14 @@ def matching(
     )
     fire_at = 2 * float(params.alpha)
     if routed_cost >= fire_at + GUARD_BAND * max(1.0, fire_at):
-        fm = _flow_feedback(g, result, params, flipped)
+        fm = _flow_feedback(g, routes, net.edge_loads(result), params, flipped)
         counters.note("flow")
         return FeedbackOutcome(feedback=fm)
 
     # select in canonical orientation, then mirror the output if u was
-    # flipped: Matching(-u) is the exact reverse of Matching(u)
-    w_of = {x: proj[x] for x in domain}
-    a_set, b_set = set(a_side), set(b_side)
-    m_all = [
-        (x, y)
-        for (x, y) in sorted(pair_mass)
-        if x in a_set and y in b_set and w_of[y] - w_of[x] >= params.sigma
-    ]
+    # flipped: Matching(-u) is the exact reverse of Matching(u).  Every
+    # routed pair runs from A to B.
+    m_all = [(x, y) for (x, y) in sorted(pair_mass) if proj[y] - proj[x] >= params.sigma]
     m_short = [
         (x, y) for (x, y) in m_all if emb.dist_sq(x, y) <= params.delta_spread
     ]
@@ -302,35 +288,31 @@ def matching(
 
 def _flow_feedback(
     g: WeightedGraph,
-    result,
+    routes: Sequence[tuple[tuple[int, ...], int]],
+    loads: Sequence[int],
     params: OracleParams,
     flipped: bool,
 ) -> FeedbackMatrix:
     """Assemble the flow-case feedback from the decomposed max flow.
 
-    Path terms come from the decomposition and the edge coefficients from
-    per-arc flows, so the assembled matrix telescopes exactly to
-    diag(alpha/n) - L(D) with D the endpoint-mass matrix.  Both are
-    integer flow amounts in the unit 1/(2q) of the scaled network.
+    Path terms come from the routed vertex paths and the edge
+    coefficients from the per-edge loads of the same acyclic flow, so the
+    assembled matrix telescopes exactly to diag(alpha/n) - L(D) with D
+    the endpoint-mass matrix.  Both are integer flow amounts in the unit
+    1/(2q) of the scaled network.
     """
     n = g.n
     alpha = params.alpha
     path_terms = []
     deg_mass: dict[int, int] = {}
-    for path in result.paths:
-        orig = _original_path(path.nodes)
+    for orig, amount in routes:
         if flipped:
-            orig = tuple(reversed(orig))
+            orig = orig[::-1]
         if len(orig) >= 2:
-            path_terms.append((orig, path.amount))
-            deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + path.amount
-            deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + path.amount
-    # edge k's arcs in the split network are n + 2k and n + 2k + 1
-    lam = []
-    for k, edge in enumerate(g.edges):
-        total = result.flow[n + 2 * k] + result.flow[n + 2 * k + 1]
-        if total:
-            lam.append((edge, total))
+            path_terms.append((orig, amount))
+            deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + amount
+            deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
+    lam = [(edge, load) for edge, load in zip(g.edges, loads) if load]
     scale = 2 * params.beta_q
     width = float(alpha / n) + 2 * (max(deg_mass.values(), default=0) / scale)
     return FeedbackMatrix(

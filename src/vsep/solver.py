@@ -181,7 +181,6 @@ def make_oracle_params(
     g: WeightedGraph,
     alpha: Rational,
     config: SolverConfig,
-    sigma: Optional[float] = None,
 ) -> OracleParams:
     """Instantiate the oracle constants for one run at objective guess alpha.
 
@@ -206,7 +205,7 @@ def make_oracle_params(
         alpha=alpha,
         c=config.c,
         c_prime=c_prime,
-        sigma=config.sigma if sigma is None else sigma,
+        sigma=config.sigma,
         epsilon=eps,
         delta_spread=delta_spread,
         beta_p=p,
@@ -819,24 +818,20 @@ def _most_balanced_extension(a_side, b_side, separator) -> tuple[set[int], set[i
     return a_hat, b_hat
 
 
-def primal_witness(
-    g: WeightedGraph,
-    s: SeparatorSolution,
-    c: Rational,
-    seed: int = 0,
-    path_samples: int = 200,
-    set_samples: int = 200,
-    exhaustive_cap: int = 16,
-) -> PrimalWitness:
+WITNESS_EXHAUSTIVE_CAP = 16  # primal witness families enumerated up to this n
+WITNESS_SAMPLES = 200  # sampled paths, and sampled spread sets above the cap
+
+
+def primal_witness(g: WeightedGraph, s: SeparatorSolution, c: Rational) -> PrimalWitness:
     """x in {0,4}, v in {-1,+1} built from a valid c-balanced separator.
 
     Verifies, in exact integer/rational arithmetic: edge slack
     x_i + x_j >= |v_i - v_j|^2; unit norms; the path (triangle) family
     exhaustively up to 3 hops (all distinct-vertex sequences, sampled
     beyond); the pairwise-spread family over every admissible S when n is
-    under ``exhaustive_cap`` (sampled beyond); non-negativity.  The Gram
-    matrix of a one-dimensional +-1 assignment is PSD structurally.
-    Objective equals 4 w(C) exactly.
+    at most ``WITNESS_EXHAUSTIVE_CAP`` (sampled beyond); non-negativity.
+    Samples come from a fixed seed.  The Gram matrix of a one-dimensional
+    +-1 assignment is PSD structurally.  Objective equals 4 w(C) exactly.
     """
     c = Fraction(c)
     n = g.n
@@ -863,7 +858,7 @@ def primal_witness(
         return hops - (v[p[0]] - v[p[-1]]) ** 2
 
     tested = 0
-    if n <= exhaustive_cap:
+    if n <= WITNESS_EXHAUSTIVE_CAP:
         for ln in (2, 3, 4):
             if ln > n:
                 break
@@ -872,9 +867,9 @@ def primal_witness(
                     raise CertificationError(f"path inequality broke on {p}")
                 tested += 1
         checks.append(f"path-family-exhaustive<=3hops[{tested}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sampled = 0
-    for _ in range(path_samples):
+    for _ in range(WITNESS_SAMPLES):
         ln = int(rng.integers(2, min(n, 8) + 1)) if n >= 2 else 0
         if ln < 2:
             break
@@ -901,7 +896,7 @@ def primal_witness(
             )
 
     universe = list(range(n))
-    if n <= exhaustive_cap:
+    if n <= WITNESS_EXHAUSTIVE_CAP:
         count = 0
         for k in range(max_deficiency + 1):
             for drop in combinations(universe, k):
@@ -910,11 +905,11 @@ def primal_witness(
                 count += 1
         checks.append(f"spread-family-exhaustive[{count}]")
     else:
-        for _ in range(set_samples):
+        for _ in range(WITNESS_SAMPLES):
             k = int(rng.integers(0, max_deficiency + 1))
             drop = set(map(int, rng.permutation(n)[:k]))
             check_set(set(universe) - drop)
-        checks.append(f"spread-family-sampled[{set_samples}]")
+        checks.append(f"spread-family-sampled[{WITNESS_SAMPLES}]")
 
     if any(xv < 0 for xv in x):
         raise CertificationError("negative x")

@@ -24,6 +24,7 @@ from vsep.flow import (
 from vsep.graphs import (
     complete_graph,
     grid_graph,
+    make_graph,
     path_graph,
     two_blobs_graph,
     with_weights,
@@ -371,6 +372,30 @@ def test_decompose_cancels_cycles():
     assert stripped[c] == 0 and stripped[d] == 0 and stripped[b] == 1
 
 
+def test_decompose_rejects_flow_into_source():
+    # conserved at every inner node, but a unit re-enters the source
+    net = FlowNetwork(num_nodes=3, source=0, sink=2)
+    net.add_arc(0, 1, 1)
+    net.add_arc(1, 2, 1)
+    net.add_arc(2, 0, 1)
+    with pytest.raises(FlowError):
+        decompose(net, [1, 1, 1])
+    with pytest.raises(FlowError):
+        decompose(net, [0, 0, 1])
+
+
+def test_decompose_cycle_through_source_gives_no_paths():
+    # a 0-1-0 cycle on top of a unit path: flow enters the source, but on
+    # a cycle, which yields no path and is dropped from the acyclic flow
+    net = FlowNetwork(num_nodes=4, source=0, sink=3)
+    net.add_arc(0, 1, 2)
+    net.add_arc(1, 0, 1)
+    net.add_arc(1, 3, 1)
+    paths, stripped = decompose(net, [2, 1, 1])
+    assert [(p.nodes, p.amount) for p in paths] == [((0, 1, 3), 1)]
+    assert stripped == [1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # split networks
 # ---------------------------------------------------------------------------
@@ -397,11 +422,19 @@ def test_split_network_bottleneck_vertex():
     sn = build_split_network(g, [0], [2], p=10, q=3)
     result = max_flow(sn.net)
     assert result.value == 6  # 2 * 3 < 2 * 10
-    sep = sn.separator_from_cut(result)
-    assert sep == (1,)
-    pairs = sn.routed_pairs(result)
-    assert [(a, b) for a, b, _ in pairs] == [(0, 2)]
-    assert sum(amt for _, _, amt in pairs) == 6
+    assert sn.sides(result) == ([0], [2], [1])
+    assert sn.vertex_paths(result) == [((0, 1, 2), 6)]
+    assert sn.edge_loads(result) == [6, 6]
+
+
+def test_vertex_paths_from_split_nodes():
+    # source, 3-in/out, 7-in/out, 1-in/out, sink
+    g = make_graph(10, [(1, 7), (3, 7)])
+    sn = build_split_network(g, [3], [1], p=1, q=1)
+    result = max_flow(sn.net)
+    assert [p.nodes for p in result.paths] == [(20, 6, 7, 14, 15, 2, 3, 21)]
+    assert sn.vertex_paths(result) == [((3, 7, 1), 1)]
+    assert sn.edge_loads(result) == [1, 1]
 
 
 def test_split_network_terminal_capped():
@@ -433,8 +466,7 @@ def test_split_network_separator_disconnects():
     g = with_weights(path_graph(5), [9, 9, 1, 9, 9])
     sn = build_split_network(g, [0], [4], p=100, q=1)
     result = max_flow(sn.net)
-    sep = sn.separator_from_cut(result)
-    assert sep == (2,)
+    assert sn.sides(result) == ([0, 1], [3, 4], [2])
     assert result.value == 1
 
 
@@ -466,10 +498,33 @@ def test_split_networks_match_reference_dinic():
             g = with_weights(g, [rng.randint(1, 9) for _ in range(g.n)])
         order = rng.sample(range(g.n), g.n)
         ka, kb = rng.randint(1, g.n // 3), rng.randint(1, g.n // 3)
+        a_side, b_side = set(order[:ka]), set(order[ka : ka + kb])
         sn = build_split_network(
-            g, order[:ka], order[ka : ka + kb], rng.randint(1, 20), rng.randint(1, 20)
+            g, a_side, b_side, rng.randint(1, 20), rng.randint(1, 20)
         )
-        assert max_flow(sn.net) == reference_max_flow(sn.net)
+        result = max_flow(sn.net)
+        assert result == reference_max_flow(sn.net)
+        check_split_decoders(g, sn, result, a_side, b_side)
+
+
+def check_split_decoders(g, sn, result, a_side, b_side):
+    """The cut partitions V, C is the set of cut vertex arcs, every path
+    runs from A to B, and each edge's load is the flow of the paths that
+    hop over it: the identity that makes flow feedback telescope."""
+    a, b, c = sn.sides(result)
+    assert sorted(a + b + c) == list(range(g.n))
+    t_side = set(result.t_cut)
+    net = sn.net
+    assert c == [
+        x for x in range(g.n) if net.tails[x] not in t_side and net.heads[x] in t_side
+    ]
+    edge_of = {e: k for k, e in enumerate(g.edges)}
+    hops = [0] * g.m
+    for path, amount in sn.vertex_paths(result):
+        assert path[0] in a_side and path[-1] in b_side
+        for u, v in zip(path, path[1:]):
+            hops[edge_of[min(u, v), max(u, v)]] += amount
+    assert sn.edge_loads(result) == hops
 
 
 def test_split_networks_share_one_skeleton():

@@ -37,7 +37,6 @@ from vsep.oracle import (
     _chain_feedback,
     _compose,
     _harvest_violating,
-    _original_path,
 )
 from vsep.solver import MMWUSchedule
 from test_embedding import floats_are_exact
@@ -109,12 +108,6 @@ def test_canonical_direction():
     zero = np.zeros(3)
     got, flipped = _canonical_direction(zero)
     assert not flipped and np.array_equal(got, zero)
-
-
-def test_original_path_from_split_nodes():
-    # source, 3-in/out, 7-in/out, 1-in/out, sink
-    nodes = (20, 6, 7, 14, 15, 2, 3, 21)
-    assert _original_path(nodes) == (3, 7, 1)
 
 
 # ---------------------------------------------------------------------------
