@@ -429,6 +429,8 @@ def decompose(
         while v != t:
             a = next_arc(v)
             if a is None:
+                if v == s:
+                    break  # a cancelled cycle took the source's last flow
                 raise FlowError(f"flow walk stuck at node {v}")
             u = net.heads[a]
             if u in node_pos:
@@ -448,6 +450,8 @@ def decompose(
             nodes.append(u)
             arcs.append(a)
             v = u
+        if v == s:
+            continue
         amt = min(work[i] for i in arcs)
         for i in arcs:
             work[i] -= amt

@@ -369,11 +369,14 @@ class RunDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class SeparatorFound:
+    """A run stopped at iteration ``iteration`` on an oracle separator,
+    validated at its achieved balance; ``kappa`` is the guarantee factor
+    2 c' beta n / alpha of the run's parameters."""
+
     separator: SeparatorSolution
     alpha: Fraction
-    kappa: Optional[float]
+    kappa: float
     iteration: int
-    via: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +426,9 @@ def mmwu_run(
     produces an outcome.  A separator outcome returns immediately; a full
     horizon of feedback assembles the averaged certificate and verifies
     it spectrally.  Capped or width-violating or oracle-exhausted runs
-    return Inconclusive.  pre: alpha in [1, w(V)], seed >= 0.
+    return Inconclusive.  The loop runs at every n: the brute-force
+    bypass is decided by ``binary_search_solve`` alone.
+    pre: alpha in [1, w(V)], seed >= 0.
     """
     alpha = Fraction(alpha)
     n = g.n
@@ -431,11 +436,6 @@ def mmwu_run(
         raise ValueError("seed must be a non-negative integer")
     if not (1 <= alpha <= g.total_weight()):
         raise ValueError(f"alpha must lie in [1, w(V)] = [1, {g.total_weight()}]")
-    if config.brute_bypass and n <= config.brute_cap:
-        _, sol = brute_force_opt(g, config.c, cap=config.brute_cap)
-        return SeparatorFound(
-            separator=sol, alpha=alpha, kappa=None, iteration=0, via="brute"
-        )
 
     params = make_oracle_params(g, alpha, config)
     sched = MMWUSchedule.plan(params, config)
@@ -510,9 +510,7 @@ def mmwu_run(
             if not ok:
                 raise CertificationError(f"oracle separator failed validation: {msg}")
             kappa = float(params.separator_cost_bound / alpha)
-            return SeparatorFound(
-                separator=sol, alpha=alpha, kappa=kappa, iteration=t, via="oracle"
-            )
+            return SeparatorFound(separator=sol, alpha=alpha, kappa=kappa, iteration=t)
 
         fm = outcome.feedback
         bound = sched.case_bounds.get(fm.case)
@@ -606,10 +604,13 @@ def mmwu_run(
 class SolveReport:
     """Everything one solve produced.
 
-    ``alpha_star`` is the largest guess whose run certified a lower
-    bound, ``certificate`` that run's certificate, ``kappa`` the
-    guarantee factor 2 c' beta n / alpha of the run that produced the
-    returned separator (None for brute/fallback separators).
+    ``separator_via`` names the exit the separator came from: "brute"
+    (the enumerated optimum, under ``brute_bypass`` at n <= ``brute_cap``),
+    "oracle" (the cheapest separator any run found) or "fallback"
+    (C = V).  ``kappa`` and ``separator_alpha`` are the guarantee factor
+    2 c' beta n / alpha and the guess of the run that found an oracle
+    separator, None otherwise.  ``alpha_star`` is the largest guess whose
+    run certified a lower bound, ``certificate`` that run's certificate.
     ``cost_vs_bound_ok`` records cost >= (alpha_star - delta)/4 whenever
     a certificate is present.
     """
@@ -631,14 +632,60 @@ class SolveReport:
     notes: tuple[str, ...] = ()
 
 
+def _iterations(res: MMWUOutcome) -> int:
+    """Iterations a run used, the stopping one included."""
+    if isinstance(res, SeparatorFound):
+        return res.iteration + 1
+    if isinstance(res, CertificateFound):
+        return res.diagnostics.iterations_run
+    return res.iterations_run
+
+
+def _sweep(
+    g: WeightedGraph, config: SolverConfig, seed: int, counters: OracleCounters
+) -> list[tuple[Fraction, MMWUOutcome]]:
+    """Every (alpha, outcome) of the geometric ladder 1, 2, 4, ... <= w(V),
+    then of up to ``REFINE_STEPS`` integer bisections between the largest
+    certified guess and the smallest separating guess above it.  Run i
+    draws the child seed i."""
+    runs: list[tuple[Fraction, MMWUOutcome]] = []
+
+    def run_at(a: Fraction) -> MMWUOutcome:
+        res = mmwu_run(g, a, config, _child_seed(seed, len(runs)), counters)
+        runs.append((a, res))
+        return res
+
+    alpha, w_total = Fraction(1), g.total_weight()
+    while alpha <= w_total:
+        run_at(alpha)
+        alpha *= 2
+    lo = max((a for a, r in runs if isinstance(r, CertificateFound)), default=None)
+    hi = min(
+        (a for a, r in runs if isinstance(r, SeparatorFound) and (lo is None or a > lo)),
+        default=None,
+    )
+    for _ in range(REFINE_STEPS):
+        if lo is None or hi is None or hi - lo <= 1:
+            break
+        mid = Fraction(math.floor((lo + hi) / 2))
+        if isinstance(run_at(mid), CertificateFound):
+            lo = mid
+        else:
+            hi = mid
+    return runs
+
+
 def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> SolveReport:
     """Geometric sweep over alpha in [1, w(V)] plus integer refinement.
 
-    Keeps the cheapest separator seen at any guess and the largest
-    certified guess; inconclusive runs count as failed certifications
-    (conservative toward larger separators, never toward false lower
-    bounds).  The all-separator fallback C = V makes failure impossible.
-    Small instances delegate to brute force when ``brute_bypass`` is on.
+    Keeps the cheapest separator seen at any guess (the first of least
+    cost) and the largest certified guess; inconclusive runs count as
+    failed certifications (conservative toward larger separators, never
+    toward false lower bounds).  The all-separator fallback C = V makes
+    failure impossible.  Brute force runs at most once, when n <=
+    ``brute_cap``: under ``brute_bypass`` its optimum is the separator and
+    no run is made; otherwise it only grades the result.  Every separator
+    leaves through the same validation and report.
     """
     n = g.n
     notes: list[str] = []
@@ -648,115 +695,43 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
             f"epsilon clamped from {config.epsilon:.6g} to {eps_used:.6g} at n={n}"
         )
     counters = OracleCounters()
-    totals = {"mmwu_runs": 0, "iterations": 0}
+    brute_opt, brute_sol = (
+        brute_force_opt(g, config.c, cap=config.brute_cap)
+        if n <= config.brute_cap
+        else (None, None)
+    )
+    bypass = brute_opt is not None and config.brute_bypass
+    runs = [] if bypass else _sweep(g, config, seed, counters)
+    notes.extend(
+        f"alpha={a}: inconclusive ({r.reason})"
+        for a, r in runs
+        if isinstance(r, Inconclusive)
+    )
+    seps = [r for _, r in runs if isinstance(r, SeparatorFound)]
+    best_sep = min(seps, key=lambda r: r.separator.cost, default=None)
+    certs = [r.certificate for _, r in runs if isinstance(r, CertificateFound)]
+    certificate = max(certs, key=lambda c: c.alpha, default=None)
 
-    if config.brute_bypass and n <= config.brute_cap:
-        opt, sol = brute_force_opt(g, config.c, cap=config.brute_cap)
-        ratio = Fraction(sol.cost, opt) if opt > 0 else None
-        if opt == 0:
-            notes.append("brute-force optimum is 0; ratio undefined")
-        return SolveReport(
-            separator=sol,
-            alpha_star=None,
-            certificate=None,
-            certified_lower_bound=None,
-            kappa=None,
-            separator_alpha=None,
-            separator_via="brute",
-            ratio_vs_brute=ratio,
-            brute_opt=opt,
-            cost_vs_bound_ok=None,
-            counters=_counter_dict(counters, totals),
-            alphas_tried=(),
-            seed=seed,
-            epsilon_used=eps_used,
-            notes=tuple(notes),
-        )
-
-    w_total = g.total_weight()
-    ladder: list[Fraction] = [Fraction(1)]
-    while ladder[-1] * 2 <= w_total:
-        ladder.append(ladder[-1] * 2)
-
-    best_sep: Optional[SeparatorFound] = None
-    best_cert: Optional[CertificateFound] = None
-    alphas_tried: list[Fraction] = []
-
-    def run_at(a: Fraction) -> MMWUOutcome:
-        idx = totals["mmwu_runs"]
-        totals["mmwu_runs"] += 1
-        alphas_tried.append(a)
-        res = mmwu_run(g, a, config, _child_seed(seed, idx), counters)
-        if isinstance(res, SeparatorFound):
-            totals["iterations"] += res.iteration + 1
-        elif isinstance(res, CertificateFound):
-            totals["iterations"] += res.diagnostics.iterations_run
-        else:
-            totals["iterations"] += res.iterations_run
-            notes.append(f"alpha={a}: inconclusive ({res.reason})")
-        return res
-
-    def consider(res: MMWUOutcome) -> None:
-        nonlocal best_sep, best_cert
-        if isinstance(res, SeparatorFound):
-            if best_sep is None or res.separator.cost < best_sep.separator.cost:
-                best_sep = res
-        elif isinstance(res, CertificateFound):
-            if (
-                best_cert is None
-                or res.certificate.alpha > best_cert.certificate.alpha
-            ):
-                best_cert = res
-
-    separator_alphas: list[Fraction] = []
-    for a in ladder:
-        res = run_at(a)
-        consider(res)
-        if isinstance(res, SeparatorFound):
-            separator_alphas.append(a)
-
-    lo = best_cert.certificate.alpha if best_cert is not None else None
-    hi_candidates = [a for a in separator_alphas if lo is None or a > lo]
-    hi = min(hi_candidates) if hi_candidates else None
-    for _ in range(REFINE_STEPS):
-        if lo is None or hi is None or hi - lo <= 1:
-            break
-        mid = Fraction(math.floor((lo + hi) / 2))
-        res = run_at(mid)
-        consider(res)
-        if isinstance(res, CertificateFound):
-            lo = mid
-        else:
-            hi = mid
-
-    if best_sep is not None:
-        sol = best_sep.separator
-        kappa = best_sep.kappa
-        sep_alpha: Optional[Fraction] = best_sep.alpha
-        via = best_sep.via
+    kappa: Optional[float] = None
+    sep_alpha: Optional[Fraction] = None
+    if bypass:
+        sol, via = brute_sol, "brute"
+    elif best_sep is not None:
+        sol, via = best_sep.separator, "oracle"
+        kappa, sep_alpha = best_sep.kappa, best_sep.alpha
     else:
         sol = SeparatorSolution.build(
             g, [], [], list(range(n)), balance_achieved=config.c
         )
-        kappa = None
-        sep_alpha = None
         via = "fallback"
         notes.append("no run produced a separator; falling back to C = V")
     ok, msg = validate_separator(g, sol, sol.balance_achieved)
     if not ok:
         raise CertificationError(f"final separator failed validation: {msg}")
 
-    certificate = best_cert.certificate if best_cert is not None else None
-    alpha_star = certificate.alpha if certificate is not None else None
     bound = certificate.certified_lower_bound if certificate is not None else None
-    cost_vs_bound_ok = None
-    if bound is not None:
-        cost_vs_bound_ok = Fraction(sol.cost) >= bound / 4
-
     ratio: Optional[Fraction] = None
-    brute_opt: Optional[int] = None
-    if n <= config.brute_cap:
-        brute_opt, _ = brute_force_opt(g, config.c, cap=config.brute_cap)
+    if brute_opt is not None:
         if brute_opt > 0:
             ratio = Fraction(sol.cost, brute_opt)
         else:
@@ -768,7 +743,7 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
 
     return SolveReport(
         separator=sol,
-        alpha_star=alpha_star,
+        alpha_star=certificate.alpha if certificate is not None else None,
         certificate=certificate,
         certified_lower_bound=bound,
         kappa=kappa,
@@ -776,24 +751,20 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
         separator_via=via,
         ratio_vs_brute=ratio,
         brute_opt=brute_opt,
-        cost_vs_bound_ok=cost_vs_bound_ok,
-        counters=_counter_dict(counters, totals),
-        alphas_tried=tuple(alphas_tried),
+        cost_vs_bound_ok=None if bound is None else Fraction(sol.cost) >= bound / 4,
+        counters={
+            "mmwu_runs": len(runs),
+            "iterations": sum(_iterations(r) for _, r in runs),
+            "maxflow_calls": counters.maxflow_calls,
+            "matching_calls": counters.matching_calls,
+            "chain_attempts": counters.chain_attempts,
+            "oracle_outcomes": dict(sorted(counters.outcome_tags.items())),
+        },
+        alphas_tried=tuple(a for a, _ in runs),
         seed=seed,
         epsilon_used=eps_used,
         notes=tuple(notes),
     )
-
-
-def _counter_dict(counters: OracleCounters, totals: dict) -> dict:
-    return {
-        "mmwu_runs": totals["mmwu_runs"],
-        "iterations": totals["iterations"],
-        "maxflow_calls": counters.maxflow_calls,
-        "matching_calls": counters.matching_calls,
-        "chain_attempts": counters.chain_attempts,
-        "oracle_outcomes": dict(sorted(counters.outcome_tags.items())),
-    }
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,16 @@ def test_decompose_cycle_through_source_gives_no_paths():
     assert stripped == [1, 0, 1]
 
 
+def test_decompose_circulation_through_source_only():
+    # feasible flow that is nothing but a 0-1-0 circulation: no path
+    # reaches the sink, so the walk ends at the source once the cycle is
+    # cancelled, and the acyclic flow is empty
+    net = FlowNetwork(num_nodes=3, source=0, sink=2)
+    net.add_arc(0, 1, 2)
+    net.add_arc(1, 0, 2)
+    assert decompose(net, [2, 2]) == ([], [0, 0])
+
+
 # ---------------------------------------------------------------------------
 # split networks
 # ---------------------------------------------------------------------------

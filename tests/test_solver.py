@@ -5,6 +5,7 @@ to each assertion; graph optima reuse the independently argued values
 from test_graphs.
 """
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from vsep.graphs import (
     SeparatorSolution,
     complete_graph,
     grid_graph,
+    make_graph,
     path_graph,
     two_blobs_graph,
     with_weights,
@@ -28,6 +30,7 @@ from vsep.solver import (
     DualCertificate,
     Inconclusive,
     MMWUSchedule,
+    RunDiagnostics,
     SeparatorFound,
     SolverConfig,
     binary_search_solve,
@@ -174,14 +177,19 @@ def test_schedule_consistency_cap(monkeypatch):
 # single runs
 # ---------------------------------------------------------------------------
 
-def test_mmwu_run_brute_bypass():
-    out = mmwu_run(path_graph(5), 3, SolverConfig(), seed=0)
-    assert isinstance(out, SeparatorFound)
-    assert out.via == "brute"
-    assert out.kappa is None
-    assert out.iteration == 0
-    assert out.alpha == 3
-    assert out.separator.cost == 1
+def test_mmwu_run_ignores_brute_bypass():
+    # the bypass is the solve's decision alone: below the brute cap a run
+    # iterates, and brute_bypass does not change what it returns
+    outs = [
+        mmwu_run(
+            path_graph(5), 5,
+            SolverConfig(brute_bypass=bypass, c_prime=F(1, 4)), seed=1,
+        )
+        for bypass in (True, False)
+    ]
+    assert all(isinstance(out, SeparatorFound) for out in outs)
+    assert outs[0].separator == outs[1].separator
+    assert outs[0].kappa == outs[1].kappa > 0
 
 
 def test_mmwu_run_input_validation():
@@ -198,7 +206,6 @@ def test_mmwu_run_finds_separator_on_path():
     cfg = SolverConfig(brute_bypass=False, c_prime=F(1, 4))
     out = mmwu_run(path_graph(5), 5, cfg, seed=1)
     assert isinstance(out, SeparatorFound)
-    assert out.via == "oracle"
     params = make_oracle_params(path_graph(5), 5, cfg)
     assert out.separator.cost <= params.separator_cost_bound
     assert out.kappa == pytest.approx(
@@ -363,6 +370,97 @@ def test_solve_epsilon_clamp_note():
     r = binary_search_solve(grid_graph(4, 4), cfg, seed=0)
     assert r.epsilon_used == pytest.approx(1.0 / (4.0 * math.log(16)))
     assert any("epsilon clamped" in note for note in r.notes)
+
+
+def test_solve_refines_between_certificate_and_separator(monkeypatch):
+    # a scripted sweep on path 20 (w(V) = 20, so the ladder is 1..16):
+    # every alpha <= 5 certifies, every larger one returns a separator,
+    # and two separators tie at the least cost
+    g = path_graph(20)
+    cheap = SeparatorSolution.build(g, range(10), range(11, 20), [10], F(1, 24))
+    dear = SeparatorSolution.build(g, range(9), range(11, 20), [9, 10], F(1, 24))
+
+    def scripted_run(graph, alpha, config, seed, counters=None):
+        alpha = F(alpha)
+        if alpha <= 5:
+            cert = DualCertificate(
+                n=graph.n, alpha=alpha, delta=alpha / 2, xi=F(1, 4),
+                y=(), z=(), f=(), lam=(),
+                lambda_max_estimate=0.0, norm_scale=0.0,
+            )
+            diag = RunDiagnostics(
+                alpha=alpha, eta=0.1, rho=1.0, iterations_run=10,
+                iterations_scheduled=10, mean_inner=0.0, case_counts={},
+            )
+            return CertificateFound(certificate=cert, diagnostics=diag)
+        return SeparatorFound(
+            separator=dear if alpha == 8 else cheap,
+            alpha=alpha,
+            kappa=float(alpha),
+            iteration=int(alpha),
+        )
+
+    monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
+    r = binary_search_solve(g, SolverConfig(), seed=0)
+    # ladder 1..16 brackets (lo, hi) = (4, 8); mid 6 separates, so hi = 6;
+    # mid 5 certifies, so lo = 5; REFINE_STEPS = 2 ends the bisection
+    assert REFINE_STEPS == 2
+    assert r.alphas_tried == (F(1), F(2), F(4), F(8), F(16), F(6), F(5))
+    assert r.alpha_star == 5
+    assert r.certificate.alpha == 5
+    assert r.certified_lower_bound == F(5, 2)
+    assert r.cost_vs_bound_ok is True  # cost 1 >= (5/2) / 4
+    # alpha 16 and alpha 6 tie at cost 1: the first run of least cost wins
+    assert r.separator == cheap
+    assert r.separator_alpha == 16 and r.kappa == 16.0
+    assert r.separator_via == "oracle"
+    # four certificates of 10 steps, separators at steps 8, 16 and 6
+    assert r.counters["mmwu_runs"] == 7
+    assert r.counters["iterations"] == 4 * 10 + 9 + 17 + 7
+    assert r.notes == ()
+
+
+# sha256 of report_to_dict, serialised with sorted keys, for one solve
+# through each exit of binary_search_solve: brute, oracle and fallback
+PINNED_REPORTS = [
+    pytest.param(
+        path_graph(5), SolverConfig(), 0,
+        "ac0b5b647b94e7e50b597ff399b7550751f2f2afde6c291557321602af5aabd3",
+        id="brute-path5",
+    ),
+    pytest.param(
+        make_graph(6, []), SolverConfig(), 0,
+        "f4a16579b671333235296f04568320d29cb05a71ca559e8eca5ac17afea0902c",
+        id="brute-zero-optimum",
+    ),
+    pytest.param(
+        grid_graph(4, 4), SolverConfig(brute_bypass=False), 11,
+        "3cd8e2f721475010b6d3d72e760e158b61ecc63d52ee4f400a2a56ceb3a9664b",
+        id="oracle-grid4x4",
+    ),
+    pytest.param(
+        grid_graph(4, 4), SolverConfig(epsilon=0.01), 0,
+        "2c002ef15469f4b44ebfa42a9b616e80372a76ffea328ed16123e225924bd93f",
+        id="oracle-epsilon-clamp",
+    ),
+    pytest.param(
+        path_graph(5), SolverConfig(brute_cap=0, t_cap=10), 0,
+        "de28fa8af92748ec0a9ad739fa5d2ea4732261649aff29d81666151f49b29cf6",
+        id="fallback-path5",
+    ),
+    pytest.param(
+        path_graph(9), SolverConfig(brute_bypass=False, c_prime=F(1, 4)), 0,
+        "eb5f14a93110508efb82bdb090c3d32b5208ec4b08f065281b5c1f05a43d6736",
+        id="oracle-brute-ratio",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, cfg, seed, digest", PINNED_REPORTS)
+def test_solve_report_digest(g, cfg, seed, digest):
+    tree = report_to_dict(binary_search_solve(g, cfg, seed))
+    text = json.dumps(tree, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_solve_deterministic_report():
