@@ -19,15 +19,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from .embedding import ScheduleError
-from .flow import FlowError, FlowNetwork, max_flow
+from .flow import FlowNetwork, max_flow
 from .graphs import (
     DEFAULT_BRUTE_FORCE_CAP,
-    GENERATOR_KINDS,
-    GraphFormatError,
+    GENERATORS,
     WeightedGraph,
     brute_force_opt,
     generate,
@@ -128,20 +128,13 @@ def _build_config(args) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    spec = {
-        "path": ("n",),
-        "star": ("leaves",),
-        "grid": ("rows", "cols"),
-        "gnp": ("n", "p"),
-        "two_blobs": ("a", "b", "bridge"),
-    }[args.kind]
-    if len(args.params) != len(spec):
+    names, _ = GENERATORS[args.kind]
+    if len(args.params) != len(names):
         raise _InputError(
-            f"generator '{args.kind}' needs parameters {' '.join(spec)}, "
+            f"generator '{args.kind}' needs parameters {' '.join(names)}, "
             f"got {len(args.params)}"
         )
-    params = dict(zip(spec, args.params))
-    g = generate(args.kind, params, seed=args.seed)
+    g = generate(args.kind, dict(zip(names, args.params)), seed=args.seed)
     if args.max_weight is not None:
         import random
 
@@ -338,11 +331,10 @@ def _cmd_bench(args) -> int:
         raise _InputError(f"bad epsilon grid {args.epsilons!r}")
     if not eps_grid:
         raise _InputError("empty epsilon grid")
+    base = _build_config(args)
     rows = []
     for eps in eps_grid:
-        cfg_args = argparse.Namespace(**vars(args))
-        cfg_args.epsilon = eps
-        config = _build_config(cfg_args)
+        config = replace(base, epsilon=eps)
         started = time.perf_counter()
         report = binary_search_solve(g, config, args.seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -401,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_gen = sub.add_parser("gen", help="emit a generated graph")
-    p_gen.add_argument("kind", choices=GENERATOR_KINDS)
+    p_gen.add_argument("kind", choices=GENERATORS)
     p_gen.add_argument("params", nargs="*", help="generator parameters")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
@@ -454,9 +446,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FlowError, _InputError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (CertificationError, ScheduleError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERT

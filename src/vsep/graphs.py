@@ -478,19 +478,26 @@ def with_weights(g: WeightedGraph, weights: Sequence[int]) -> WeightedGraph:
     return WeightedGraph(n=g.n, edges=g.edges, weights=tuple(weights))
 
 
-GENERATOR_KINDS = ("path", "star", "grid", "gnp", "two_blobs")
+# name -> (parameter names, builder(seed, *parameters)); parameters may
+# arrive as text, so each builder converts its own
+GENERATORS = {
+    "path": (("n",), lambda seed, n: path_graph(int(n))),
+    "star": (("leaves",), lambda seed, leaves: star_graph(int(leaves))),
+    "grid": (("rows", "cols"), lambda seed, r, c: grid_graph(int(r), int(c))),
+    "gnp": (("n", "p"), lambda seed, n, p: gnp_graph(int(n), float(p), seed)),
+    "two_blobs": (
+        ("a", "b", "bridge"),
+        lambda seed, a, b, bridge: two_blobs_graph(int(a), int(b), int(bridge)),
+    ),
+}
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
-    """Dispatch to a named generator; deterministic for a fixed seed."""
-    if kind == "path":
-        return path_graph(int(params["n"]))
-    if kind == "star":
-        return star_graph(int(params["leaves"]))
-    if kind == "grid":
-        return grid_graph(int(params["rows"]), int(params["cols"]))
-    if kind == "gnp":
-        return gnp_graph(int(params["n"]), float(params["p"]), seed)
-    if kind == "two_blobs":
-        return two_blobs_graph(int(params["a"]), int(params["b"]), int(params["bridge"]))
-    raise ValueError(f"unknown generator kind '{kind}' (try one of {GENERATOR_KINDS})")
+    """Build a named generator from its parameters by name; deterministic
+    for a fixed seed."""
+    if kind not in GENERATORS:
+        raise ValueError(
+            f"unknown generator kind '{kind}' (try one of {tuple(GENERATORS)})"
+        )
+    names, build = GENERATORS[kind]
+    return build(seed, *(params[name] for name in names))

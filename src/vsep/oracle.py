@@ -41,9 +41,32 @@ def spread_xi(c: Fraction) -> Fraction:
     return Fraction(9, 4) * c * c
 
 
+def slice_size(n: int, c_prime: Fraction) -> int:
+    """floor(2 c' n): the vertices of each extreme slice a matching round
+    routes flow between."""
+    return math.floor(2 * c_prime * n)
+
+
+def slices_fit(n: int, c_prime: Fraction) -> bool:
+    """Two disjoint, non-empty slices of ``slice_size(n, c')`` vertices
+    fit in n vertices.  Depends on (n, c') alone, so it is decided once,
+    before any oracle call."""
+    return 1 <= slice_size(n, c_prime) <= n // 2
+
+
 class OracleError(RuntimeError):
-    """The oracle could not produce an outcome (bad sizing or exhausted
-    attempt budget); the caller decides whether to retry elsewhere."""
+    """The oracle could not produce an outcome.
+
+    ``harvested`` is set only when the chain procedure spends its
+    matching-call budget: it counts the violating paths pooled by then,
+    and a replica with other random directions may succeed.  Every other
+    failure (``harvested`` None) follows from the embedding and the
+    parameters alone, so no replica can change it.
+    """
+
+    def __init__(self, message: str, harvested: Optional[int] = None):
+        super().__init__(message)
+        self.harvested = harvested
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,8 @@ class OracleParams:
     attempt, ``path_min`` the harvest size that triggers the chaining
     feedback, and ``attempt_budget`` the maximum number of matching calls
     (equivalently max-flow computations) one chain invocation may spend.
+    Construction raises ValueError unless ``slices_fit(n, c_prime)``, so
+    every matching round has two disjoint slices of ``ab_size`` vertices.
     """
 
     n: int
@@ -86,6 +111,11 @@ class OracleParams:
             raise ValueError("distance slack must be positive")
         if self.sigma < 0:
             raise ValueError("separation margin must be non-negative")
+        if not slices_fit(self.n, self.c_prime):
+            raise ValueError(
+                f"slices of floor(2 c' n) = {self.ab_size} vertices do not fit "
+                f"in n = {self.n} at c' = {self.c_prime}"
+            )
 
     @cached_property
     def xi(self) -> Fraction:
@@ -97,7 +127,7 @@ class OracleParams:
 
     @property
     def ab_size(self) -> int:
-        return math.floor(2 * self.c_prime * self.n)
+        return slice_size(self.n, self.c_prime)
 
     @property
     def cut_threshold_scaled(self) -> Fraction:
@@ -218,10 +248,6 @@ def matching(
     if n != emb.n or n != params.n:
         raise OracleError("graph, embedding, and params disagree on n")
     ab = params.ab_size
-    if ab < 1:
-        raise OracleError(
-            f"need floor(2 c' n) >= 1 slice vertices, got {ab} (n too small)"
-        )
     u_canon, flipped = _canonical_direction(np.asarray(u, dtype=float))
     counters.matching_calls += 1
 
@@ -397,7 +423,8 @@ def chain(
     comes for free from skew-symmetry.  Separator or feedback outcomes of
     any matching round short-circuit.  Harvested paths are pooled across
     attempts; at ``path_min`` of them the chaining feedback is emitted.
-    Exhausting the matching-call budget raises OracleError.
+    Exhausting the matching-call budget raises OracleError carrying the
+    number of paths harvested so far.
     """
     counters = counters if counters is not None else OracleCounters()
     harvested: dict[tuple[int, ...], None] = {}
@@ -407,12 +434,11 @@ def chain(
         forward: list[tuple[tuple[int, int], ...]] = []
         for _ in range(params.k_rounds):
             if calls_spent >= params.attempt_budget:
-                err = OracleError(
+                raise OracleError(
                     f"chain attempt budget exhausted after {calls_spent} "
-                    f"matching calls with {len(harvested)}/{params.path_min} paths"
+                    f"matching calls with {len(harvested)}/{params.path_min} paths",
+                    harvested=len(harvested),
                 )
-                err.harvested = len(harvested)
-                raise err
             u = rng.standard_normal(emb.d)
             calls_spent += 1
             outcome = matching(g, emb, u, params, counters)

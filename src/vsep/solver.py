@@ -52,6 +52,8 @@ from .oracle import (
     OracleParams,
     SeparatorOutcome,
     run_oracle,
+    slice_size,
+    slices_fit,
     spread_xi,
 )
 
@@ -105,14 +107,17 @@ class SolverConfig:
     """Knobs of the solve pipeline.
 
     ``c`` is the target balance, ``c_prime`` the achieved balance of
-    returned separators (default c/8), ``epsilon`` the locality exponent
-    trading approximation for flow work.  ``t_cap`` truncates runs whose
-    scheduled horizon is asymptotic-scale; a truncated run is reported as
-    inconclusive, never as a certificate.  ``sigma`` is the projection
-    separation margin; a replica that harvests no path halves it, down
-    to ``SIGMA_FLOOR`` (consuming replication slots, so call accounting
-    is unaffected).  ``certification_tol`` is the relative tolerance of
-    the certificate's top-eigenvalue test.
+    returned separators (default c/8); each oracle round routes flow
+    between two slices of floor(2 c' n) vertices, so a solve where
+    ``slices_fit(n, c')`` fails makes no run.  ``epsilon`` is the locality
+    exponent trading approximation for flow work.  ``t_cap`` truncates
+    runs whose scheduled horizon is asymptotic-scale; a truncated run is
+    reported as inconclusive, never as a certificate.  ``sigma`` is the
+    projection separation margin; a replica whose chain budget runs out
+    with no path harvested halves it, down to ``SIGMA_FLOOR`` (consuming
+    replication slots, so call accounting is unaffected).
+    ``certification_tol`` is the relative tolerance of the certificate's
+    top-eigenvalue test.
     """
 
     c: Fraction = Fraction(1, 3)
@@ -423,12 +428,16 @@ def mmwu_run(
     Each iteration embeds the current exponential iterate (exactly where
     ``embeds_exactly(n)``, by randomized projection otherwise), then asks the
     oracle, replicating over independent substreams until one replica
-    produces an outcome.  A separator outcome returns immediately; a full
-    horizon of feedback assembles the averaged certificate and verifies
-    it spectrally.  Capped or width-violating or oracle-exhausted runs
-    return Inconclusive.  The loop runs at every n: the brute-force
-    bypass is decided by ``binary_search_solve`` alone.
-    pre: alpha in [1, w(V)], seed >= 0.
+    produces an outcome.  Only a spent chain budget is retried: other
+    directions may harvest enough paths.  Any other oracle failure follows
+    from the embedding and parameters every replica shares, so it ends the
+    run.  A separator outcome returns immediately; a full horizon of
+    feedback assembles the averaged certificate and verifies it
+    spectrally.  Capped, width-violating or oracle-failed runs return
+    Inconclusive.  The loop runs at every n: the brute-force bypass is
+    decided by ``binary_search_solve`` alone.
+    pre: alpha in [1, w(V)], seed >= 0 and ``slices_fit(n, c')``;
+    ``make_oracle_params`` raises ValueError on the last.
     """
     alpha = Fraction(alpha)
     n = g.n
@@ -459,7 +468,6 @@ def mmwu_run(
     inner_sum = 0.0
     case_counts: dict[str, int] = {}
     widths_max = 0.0
-    sigma_now = params.sigma
     t_run = sched.run_iterations
 
     for t in range(t_run):
@@ -486,8 +494,6 @@ def mmwu_run(
 
         outcome = None
         for r in range(replication):
-            if params.sigma != sigma_now:
-                params = replace(params, sigma=sigma_now)
             try:
                 # a seed key: the oracle builds its Generator only if it chains
                 outcome = run_oracle(
@@ -495,8 +501,14 @@ def mmwu_run(
                 )
                 break
             except OracleError as exc:
-                if getattr(exc, "harvested", None) == 0 and sigma_now > SIGMA_FLOOR:
-                    sigma_now = max(sigma_now / 2.0, SIGMA_FLOOR)
+                if exc.harvested is None:
+                    return Inconclusive(
+                        reason=f"oracle failed at iteration {t}: {exc}",
+                        iterations_run=t,
+                        alpha=alpha,
+                    )
+                if exc.harvested == 0 and params.sigma > SIGMA_FLOOR:
+                    params = replace(params, sigma=max(params.sigma / 2.0, SIGMA_FLOOR))
         if outcome is None:
             return Inconclusive(
                 reason=f"oracle exhausted {replication} replicas at iteration {t}",
@@ -595,7 +607,7 @@ def mmwu_run(
         case_counts=case_counts,
         widths_max=widths_max,
         replication=replication,
-        sigma_final=sigma_now,
+        sigma_final=params.sigma,
     )
     return CertificateFound(certificate=cert, diagnostics=diagnostics)
 
@@ -684,8 +696,10 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
     toward false lower bounds).  The all-separator fallback C = V makes
     failure impossible.  Brute force runs at most once, when n <=
     ``brute_cap``: under ``brute_bypass`` its optimum is the separator and
-    no run is made; otherwise it only grades the result.  Every separator
-    leaves through the same validation and report.
+    no run is made; otherwise it only grades the result.  No run is made
+    either when ``slices_fit(n, c')`` fails, since every oracle call would;
+    a note says so and the fallback is returned.  Every separator leaves
+    through the same validation and report.
     """
     n = g.n
     notes: list[str] = []
@@ -701,7 +715,14 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
         else (None, None)
     )
     bypass = brute_opt is not None and config.brute_bypass
-    runs = [] if bypass else _sweep(g, config, seed, counters)
+    c_prime = config.resolved_c_prime()
+    fits = slices_fit(n, c_prime)
+    if not (bypass or fits):
+        notes.append(
+            f"no run made: slices of floor(2 c' n) = {slice_size(n, c_prime)} "
+            f"vertices do not fit at n={n}, c'={c_prime}"
+        )
+    runs = _sweep(g, config, seed, counters) if fits and not bypass else []
     notes.extend(
         f"alpha={a}: inconclusive ({r.reason})"
         for a, r in runs

@@ -32,6 +32,7 @@ from vsep.oracle import (
     easy_case,
     matching,
     run_oracle,
+    slices_fit,
     small_norm_set,
     _canonical_direction,
     _chain_feedback,
@@ -357,13 +358,21 @@ def test_matching_exact_reversal_symmetry_sweep():
 
 
 def test_matching_sizing_errors():
+    # slices that cannot fit are refused when the params are built:
+    # floor(2 c' n) = floor(0.08) = 0 is empty, and floor(2 * 3/10 * 5) = 3
+    # gives two slices of 6 > 5 vertices
+    with pytest.raises(ValueError, match="do not fit"):
+        mk_params(n=4, c_prime=F(1, 100))
+    with pytest.raises(ValueError, match="do not fit"):
+        mk_params(n=5, c_prime=F(3, 10))
+    assert slices_fit(4, F(1, 4)) and slices_fit(5, F(1, 5))
+    assert not slices_fit(4, F(1, 100)) and not slices_fit(5, F(3, 10))
+    # the sort domain depends on the embedding, so matching itself checks it
     g = path_graph(4)
-    emb = line_embedding([0.0, 0.5, 1.0, 1.5])
-    with pytest.raises(OracleError):
-        matching(g, emb, np.array([1.0]), mk_params(n=4, c_prime=F(1, 100)))
     far = line_embedding([10.0, 20.0, 30.0, 40.0])  # norms all above 4/c
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError) as info:
         matching(g, far, np.array([1.0]), mk_params(n=4))
+    assert info.value.harvested is None
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from vsep.graphs import (
     two_blobs_graph,
     with_weights,
 )
+from vsep.oracle import OracleError
 import vsep.solver as solver_mod
 from vsep.solver import (
     REFINE_STEPS,
+    SIGMA_FLOOR,
     CertificateFound,
     CertificationError,
     DualCertificate,
@@ -268,13 +270,51 @@ def test_embedding_regime_boundary(monkeypatch):
         assert calls == want, n
 
 
-def test_mmwu_run_oracle_starvation_is_inconclusive():
-    # floor(2 c' n) = 0 slices: every oracle replica fails, no outcome
+def test_mmwu_run_requires_slices_that_fit():
+    # floor(2 c' n) = floor(0.3) = 0 slice vertices at c' = 1/100, n = 15:
+    # a precondition, refused before any oracle call
     cfg = SolverConfig(brute_bypass=False, c_prime=F(1, 100))
-    out = mmwu_run(path_graph(15), 2, cfg, seed=0)
-    assert isinstance(out, Inconclusive)
-    assert "replicas" in out.reason
-    assert out.iterations_run == 0
+    with pytest.raises(ValueError, match="do not fit"):
+        mmwu_run(path_graph(15), 2, cfg, seed=0)
+
+
+def test_mmwu_run_retries_only_a_spent_chain_budget(monkeypatch):
+    # heavy K4 takes flow feedback at every step (the staged run of
+    # test_acceptance); the scripted oracle answers with the real one
+    # before iteration 2 and fails from there on
+    g = with_weights(complete_graph(4), [64] * 4)
+    real = solver_mod.run_oracle
+
+    def run_with(harvested, replication):
+        seen = []
+
+        def scripted(graph, emb, params, key, counters=None):
+            if key[2] < 2:  # key = [seed, stream, iteration, replica]
+                return real(graph, emb, params, key, counters)
+            seen.append(params.sigma)
+            raise OracleError("scripted failure", harvested=harvested)
+
+        monkeypatch.setattr(solver_mod, "run_oracle", scripted)
+        cfg = SolverConfig(
+            c=F(49, 100), c_prime=F(6, 25), epsilon=1.0, t_cap=10,
+            replication=replication,
+        )
+        return mmwu_run(g, 1, cfg, seed=0), seen
+
+    # no path harvested: each retry halves sigma, 0.05 / 2^8 > 1e-4 > 0.05 / 2^9
+    out, seen = run_with(harvested=0, replication=12)
+    assert seen == [0.05 / 2**k for k in range(9)] + [SIGMA_FLOOR] * 3
+    assert isinstance(out, Inconclusive) and out.iterations_run == 2
+    assert out.reason == "oracle exhausted 12 replicas at iteration 2"
+    # some paths harvested: retried at the same sigma
+    out, seen = run_with(harvested=1, replication=5)
+    assert seen == [0.05] * 5
+    assert out.reason == "oracle exhausted 5 replicas at iteration 2"
+    # any other failure is the same on every replica: one call ends the run
+    out, seen = run_with(harvested=None, replication=5)
+    assert seen == [0.05]
+    assert isinstance(out, Inconclusive) and out.iterations_run == 2
+    assert out.reason == "oracle failed at iteration 2: scripted failure"
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +392,41 @@ def test_solve_two_blobs_ratio_under_eight():
     assert r.ratio_vs_brute <= 8
 
 
-def test_solve_fallback_covers_all_vertices():
-    # starved oracle at every guess: the solve must still return a valid
-    # (trivial) separator and say so
+def test_solve_fallback_covers_all_vertices(monkeypatch):
+    # floor(2 c' n) = floor(0.3) = 0: no oracle call could fit its slices,
+    # so the solve makes no run, says why, and still returns a valid
+    # (trivial) separator
     cfg = SolverConfig(brute_bypass=False, c_prime=F(1, 100))
     g = path_graph(15)
     r = binary_search_solve(g, cfg, seed=0)
     assert r.separator_via == "fallback"
     assert r.separator.separator == tuple(range(15))
     assert r.separator.cost == 15
-    assert any("falling back" in note for note in r.notes)
-    assert any("inconclusive" in note for note in r.notes)
+    assert r.counters["mmwu_runs"] == 0
+    assert r.alphas_tried == ()
+    assert r.notes == (
+        "no run made: slices of floor(2 c' n) = 0 vertices do not fit "
+        "at n=15, c'=1/100",
+        "no run produced a separator; falling back to C = V",
+    )
+
+    # runs that all end inconclusive fall back the same way
+    def scripted_run(graph, alpha, config, seed, counters=None):
+        return Inconclusive(reason="scripted", iterations_run=3, alpha=F(alpha))
+
+    monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
+    r = binary_search_solve(g, SolverConfig(brute_bypass=False), seed=0)
+    assert r.separator_via == "fallback"
+    assert r.separator.cost == 15
+    assert r.alphas_tried == (F(1), F(2), F(4), F(8))
+    assert r.counters["mmwu_runs"] == 4 and r.counters["iterations"] == 12
+    assert r.notes == (
+        "alpha=1: inconclusive (scripted)",
+        "alpha=2: inconclusive (scripted)",
+        "alpha=4: inconclusive (scripted)",
+        "alpha=8: inconclusive (scripted)",
+        "no run produced a separator; falling back to C = V",
+    )
 
 
 def test_solve_epsilon_clamp_note():
@@ -445,7 +509,7 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         path_graph(5), SolverConfig(brute_cap=0, t_cap=10), 0,
-        "de28fa8af92748ec0a9ad739fa5d2ea4732261649aff29d81666151f49b29cf6",
+        "d2bd8843d4b77bb2415674417de9906af97b76104da0964a57ce91bdb1056b16",
         id="fallback-path5",
     ),
     pytest.param(
