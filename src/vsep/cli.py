@@ -3,8 +3,8 @@
 Subcommands: gen (graph generators), solve (full pipeline), validate
 (check a separator against a graph), brute (exact enumeration), flow
 (max-flow debugging), bench (epsilon sweep).  Exit codes: 0 success,
-1 validation reject, 2 usage, 3 bad input, 4 internal certification
-failure.
+1 validation reject, 2 usage, 3 bad input, 4 internal failure (a
+certification check, or a max flow inside a solve).
 
 Text solve output embeds the three-line A:/B:/C: block plus a
 ``balance:`` line, so it pipes straight into ``validate``.  Structured
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .embedding import ScheduleError
-from .flow import FlowNetwork, max_flow
+from .flow import FlowError, FlowNetwork, max_flow
 from .graphs import (
     DEFAULT_BRUTE_FORCE_CAP,
     GENERATORS,
@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .solver import (
     CertificationError,
+    SolveReport,
     SolverConfig,
     binary_search_solve,
     report_to_dict,
@@ -147,10 +148,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _solve(g: WeightedGraph, config: SolverConfig, seed: int) -> SolveReport:
+    """binary_search_solve, with a FlowError raised inside it reported as
+    an internal failure (exit 4): the solver builds every network it
+    flows, so the input cannot be at fault."""
+    try:
+        return binary_search_solve(g, config, seed)
+    except FlowError as exc:
+        raise CertificationError(f"internal max-flow error: {exc}") from exc
+
+
 def _cmd_solve(args) -> int:
     g = _load_graph(args.input)
     config = _build_config(args)
-    report = binary_search_solve(g, config, args.seed)
+    report = _solve(g, config, args.seed)
     if args.format == "json":
         tree = report_to_dict(report)
         tree["n"] = g.n
@@ -336,7 +347,7 @@ def _cmd_bench(args) -> int:
     for eps in eps_grid:
         config = replace(base, epsilon=eps)
         started = time.perf_counter()
-        report = binary_search_solve(g, config, args.seed)
+        report = _solve(g, config, args.seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
             {

@@ -10,13 +10,20 @@ symmetric A.  This module provides:
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.sparse each step;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
-  Gaussian probes multiplied by exp(A/2), evaluated by scaling and a
-  Taylor series summed until its terms fall below unit roundoff, in
-  O(nnz(A) d) time per term and without any n x n array;
+  sign probes +-1/sqrt(d) (Achlioptas, JCSS 2003: the same JL bound as
+  Gaussian ones at a fraction of the draw) multiplied by exp(A/2),
+  evaluated by scaling and a Taylor series summed until its terms fall
+  below unit roundoff, in O(nnz(A) d) time per term and without any
+  n x n array;
 * :func:`dense_reference`, the exact eigendecomposition-based Gram
   columns, used wherever :func:`embeds_exactly` holds and for validation;
 * :func:`spectral_norm` / :func:`largest_eigenvalue`, by ``eigvalsh`` at
   every n.
+
+Both embeddings are stored vertex-major: ``Embedding.vectors`` is the
+d x n transposed view of a C-ordered n x d block, so each vertex's
+vector is one contiguous row of ``vectors.T`` and no reader copies the
+block.
 
 Floating point is used for everything spectral.  A feedback matrix's
 entries are exact: integer sums of multiplicities over a common
@@ -258,7 +265,9 @@ class AccumulatedOperator:
 class Embedding:
     """Columns of a d x n sketch whose Gram matrix approximates X.
 
-    ``vectors[:, i]`` is the embedded vector of vertex i.  For the exact
+    ``vectors[:, i]`` is the embedded vector of vertex i.  The embeddings
+    this module builds are vertex-major (``vectors.T`` is C-contiguous),
+    so that vector is a contiguous row of ``vectors.T``.  For the exact
     and the sketched embedding of X the squared column norms sum to n.
     """
 
@@ -276,7 +285,8 @@ class Embedding:
 
     @cached_property
     def norms_sq(self) -> np.ndarray:
-        return np.sum(self.vectors * self.vectors, axis=0)
+        vt = self.vectors.T
+        return np.einsum("ij,ij->i", vt, vt)
 
     def dist_sq(self, i: int, j: int) -> float:
         diff = self.vectors[:, i] - self.vectors[:, j]
@@ -292,11 +302,15 @@ class Embedding:
         return float(np.sum((m @ vt) * vt))
 
     def spread_over(self, s: Sequence[int]) -> float:
-        """Sum of squared distances over unordered pairs of s."""
-        cols = self.vectors[:, list(s)]
-        norms = np.sum(cols * cols, axis=0)
-        center = np.sum(cols, axis=1)
-        return float(len(s) * np.sum(norms) - center @ center)
+        """Sum of squared distances over unordered pairs of the distinct
+        vertices s: |s| sum_i ||v_i||^2 - ||sum_i v_i||^2."""
+        vt = self.vectors.T
+        if len(s) == self.n:  # s = V: sum every row, gather nothing
+            norms, center = self.norms_sq, vt.sum(axis=0)
+        else:
+            idx = list(s)
+            norms, center = self.norms_sq[idx], vt[idx].sum(axis=0)
+        return float(len(s) * norms.sum() - center @ center)
 
 
 def projection_dimension(n: int, gamma: float, c_d: float = DEFAULT_C_D) -> int:
@@ -319,7 +333,8 @@ def embeds_exactly(n: int) -> bool:
 def _expm_action(
     m: sp.csr_matrix, u: np.ndarray, norm_bound: float, max_terms: int
 ) -> np.ndarray:
-    """exp(M) u for a symmetric sparse M with ||M||_2 <= norm_bound.
+    """exp(M) u for a symmetric sparse M with ||M||_2 <= norm_bound, on a
+    C-ordered block u (one row per vertex), returned in the same layout.
 
     Applies exp(M / s) s times, s = max(1, ceil(norm_bound)), so each
     step's series converges at least as fast as that of exp(1).  A step
@@ -337,7 +352,9 @@ def _expm_action(
             term = m @ term
             term /= s * j
             acc += term
-            if np.max(np.abs(term)) <= eps * np.max(np.abs(acc)):
+            # max|x| = max(max x, -min x) with no n x d temporary; a NaN
+            # in either block fails the test
+            if max(term.max(), -term.min()) <= eps * max(acc.max(), -acc.min()):
                 break
         else:
             raise ScheduleError(
@@ -346,6 +363,15 @@ def _expm_action(
             )
         u = acc
     return u
+
+
+def _sign_probes(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """C-ordered n x d block of independent signs +-1/sqrt(d), one row per
+    vertex, from one boolean draw: 2s b - s is exactly +-s."""
+    s = 1.0 / math.sqrt(d)
+    block = np.multiply(rng.integers(0, 2, size=(n, d), dtype=bool), 2.0 * s)
+    block -= s
+    return block
 
 
 def project_embedding(
@@ -357,13 +383,18 @@ def project_embedding(
 ) -> Embedding:
     """Randomized embedding of the Gram columns of n exp(A)/Tr(exp(A)).
 
-    Multiplies d scaled Gaussian probes by exp(A/2) and trace-normalizes
-    the result.  The exponential uses max(1, ceil(lambda_max / 2))
-    scaling steps (lambda_max >= ||A|| is the caller's certified bound),
-    each a Taylor series summed to unit roundoff; the a-priori term count
+    Multiplies d sign probes +-1/sqrt(d) by exp(A/2) and trace-normalizes
+    the result; independent signs carry the same Johnson-Lindenstrauss
+    bound as Gaussian probes (Achlioptas, JCSS 2003) and cost one boolean
+    draw.  The probes are drawn vertex-major, as a C-ordered n x d block
+    that the series and the normalization update without a copy, and the
+    embedding's ``vectors`` is its d x n transposed view.  The
+    exponential uses max(1, ceil(lambda_max / 2)) scaling steps
+    (lambda_max >= ||A|| is the caller's certified bound), each a Taylor
+    series summed to unit roundoff; the a-priori term count
     k = taylor_terms(...) caps every step.  Each term costs one sparse
-    product with the n x d probe block, so a call is O(nnz(A) d) per term
-    and allocates nothing n x n.  Raises ScheduleError when d or k exceed
+    product with the block, so a call is O(nnz(A) d) per term and
+    allocates nothing n x n.  Raises ScheduleError when d or k exceed
     DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
     terms.  At A = 0 the sketch is the scaled probe block itself.
     Deterministic for a fixed seed (an int or a numpy Generator).
@@ -381,21 +412,14 @@ def project_embedding(
             f"(caps {DEFAULT_D_CAP}, {DEFAULT_K_CAP}); "
             "the schedule is mis-set for this instance"
         )
-    rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((d, n)) / np.sqrt(d)
-    if op.matrix.nnz == 0:
-        sketch = probes  # exp(0) = I: the probes, in the same C layout
-    else:
-        # the kernel works on the n x d block; the embedding is its d x n
-        # transpose
-        half = op.matrix * 0.5
-        cols = _expm_action(half, np.ascontiguousarray(probes.T), lambda_max / 2, k)
-        sketch = np.ascontiguousarray(cols.T)
-    trace = float(np.sum(sketch * sketch))
+    block = _sign_probes(np.random.default_rng(seed), n, d)
+    if op.matrix.nnz:  # exp(0) = I: at A = 0 the probes are the sketch
+        block = _expm_action(op.matrix * 0.5, block, lambda_max / 2, k)
+    trace = float(np.vdot(block, block))
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")
-    sketch = sketch * np.sqrt(n / trace)
-    return Embedding(vectors=sketch, gamma=gamma, tau=tau)
+    block *= np.sqrt(n / trace)
+    return Embedding(vectors=block.T, gamma=gamma, tau=tau)
 
 
 def dense_reference(a: np.ndarray) -> np.ndarray:

@@ -161,7 +161,8 @@ class FlowResult:
 
     @cached_property
     def _decomposition(self) -> tuple[tuple[FlowPath, ...], tuple[int, ...]]:
-        paths, flows = decompose(self.net, self.raw_flow)
+        # max_flow checked raw_flow when it made this result
+        paths, flows = decompose(self.net, self.raw_flow, checked=True)
         return tuple(paths), tuple(flows)
 
     @property
@@ -392,7 +393,7 @@ def _check_feasible(net: FlowNetwork, flows: Sequence[int]) -> None:
 
 
 def decompose(
-    net: FlowNetwork, flows: Sequence[int]
+    net: FlowNetwork, flows: Sequence[int], *, checked: bool = False
 ) -> tuple[list[FlowPath], list[int]]:
     """Decompose a feasible flow into source-sink paths.
 
@@ -400,10 +401,16 @@ def decompose(
     discarded; the returned per-arc flow is the acyclic rest and equals
     the sum of the returned paths.  Flow that still enters the source
     once the paths are stripped raises FlowError.  At most num_arcs paths
-    are produced: every strip zeroes an arc.
+    are produced: every strip zeroes an arc.  The flow is checked
+    feasible first unless ``checked`` says it is a sequence of ints that
+    already passed that check, as a :class:`FlowResult`'s ``raw_flow``
+    did in :func:`max_flow`.
     """
-    _check_feasible(net, flows)
-    work = [int(f) for f in flows]
+    if checked:
+        work = list(flows)
+    else:
+        _check_feasible(net, flows)
+        work = [int(f) for f in flows]
     out_arcs: list[list[int]] = [[] for _ in range(net.num_nodes)]
     for i in range(net.num_arcs):
         if work[i] > 0:

@@ -60,6 +60,7 @@ from vsep.oracle import (
     run_oracle,
 )
 from vsep.solver import (
+    SIGMA_FLOOR,
     CertificateFound,
     MMWUSchedule,
     SolverConfig,
@@ -214,10 +215,13 @@ def _drift_instance(name, g, cfg, alpha, iters, slow, idx, trials):
                 )
                 break
             except OracleError as exc:
-                if getattr(exc, "harvested", None) == 0:
-                    sigma_now = max(sigma_now / 2.0, 1e-4)
+                # mmwu_run's replica rule: only a chain shortfall retries
+                if exc.harvested is None:
+                    return
+                if exc.harvested == 0:
+                    sigma_now = max(sigma_now / 2.0, SIGMA_FLOOR)
         if outcome is None:
-            continue
+            return  # every replica failed: mmwu_run ends the run here
         if isinstance(outcome, SeparatorOutcome):
             sol = outcome.separator
             valid, _ = validate_separator(g, sol, sol.balance_achieved)

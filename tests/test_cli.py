@@ -99,22 +99,28 @@ def test_solve_text_pipes_into_validate(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_json_byte_identical(tmp_path, capsys):
-    graph_file = tmp_path / "grid.txt"
-    graph_file.write_text(render_graph(grid_graph(4, 4)))
-    argv = [
-        "solve", "--input", str(graph_file), "--format", "json",
-        "--no-brute-bypass", "--seed", "11",
-    ]
-    code, out1, _ = run_cli(argv, capsys)
-    assert code == 0
-    _, out2, _ = run_cli(argv, capsys)
-    assert out1 == out2
-    tree = json.loads(out1)
+    # grid 4x4 embeds exactly; grid 9x9 (n = 81 > DENSE_CAP) is sketched
+    trees = {}
+    for rows in (4, 9):
+        graph_file = tmp_path / f"grid{rows}.txt"
+        graph_file.write_text(render_graph(grid_graph(rows, rows)))
+        argv = [
+            "solve", "--input", str(graph_file), "--format", "json",
+            "--no-brute-bypass", "--seed", "11",
+        ]
+        code, out1, _ = run_cli(argv, capsys)
+        assert code == 0
+        _, out2, _ = run_cli(argv, capsys)
+        assert out1 == out2
+        trees[rows] = json.loads(out1)
+    tree = trees[4]
     assert tree["n"] == 16 and tree["m"] == 24
     assert tree["c"] == "1/3"
     assert tree["separator_via"] == "oracle"
     assert tree["separator"]["cost"] == 1
     assert tree["counters"]["mmwu_runs"] == 5
+    assert trees[9]["n"] == 81 and trees[9]["m"] == 144
+    assert trees[9]["separator_via"] == "oracle"
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):
@@ -336,6 +342,27 @@ def test_bad_graph_input_exits_three(capsys, monkeypatch):
     assert "input error" in err
     code, _, err = run_cli(["solve", "--input", "/nonexistent/x"], capsys)
     assert code == 3
+
+
+def test_internal_flow_error_exits_four(tmp_path, capsys, monkeypatch):
+    # a FlowError inside a solve comes from a network the solver built,
+    # never from the input: it is an internal failure, not exit 3
+    import vsep.oracle
+    from vsep.flow import FlowError
+
+    def broken(net):
+        raise FlowError("internal check failed")
+
+    monkeypatch.setattr(vsep.oracle, "max_flow", broken)
+    graph_file = tmp_path / "grid6.txt"
+    graph_file.write_text(render_graph(grid_graph(6, 6)))
+    for argv in (
+        ["solve", "--input", str(graph_file)],
+        ["bench", "--input", str(graph_file), "--epsilons", "0.5"],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 4, argv
+        assert "max-flow" in err
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from vsep.embedding import (
     structured_entries,
     taylor_terms,
     _expm_action,
+    _sign_probes,
 )
 
 F = Fraction
@@ -375,17 +376,38 @@ def test_project_embedding_deterministic_and_normalized():
 
 def test_project_embedding_at_zero_matches_the_series_path():
     # A = 0 skips the exponential; the sketch must be bit-identical to the
-    # one the series path gives, layout included
+    # one the series path gives, layout included: vertex-major, so that
+    # vectors.T is the C-ordered n x d block
     n, seed = 30, 5
     zero = sp.csr_matrix((n, n))
     d = projection_dimension(n, 0.25)
-    probes = np.random.default_rng(seed).standard_normal((d, n)) / np.sqrt(d)
-    cols = _expm_action(zero, np.ascontiguousarray(probes.T), 0.0, 10)
-    want = np.ascontiguousarray(cols.T)
-    want = want * np.sqrt(n / float(np.sum(want * want)))
+    probes = _sign_probes(np.random.default_rng(seed), n, d)
+    want = _expm_action(zero, probes, 0.0, 10)
+    assert want.flags.c_contiguous
+    want *= np.sqrt(n / float(np.vdot(want, want)))
     got = project_embedding(AccumulatedOperator(n, zero), 0.25, 0.125, 0.0, seed)
-    assert np.array_equal(got.vectors, want)
-    assert got.vectors.flags.c_contiguous
+    assert np.array_equal(got.vectors, want.T)
+    assert got.vectors.T.flags.c_contiguous
+    a = sp.random(n, n, density=0.2, random_state=1)
+    a = ((a + a.T) * 0.5).tocsr()
+    lam = spectral_norm(a.toarray())
+    series = project_embedding(AccumulatedOperator(n, a), 0.25, 0.125, lam, seed)
+    assert series.vectors.T.flags.c_contiguous
+
+
+def test_sign_probes_are_exact_signs():
+    n, d = 40, projection_dimension(40, 0.25)
+    probes = _sign_probes(np.random.default_rng(0), n, d)
+    assert probes.shape == (n, d) and probes.flags.c_contiguous
+    s = 1.0 / math.sqrt(d)
+    assert np.all((probes == s) | (probes == -s))
+    assert 0 < np.count_nonzero(probes > 0) < n * d
+    # at A = 0 every squared norm is d / d = 1, before and after the
+    # trace normalization
+    emb = project_embedding(
+        AccumulatedOperator(n, sp.csr_matrix((n, n))), 0.25, 0.125, 0.0, seed=0
+    )
+    assert np.all(np.abs(emb.norms_sq - 1.0) <= 1e-12)
 
 
 def test_project_embedding_guards(monkeypatch):
@@ -444,16 +466,22 @@ def test_dense_embedding_is_exact():
 
 
 def test_spread_over_matches_double_loop():
-    rng = np.random.default_rng(5)
-    emb = Embedding(vectors=rng.standard_normal((6, 9)), gamma=0.25, tau=0.125)
-    s = [1, 3, 4, 8]
-    direct = sum(
-        emb.dist_sq(s[i], s[j])
-        for i in range(len(s))
-        for j in range(i + 1, len(s))
-    )
-    assert math.isclose(emb.spread_over(s), direct, rel_tol=1e-10)
-    assert emb.spread_over([2]) == pytest.approx(0.0, abs=1e-12)
+    vectors = np.random.default_rng(5).standard_normal((6, 9))
+    # the same vectors d-major, and vertex-major as the module builds them
+    vertex_major = np.ascontiguousarray(vectors.T).T
+    assert vertex_major.T.flags.c_contiguous
+    for v in (vectors, vertex_major):
+        emb = Embedding(vectors=v, gamma=0.25, tau=0.125)
+        direct_norms = [sum(x * x for x in v[:, i]) for i in range(9)]
+        assert np.allclose(emb.norms_sq, direct_norms, rtol=1e-12, atol=0)
+        for s in ([1, 3, 4, 8], list(range(9))):
+            direct = sum(
+                emb.dist_sq(s[i], s[j])
+                for i in range(len(s))
+                for j in range(i + 1, len(s))
+            )
+            assert math.isclose(emb.spread_over(s), direct, rel_tol=1e-10)
+        assert emb.spread_over([2]) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

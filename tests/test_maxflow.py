@@ -353,6 +353,32 @@ def test_decompose_rejects_infeasible():
     assert [(p.nodes, p.amount) for p in paths] == [((0, 1, 2), 2)]
 
 
+def test_lazy_decomposition_checks_the_flow_once(monkeypatch):
+    # max_flow checks its flow; reading the paths walks that same tuple
+    # without checking it again
+    import vsep.flow
+
+    calls = []
+    original = vsep.flow._check_feasible
+
+    def counting(net, flows):
+        calls.append(1)
+        return original(net, flows)
+
+    monkeypatch.setattr(vsep.flow, "_check_feasible", counting)
+    net = FlowNetwork(num_nodes=4, source=0, sink=3)
+    net.add_arc(0, 1, 2)
+    net.add_arc(0, 2, 1)
+    net.add_arc(1, 3, 1)
+    net.add_arc(2, 3, 2)
+    result = max_flow(net)
+    assert calls == [1]
+    assert sum(p.amount for p in result.paths) == result.value == 2
+    assert calls == [1]
+    assert decompose(net, result.raw_flow)[1] == list(result.flow)
+    assert calls == [1, 1]
+
+
 def test_decompose_cancels_cycles():
     # feasible flow with a 1-2-3 circulation on top of a unit path
     net = FlowNetwork(num_nodes=5, source=0, sink=4)

@@ -278,9 +278,9 @@ def test_matching_decomposes_only_when_paths_are_read(monkeypatch):
     calls = []
     original = vsep.flow.decompose
 
-    def counting(net, flows):
+    def counting(net, flows, **kwargs):
         calls.append(1)
-        return original(net, flows)
+        return original(net, flows, **kwargs)
 
     monkeypatch.setattr(vsep.flow, "decompose", counting)
     g, emb, params = separator_setup()

@@ -485,7 +485,8 @@ def test_solve_refines_between_certificate_and_separator(monkeypatch):
 
 
 # sha256 of report_to_dict, serialised with sorted keys, for one solve
-# through each exit of binary_search_solve: brute, oracle and fallback
+# through each exit of binary_search_solve: brute, oracle and fallback,
+# and one solve above DENSE_CAP that pins the sketch's probes
 PINNED_REPORTS = [
     pytest.param(
         path_graph(5), SolverConfig(), 0,
@@ -516,6 +517,11 @@ PINNED_REPORTS = [
         path_graph(9), SolverConfig(brute_bypass=False, c_prime=F(1, 4)), 0,
         "eb5f14a93110508efb82bdb090c3d32b5208ec4b08f065281b5c1f05a43d6736",
         id="oracle-brute-ratio",
+    ),
+    pytest.param(
+        grid_graph(9, 9), SolverConfig(), 0,
+        "193406e19dc907119446c941881a5e666e743fc03ea1226fe3b27672053b98b9",
+        id="sketch-grid9x9",
     ),
 ]
 
