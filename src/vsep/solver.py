@@ -3,10 +3,11 @@ guess.
 
 One run at guess alpha maintains X = n exp(eta * sum N) / Tr(...), asks
 the oracle for feedback against the current embedding, and either stops
-at a separator the oracle found or completes the scheduled horizon and
-assembles the averaged dual certificate proving the relaxation value is
-at least alpha - delta.  The outer driver sweeps alpha geometrically,
-keeps the best separator seen anywhere, and the largest certified alpha.
+at a separator the oracle found or completes the scheduled horizon, where
+its ``DualLedger`` forms the averaged dual that ``verify`` checks proves
+the relaxation value is at least alpha - delta.  The outer driver sweeps
+alpha geometrically, keeps the best separator seen anywhere, and the
+largest certified alpha.
 
 Schedule quantities are floats; everything entering a certificate stays
 an exact rational so the budget and degree identities can be asserted
@@ -28,6 +29,7 @@ from .embedding import (
     DEFAULT_GAMMA,
     AccumulatedOperator,
     Embedding,
+    FeedbackMatrix,
     Rational,
     ScheduleError,
     dense_reference,
@@ -131,14 +133,19 @@ class SolverConfig:
     certification_tol: float = 1e-6
 
     def __post_init__(self):
+        # a float balance would reach the certificate's exact entries
+        if not all(isinstance(b, Fraction) for b in (self.c, self.resolved_c_prime())):
+            raise ValueError("balances c and c' must be Fractions")
         if not (0 < self.c < Fraction(1, 2)):
             raise ValueError("balance c must lie in (0, 1/2)")
         if self.c_prime is not None and not (0 < self.c_prime <= self.c):
             raise ValueError("achieved balance c' must lie in (0, c]")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
-        if self.t_cap < 1 or self.brute_cap < 0:
-            raise ValueError("caps must be positive")
+        if self.t_cap < 1:
+            raise ValueError("t_cap must be >= 1")
+        if self.brute_cap < 0:
+            raise ValueError("brute_cap must be >= 0")
         if self.replication is not None and self.replication < 1:
             raise ValueError("replication width must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
@@ -360,16 +367,11 @@ class DualCertificate:
 class RunDiagnostics:
     """Measured quantities of one completed run, for regret arithmetic."""
 
-    alpha: Fraction
     eta: float
     rho: float
     iterations_run: int
     iterations_scheduled: int
     mean_inner: float
-    case_counts: dict = field(repr=False)
-    widths_max: float = 0.0
-    replication: int = 1
-    sigma_final: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,20 +402,71 @@ class Inconclusive:
 MMWUOutcome = Union[SeparatorFound, CertificateFound, Inconclusive]
 
 
-def _add_counts(counts: dict, unit: Fraction, terms) -> None:
-    """Add one step's (term, multiplicity) pairs under its unit."""
-    per_term = counts.setdefault(unit, {})
-    for term, m in terms:
-        per_term[term] = per_term.get(term, 0) + m
+class DualLedger:
+    """Exact dual sums of one run: ``add`` keeps one scalar sum of the
+    steps' y and, per exact unit, integer multiplicities of their z, f and
+    lambda terms; ``certificate`` forms the averaged dual's Fractions once.
+    """
+
+    def __init__(self, n: int, alpha: Fraction, delta: Fraction, xi: Fraction):
+        self.n, self.alpha, self.delta, self.xi = n, alpha, delta, xi
+        self.steps = 0
+        self._y_sum = Fraction(0)
+        # unit -> term -> multiplicity, for the z, f and lambda terms
+        self._counts: tuple[dict, dict, dict] = ({}, {}, {})
+
+    def add(self, fm: FeedbackMatrix) -> None:
+        self.steps += 1
+        self._y_sum += fm.y
+        easy = () if fm.easy_set is None else (fm.easy_set,)
+        for counts, terms in zip(self._counts, (easy, fm.path_terms, fm.lam)):
+            per_term = counts.setdefault(fm.unit, {})
+            for term, m in terms:
+                per_term[term] = per_term.get(term, 0) + m
+
+    def certificate(self) -> DualCertificate:
+        """The averaged dual of the steps so far, not yet measured:
+        y_i = -delta/n + mean y, each term sum_unit unit * count / steps."""
+
+        def averaged(counts: dict) -> tuple:
+            total: dict = {}
+            for unit, per_term in counts.items():
+                for term, m in per_term.items():
+                    total[term] = total.get(term, 0) + unit * m
+            return tuple((term, v / self.steps) for term, v in sorted(total.items()))
+
+        z, f, lam = map(averaged, self._counts)
+        return DualCertificate(
+            n=self.n, alpha=self.alpha, delta=self.delta, xi=self.xi,
+            y=(-self.delta / self.n + self._y_sum / self.steps,) * self.n,
+            z=z, f=f, lam=lam, lambda_max_estimate=0.0, norm_scale=0.0,
+        )
 
 
-def _averaged(counts: dict, t_run: int) -> tuple:
-    """Exact per-term averages sum_unit unit * count / t_run, by term."""
-    total: dict = {}
-    for unit, per_term in counts.items():
-        for term, m in per_term.items():
-            total[term] = total.get(term, 0) + unit * m
-    return tuple((term, v / t_run) for term, v in sorted(total.items()))
+def verify(cert: DualCertificate, g: WeightedGraph, tol: float) -> DualCertificate:
+    """The certificate with its top eigenvalue and spectral norm measured,
+    if z, f, lambda >= 0, lambda degrees <= vertex weights, the objective is
+    alpha - delta exactly and lambda_max <= tol * norm; else raises
+    CertificationError."""
+    if not cert.nonneg_ok():
+        raise CertificationError("averaged dual has a negative z/f/lambda")
+    if not cert.degree_ok(g):
+        raise CertificationError("averaged lambda degrees exceed vertex weights")
+    if cert.objective() != cert.certified_lower_bound:
+        raise CertificationError(
+            f"dual objective {cert.objective()} != alpha - delta "
+            f"= {cert.certified_lower_bound}"
+        )
+    dense = cert.assemble_dense()
+    lam_max = largest_eigenvalue(dense)
+    scale = spectral_norm(dense)
+    bound = tol * max(scale, 1e-12)
+    if not lam_max <= bound:  # a NaN eigenvalue rejects too
+        raise CertificationError(
+            f"certificate rejected: lambda_max {lam_max:.3e} > tolerance "
+            f"{bound:.3e} (n={cert.n}, alpha={cert.alpha})"
+        )
+    return replace(cert, lambda_max_estimate=lam_max, norm_scale=scale)
 
 
 def mmwu_run(
@@ -431,9 +484,9 @@ def mmwu_run(
     produces an outcome.  Only a spent chain budget is retried: other
     directions may harvest enough paths.  Any other oracle failure follows
     from the embedding and parameters every replica shares, so it ends the
-    run.  A separator outcome returns immediately; a full horizon of
-    feedback assembles the averaged certificate and verifies it
-    spectrally.  Capped, width-violating or oracle-failed runs return
+    run.  A separator outcome returns immediately; feedback goes into a
+    ``DualLedger``, whose certificate a full horizon returns once ``verify``
+    accepts it.  Capped, width-violating or oracle-failed runs return
     Inconclusive.  The loop runs at every n: the brute-force bypass is
     decided by ``binary_search_solve`` alone.
     pre: alpha in [1, w(V)], seed >= 0 and ``slices_fit(n, c')``;
@@ -458,16 +511,8 @@ def mmwu_run(
     # iteration of the sketch regime touches an n x n array
     a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
     eta_width_sum = 0.0
-    # exact dual sums: one scalar y, and integer multiplicities of each
-    # step's z, f and lambda terms per exact unit; the Fractions of the
-    # averaged dual are formed once, when the certificate is assembled
-    y_sum = Fraction(0)
-    z_counts: dict[Fraction, dict[tuple[int, ...], int]] = {}
-    f_counts: dict[Fraction, dict[tuple[int, ...], int]] = {}
-    lam_counts: dict[Fraction, dict[tuple[int, int], int]] = {}
+    ledger = DualLedger(n, alpha, sched.delta, params.xi)
     inner_sum = 0.0
-    case_counts: dict[str, int] = {}
-    widths_max = 0.0
     t_run = sched.run_iterations
 
     for t in range(t_run):
@@ -543,16 +588,10 @@ def mmwu_run(
                 f"(case {fm.case}, iteration {t})"
             )
 
-        y_sum += fm.y
-        if fm.easy_set is not None:
-            _add_counts(z_counts, fm.unit, (fm.easy_set,))
-        _add_counts(f_counts, fm.unit, fm.path_terms)
-        _add_counts(lam_counts, fm.unit, fm.lam)
+        ledger.add(fm)
         a_eta = a_eta + sched.eta * nm
         eta_width_sum += sched.eta * fm.width_bound
         inner_sum += inner
-        case_counts[fm.case] = case_counts.get(fm.case, 0) + 1
-        widths_max = max(widths_max, fm.width_bound)
 
     if not sched.completes:
         return Inconclusive(
@@ -564,50 +603,13 @@ def mmwu_run(
             alpha=alpha,
         )
 
-    cert = DualCertificate(
-        n=n,
-        alpha=alpha,
-        delta=sched.delta,
-        xi=params.xi,
-        y=(-sched.delta / n + y_sum / t_run,) * n,
-        z=_averaged(z_counts, t_run),
-        f=_averaged(f_counts, t_run),
-        lam=_averaged(lam_counts, t_run),
-        lambda_max_estimate=0.0,
-        norm_scale=0.0,
-    )
-    dense_n = cert.assemble_dense()
-    lam_max = largest_eigenvalue(dense_n)
-    scale = spectral_norm(dense_n)
-    cert = replace(cert, lambda_max_estimate=lam_max, norm_scale=scale)
-
-    if not cert.nonneg_ok():
-        raise CertificationError("averaged dual has a negative z/f/lambda")
-    if not cert.degree_ok(g):
-        raise CertificationError("averaged lambda degrees exceed vertex weights")
-    if cert.objective() != alpha - sched.delta:
-        raise CertificationError(
-            f"dual objective {cert.objective()} != alpha - delta "
-            f"= {alpha - sched.delta}"
-        )
-    tol = config.certification_tol * max(scale, 1e-12)
-    if lam_max > tol:
-        raise CertificationError(
-            f"certificate rejected: lambda_max {lam_max:.3e} > tolerance "
-            f"{tol:.3e} (alpha={alpha}, T={t_run}, eta={sched.eta:.3g}, "
-            f"rho={sched.rho:.3g}, cases={case_counts})"
-        )
+    cert = verify(ledger.certificate(), g, config.certification_tol)
     diagnostics = RunDiagnostics(
-        alpha=alpha,
         eta=sched.eta,
         rho=sched.rho,
         iterations_run=t_run,
         iterations_scheduled=sched.iterations,
         mean_inner=inner_sum / t_run,
-        case_counts=case_counts,
-        widths_max=widths_max,
-        replication=replication,
-        sigma_final=params.sigma,
     )
     return CertificateFound(certificate=cert, diagnostics=diagnostics)
 

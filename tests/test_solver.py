@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsep.embedding import DENSE_CAP, ScheduleError
+from vsep.embedding import DENSE_CAP, FeedbackMatrix, ScheduleError
 from vsep.graphs import (
     SeparatorSolution,
     complete_graph,
@@ -30,6 +30,7 @@ from vsep.solver import (
     CertificateFound,
     CertificationError,
     DualCertificate,
+    DualLedger,
     Inconclusive,
     MMWUSchedule,
     RunDiagnostics,
@@ -42,6 +43,7 @@ from vsep.solver import (
     primal_witness,
     rationalize_beta,
     report_to_dict,
+    verify,
     _most_balanced_extension,
 )
 
@@ -72,6 +74,16 @@ def test_config_validation_and_resolution():
         SolverConfig(replication=0)
     with pytest.raises(ValueError):
         SolverConfig(certification_tol=-1e-6)
+    # float balances pass the range checks but would reach the exact dual
+    with pytest.raises(ValueError, match="Fractions"):
+        SolverConfig(c=0.49, c_prime=0.24, epsilon=1.0, brute_bypass=False, t_cap=3000)
+    with pytest.raises(ValueError, match="Fractions"):
+        SolverConfig(c_prime=0.04)
+    with pytest.raises(ValueError, match="t_cap must be >= 1"):
+        SolverConfig(t_cap=0)
+    with pytest.raises(ValueError, match="brute_cap must be >= 0"):
+        SolverConfig(brute_cap=-1)
+    assert SolverConfig(brute_cap=0).brute_cap == 0
     cfg = SolverConfig()
     assert cfg.resolved_c_prime() == F(1, 24)
     assert cfg.resolved_tau() == 0.125  # min(2, xi/2) at c = 1/3
@@ -351,6 +363,73 @@ def test_dual_certificate_bookkeeping():
     assert with_z.objective() == F(1, 4) * 4  # xi n^2 z
 
 
+def _k2_certificate(**change) -> DualCertificate:
+    # z K_S - lam L = 0 on S = {0, 1}, so the matrix is diag(y) = -I/2;
+    # objective -1 + xi n^2 z = -1 + 2 = 1 = alpha - delta
+    parts = dict(
+        n=2, alpha=F(2), delta=F(1), xi=F(1, 4),
+        y=(F(-1, 2), F(-1, 2)), z=(((0, 1), F(2)),), f=(), lam=(((0, 1), F(2)),),
+        lambda_max_estimate=0.0, norm_scale=0.0,
+    )
+    return DualCertificate(**{**parts, **change})
+
+
+def test_verify_accepts_and_measures():
+    g = with_weights(path_graph(2), [2, 2])
+    cert = verify(_k2_certificate(), g, 1e-6)
+    assert cert.lambda_max_estimate == pytest.approx(-0.5)
+    assert cert.norm_scale == pytest.approx(0.5)
+    assert cert.y == _k2_certificate().y and cert.lam == _k2_certificate().lam
+
+
+@pytest.mark.parametrize(
+    "change, weights, message",
+    [
+        # a negative edge coefficient
+        ({"lam": (((0, 1), F(-2)),)}, [2, 2], "negative"),
+        # lambda degree 2 at both vertices, above weight 1
+        ({}, [1, 1], "degrees"),
+        # objective -3/2 + 2 = 1/2, not alpha - delta = 1
+        ({"y": (F(-1, 2), F(-1))}, [2, 2], "objective"),
+        # lam = 1 leaves -I/2 + K_S: eigenvalues -1/2 and 3/2, objective still 1
+        ({"lam": (((0, 1), F(1)),)}, [2, 2], "lambda_max"),
+    ],
+)
+def test_verify_rejects_each_broken_part(change, weights, message):
+    g = with_weights(path_graph(2), weights)
+    with pytest.raises(CertificationError, match=message):
+        verify(_k2_certificate(**change), g, 1e-6)
+
+
+def test_dual_ledger_averages_exactly():
+    n, alpha, xi = 3, F(1), F(1, 4)
+    # every step's budget n y + xi n^2 unit m_S is exactly alpha
+    steps = [
+        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(-1, 24), unit=F(1, 2),
+                       easy_set=((0, 1, 2), 1), case="easy"),
+        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(1, 3), unit=F(1, 5),
+                       path_terms=(((0, 1, 2), 2),), lam=(((0, 1), 1),), case="flow"),
+        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(1, 3), unit=F(1, 7),
+                       path_terms=(((0, 1, 2), 1), ((1, 2), 3)), lam=(((1, 2), 3),),
+                       case="flow"),
+    ]
+    ledger = DualLedger(n, alpha, alpha / 2, xi)
+    for fm in steps:
+        ledger.add(fm)
+    expected: dict = {}
+    for fm in steps:
+        for key, v in fm.entries().items():
+            expected[key] = expected.get(key, 0) + v / len(steps)
+    for i in range(n):
+        expected[(i, i)] = expected.get((i, i), 0) - alpha / 2 / n
+    cert = ledger.certificate()
+    nonzero = {k: v for k, v in expected.items() if v}
+    assert {k: v for k, v in cert.entries().items() if v} == nonzero
+    assert cert.objective() == alpha - alpha / 2
+    # path (0, 1, 2) appears under two units: one averaged coefficient
+    assert dict(cert.f)[(0, 1, 2)] == (F(2, 5) + F(1, 7)) / 3
+
+
 # ---------------------------------------------------------------------------
 # binary search solve
 # ---------------------------------------------------------------------------
@@ -453,8 +532,8 @@ def test_solve_refines_between_certificate_and_separator(monkeypatch):
                 lambda_max_estimate=0.0, norm_scale=0.0,
             )
             diag = RunDiagnostics(
-                alpha=alpha, eta=0.1, rho=1.0, iterations_run=10,
-                iterations_scheduled=10, mean_inner=0.0, case_counts={},
+                eta=0.1, rho=1.0, iterations_run=10,
+                iterations_scheduled=10, mean_inner=0.0,
             )
             return CertificateFound(certificate=cert, diagnostics=diag)
         return SeparatorFound(
