@@ -182,6 +182,7 @@ def _cmd_solve(args) -> int:
         f"via: {report.separator_via}",
         f"alpha_star: {_opt(report.alpha_star)}",
         f"certified_lower_bound: {_opt(report.certified_lower_bound)}",
+        f"oracle_cost: {_opt(report.oracle_cost)}",
         f"kappa: {_opt_float(report.kappa)}",
         f"ratio_vs_brute: {_opt(report.ratio_vs_brute)}",
         f"brute_opt: {_opt(report.brute_opt)}",
@@ -392,7 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c", type=_balance_arg, default=Fraction(1, 3))
             p.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
             p.add_argument("--c-prime", dest="c_prime", type=_parse_fraction)
-            p.add_argument("--t-cap", dest="t_cap", type=int)
+            p.add_argument(
+                "--t-cap",
+                dest="t_cap",
+                type=int,
+                help="iteration budget of the whole solve, shared by its runs",
+            )
             p.add_argument("--brute-cap", dest="brute_cap", type=int)
             p.add_argument("--replication", type=int)
             p.add_argument("--sigma", type=_sigma_arg)

@@ -3,18 +3,21 @@
 The central objects are :class:`WeightedGraph` (immutable instance data) and
 :class:`SeparatorSolution` (a partition ``A | B | C`` of the vertices where
 ``C`` is the separator being paid for).  ``brute_force_opt`` is the exact
-reference used to judge solver output on small instances.
+reference used to judge solver output on small instances;
+``sweep_separator`` is a deterministic one-flow cut that bounds the optimum
+from above at any size.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .flow import SplitSkeleton
+from .flow import SplitSkeleton, build_split_network, max_flow
 
 DEFAULT_BRUTE_FORCE_CAP = 14
 DEFAULT_WEIGHT_EXPONENT = 3
@@ -409,6 +412,58 @@ def brute_force_opt(
         assert ok, f"brute-force produced invalid separator: {why}"
         return cost, sol
     raise AssertionError("unreachable: C = V is always feasible")
+
+
+def _bfs_levels(adj: list[list[int]], root: int) -> list[list[int]]:
+    """The vertices root reaches, by BFS distance, each level in discovery
+    order."""
+    seen = [False] * len(adj)
+    seen[root] = True
+    levels = [[root]]
+    while True:
+        nxt = []
+        for v in levels[-1]:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    nxt.append(u)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+def sweep_separator(g: WeightedGraph, c: Fraction) -> Optional[SeparatorSolution]:
+    """A deterministic separator valid at balance c, from one BFS sweep and
+    one max flow; None when the sweep gives none.
+
+    Vertices are ordered by BFS from a pseudo-peripheral vertex (Gibbs,
+    Poole & Stockmeyer 1976: from vertex 0, restart at a least-degree
+    vertex of the last level while the level count grows).  The first and
+    last ceil(c n) of them are the cores; a minimum vertex cut between them
+    on the split network, whose terminal arcs outweigh w(V) so that only
+    vertices are cut, gives (A, B, C).  A core vertex is never on the far
+    side, so each side has at most n - ceil(c n) vertices; the cut is still
+    validated at c.  None when the cores overlap, the graph is
+    disconnected, or the cut fails validation.
+    """
+    c = Fraction(c)
+    n = g.n
+    k = math.ceil(c * n)
+    adj = g.adjacency()
+    levels = _bfs_levels(adj, 0)
+    if 2 * k > n or sum(map(len, levels)) < n:
+        return None
+    while True:
+        far = min(levels[-1], key=lambda v: (len(adj[v]), v))
+        again = _bfs_levels(adj, far)
+        if len(again) <= len(levels):
+            break
+        levels = again
+    order = [v for level in levels for v in level]
+    split = build_split_network(g, order[:k], order[-k:], g.total_weight(), 1)
+    a, b, sep = split.sides(max_flow(split.net))
+    sol = SeparatorSolution.build(g, a, b, sep, c)
+    return sol if validate_separator(g, sol, c)[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ the oracle for feedback against the current embedding, and either stops
 at a separator the oracle found or completes the scheduled horizon, where
 its ``DualLedger`` forms the averaged dual that ``verify`` checks proves
 the relaxation value is at least alpha - delta.  The outer driver sweeps
-alpha geometrically, keeps the best separator seen anywhere, and the
-largest certified alpha.
+alpha geometrically up to 8 w(C) of a deterministic sweep cut C, within
+one iteration budget for the whole solve, keeps the best separator seen
+anywhere, and the largest certified alpha.
 
 Schedule quantities are floats; everything entering a certificate stays
 an exact rational so the budget and degree identities can be asserted
@@ -46,6 +47,7 @@ from .graphs import (
     SeparatorSolution,
     WeightedGraph,
     brute_force_opt,
+    sweep_separator,
     validate_separator,
 )
 from .oracle import (
@@ -112,12 +114,14 @@ class SolverConfig:
     returned separators (default c/8); each oracle round routes flow
     between two slices of floor(2 c' n) vertices, so a solve where
     ``slices_fit(n, c')`` fails makes no run.  ``epsilon`` is the locality
-    exponent trading approximation for flow work.  ``t_cap`` truncates
-    runs whose scheduled horizon is asymptotic-scale; a truncated run is
-    reported as inconclusive, never as a certificate.  ``sigma`` is the
-    projection separation margin; a replica whose chain budget runs out
-    with no path harvested halves it, down to ``SIGMA_FLOOR`` (consuming
-    replication slots, so call accounting is unaffected).
+    exponent trading approximation for flow work.  ``t_cap`` is the
+    iteration budget of a whole ``binary_search_solve``, shared out over
+    its runs, or the cap of one run when ``mmwu_run`` is called alone; a
+    run cut short of its scheduled horizon is reported as inconclusive,
+    never as a certificate.  ``sigma`` is the projection separation
+    margin; a replica whose chain budget runs out with no path harvested
+    halves it, down to ``SIGMA_FLOOR`` (consuming replication slots, so
+    call accounting is unaffected).
     ``certification_tol`` is the relative tolerance of the certificate's
     top-eigenvalue test.
     """
@@ -620,11 +624,14 @@ class SolveReport:
 
     ``separator_via`` names the exit the separator came from: "brute"
     (the enumerated optimum, under ``brute_bypass`` at n <= ``brute_cap``),
-    "oracle" (the cheapest separator any run found) or "fallback"
-    (C = V).  ``kappa`` and ``separator_alpha`` are the guarantee factor
-    2 c' beta n / alpha and the guess of the run that found an oracle
-    separator, None otherwise.  ``alpha_star`` is the largest guess whose
-    run certified a lower bound, ``certificate`` that run's certificate.
+    "oracle" (the cheapest separator any run found), "sweep" (the
+    solve's sweep cut, when strictly cheaper than every oracle separator)
+    or "fallback" (C = V).  ``oracle_cost``, ``kappa`` and
+    ``separator_alpha`` describe the cheapest oracle separator whichever
+    exit is taken: its cost, the guarantee factor 2 c' beta n / alpha and
+    the guess of its run; None when no run found one.  ``alpha_star`` is
+    the largest guess whose run certified a lower bound, ``certificate``
+    that run's certificate.
     ``cost_vs_bound_ok`` records cost >= (alpha_star - delta)/4 whenever
     a certificate is present.
     """
@@ -633,6 +640,7 @@ class SolveReport:
     alpha_star: Optional[Fraction]
     certificate: Optional[DualCertificate]
     certified_lower_bound: Optional[Fraction]
+    oracle_cost: Optional[int]
     kappa: Optional[float]
     separator_alpha: Optional[Fraction]
     separator_via: str
@@ -656,33 +664,54 @@ def _iterations(res: MMWUOutcome) -> int:
 
 
 def _sweep(
-    g: WeightedGraph, config: SolverConfig, seed: int, counters: OracleCounters
+    g: WeightedGraph,
+    config: SolverConfig,
+    seed: int,
+    counters: OracleCounters,
+    cap: int,
+    notes: list[str],
 ) -> list[tuple[Fraction, MMWUOutcome]]:
-    """Every (alpha, outcome) of the geometric ladder 1, 2, 4, ... <= w(V),
+    """Every (alpha, outcome) of the geometric ladder 1, 2, 4, ... <= cap,
     then of up to ``REFINE_STEPS`` integer bisections between the largest
-    certified guess and the smallest separating guess above it.  Run i
-    draws the child seed i."""
-    runs: list[tuple[Fraction, MMWUOutcome]] = []
+    certified guess and the smallest separating guess above it.
 
-    def run_at(a: Fraction) -> MMWUOutcome:
-        res = mmwu_run(g, a, config, _child_seed(seed, len(runs)), counters)
+    ``config.t_cap`` is the iteration budget of all the runs together.
+    Guesses run in ascending order, each with one call capped at the budget
+    left less one iteration for every later guess of the ladder; a
+    bisection run gets whatever is left.  A budget below the ladder's
+    length drops its largest guesses, with a note.  Run i draws the child
+    seed i."""
+    runs: list[tuple[Fraction, MMWUOutcome]] = []
+    left = config.t_cap
+
+    def run_at(a: Fraction, allowance: int) -> MMWUOutcome:
+        nonlocal left
+        res = mmwu_run(
+            g, a, replace(config, t_cap=allowance), _child_seed(seed, len(runs)), counters
+        )
         runs.append((a, res))
+        left -= _iterations(res)
         return res
 
-    alpha, w_total = Fraction(1), g.total_weight()
-    while alpha <= w_total:
-        run_at(alpha)
-        alpha *= 2
+    ladder = [Fraction(2**i) for i in range(cap.bit_length())]
+    if len(ladder) > left:
+        notes.append(
+            f"t_cap={config.t_cap} is below the {len(ladder)} guesses up to {cap}: "
+            f"alpha > {ladder[left - 1]} not tried"
+        )
+        del ladder[left:]
+    for i, alpha in enumerate(ladder):
+        run_at(alpha, left - (len(ladder) - 1 - i))
     lo = max((a for a, r in runs if isinstance(r, CertificateFound)), default=None)
     hi = min(
         (a for a, r in runs if isinstance(r, SeparatorFound) and (lo is None or a > lo)),
         default=None,
     )
     for _ in range(REFINE_STEPS):
-        if lo is None or hi is None or hi - lo <= 1:
+        if lo is None or hi is None or hi - lo <= 1 or left < 1:
             break
         mid = Fraction(math.floor((lo + hi) / 2))
-        if isinstance(run_at(mid), CertificateFound):
+        if isinstance(run_at(mid, left), CertificateFound):
             lo = mid
         else:
             hi = mid
@@ -690,18 +719,25 @@ def _sweep(
 
 
 def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> SolveReport:
-    """Geometric sweep over alpha in [1, w(V)] plus integer refinement.
+    """Geometric sweep over alpha plus integer refinement, within one
+    iteration budget ``config.t_cap``.
 
-    Keeps the cheapest separator seen at any guess (the first of least
-    cost) and the largest certified guess; inconclusive runs count as
-    failed certifications (conservative toward larger separators, never
-    toward false lower bounds).  The all-separator fallback C = V makes
-    failure impossible.  Brute force runs at most once, when n <=
-    ``brute_cap``: under ``brute_bypass`` its optimum is the separator and
-    no run is made; otherwise it only grades the result.  No run is made
-    either when ``slices_fit(n, c')`` fails, since every oracle call would;
-    a note says so and the fallback is returned.  Every separator leaves
-    through the same validation and report.
+    Before the first run, ``sweep_separator`` cuts the graph once at the
+    target balance c.  Any c-balanced C bounds the relaxation by 4 w(C)
+    (the primal witness), so no guess above 8 w(C) can certify, and the
+    ladder stops at min(w(V), 8 w(C)); without a sweep cut it runs to
+    w(V), with a note.  Keeps the cheapest separator seen at any guess
+    (the first of least cost) and the largest certified guess;
+    inconclusive runs count as failed certifications (conservative toward
+    larger separators, never toward false lower bounds).  The sweep cut is
+    returned only when strictly cheaper than every oracle separator, and
+    the all-separator fallback C = V when there is neither.  Brute force
+    runs at most once, when n <= ``brute_cap``: under ``brute_bypass`` its
+    optimum is the separator and no run is made; otherwise it only grades
+    the result.  No run is made either when ``slices_fit(n, c')`` fails,
+    since every oracle call would; a note says so and the fallback is
+    returned.  Every separator leaves through the same validation and
+    report.
     """
     n = g.n
     notes: list[str] = []
@@ -724,7 +760,16 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
             f"no run made: slices of floor(2 c' n) = {slice_size(n, c_prime)} "
             f"vertices do not fit at n={n}, c'={c_prime}"
         )
-    runs = _sweep(g, config, seed, counters) if fits and not bypass else []
+    sweep_cut: Optional[SeparatorSolution] = None
+    runs: list[tuple[Fraction, MMWUOutcome]] = []
+    if fits and not bypass:
+        sweep_cut = sweep_separator(g, config.c)
+        cap = g.total_weight()
+        if sweep_cut is None:
+            notes.append(f"no sweep cut at c={config.c}: alpha runs up to w(V)={cap}")
+        else:
+            cap = min(cap, 8 * sweep_cut.cost)
+        runs = _sweep(g, config, seed, counters, cap, notes)
     notes.extend(
         f"alpha={a}: inconclusive ({r.reason})"
         for a, r in runs
@@ -735,13 +780,14 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
     certs = [r.certificate for _, r in runs if isinstance(r, CertificateFound)]
     certificate = max(certs, key=lambda c: c.alpha, default=None)
 
-    kappa: Optional[float] = None
-    sep_alpha: Optional[Fraction] = None
     if bypass:
         sol, via = brute_sol, "brute"
-    elif best_sep is not None:
+    elif best_sep is not None and (
+        sweep_cut is None or best_sep.separator.cost <= sweep_cut.cost
+    ):
         sol, via = best_sep.separator, "oracle"
-        kappa, sep_alpha = best_sep.kappa, best_sep.alpha
+    elif sweep_cut is not None:
+        sol, via = sweep_cut, "sweep"
     else:
         sol = SeparatorSolution.build(
             g, [], [], list(range(n)), balance_achieved=config.c
@@ -769,8 +815,9 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
         alpha_star=certificate.alpha if certificate is not None else None,
         certificate=certificate,
         certified_lower_bound=bound,
-        kappa=kappa,
-        separator_alpha=sep_alpha,
+        oracle_cost=None if best_sep is None else best_sep.separator.cost,
+        kappa=None if best_sep is None else best_sep.kappa,
+        separator_alpha=None if best_sep is None else best_sep.alpha,
         separator_via=via,
         ratio_vs_brute=ratio,
         brute_opt=brute_opt,
@@ -950,6 +997,7 @@ def report_to_dict(report: SolveReport) -> dict:
         "alpha_star": frac(report.alpha_star),
         "certified_lower_bound": frac(report.certified_lower_bound),
         "certificate": cert_dict,
+        "oracle_cost": report.oracle_cost,
         "kappa": report.kappa,
         "separator_alpha": frac(report.separator_alpha),
         "separator_via": report.separator_via,

@@ -87,6 +87,7 @@ def test_solve_text_pipes_into_validate(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "cost: 1" in out
     assert "via: brute" in out
+    assert "oracle_cost: -" in out
     assert "ratio_vs_brute: 1" in out
     assert "A: " in out and "C: " in out
 
@@ -141,6 +142,7 @@ def test_solve_solver_flags(tmp_path, capsys):
     )
     assert code == 0
     assert "via: oracle" in out
+    assert "oracle_cost: 1" in out
     assert "epsilon: 0.75" in out
 
 

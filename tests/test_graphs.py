@@ -25,6 +25,7 @@ from vsep.graphs import (
     render_graph,
     render_separator,
     star_graph,
+    sweep_separator,
     two_blobs_graph,
     validate_separator,
     with_weights,
@@ -197,6 +198,55 @@ def test_brute_single_vertex():
 def test_brute_rejects_oversize():
     with pytest.raises(ValueError):
         brute_force_opt(path_graph(15), THIRD, cap=14)
+
+
+# ---------------------------------------------------------------------------
+# sweep separator
+# ---------------------------------------------------------------------------
+
+def _cheap_middle_path(n: int) -> WeightedGraph:
+    return with_weights(path_graph(n), [1 if i == n // 2 else 8 for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "g, cost",
+    [
+        # on a path any cut between the two end cores is one vertex
+        pytest.param(path_graph(9), 1, id="path9"),
+        pytest.param(path_graph(15), 1, id="path15"),
+        pytest.param(path_graph(20), 1, id="path20"),
+        pytest.param(path_graph(400), 1, id="path400"),
+        pytest.param(path_graph(1000), 1, id="path1000"),
+        # the weight-1 middle vertex lies between the cores of 134
+        pytest.param(_cheap_middle_path(401), 1, id="cheap_middle_path401"),
+        # BFS from a corner visits the grid by anti-diagonals, and the cut
+        # is the anti-diagonal on which the first core of ceil(n/3) ends:
+        # 1+2+3 = 6 (length 3), 21 < 27 <= 28 (7), 120 < 134 <= 136 (16),
+        # 300 = 300 (24)
+        pytest.param(grid_graph(4, 4), 3, id="grid4x4"),
+        pytest.param(grid_graph(9, 9), 7, id="grid9x9"),
+        pytest.param(grid_graph(20, 20), 16, id="grid20x20"),
+        pytest.param(grid_graph(30, 30), 24, id="grid30x30"),
+        # the cores lie in different cliques, joined only through the bridge
+        pytest.param(two_blobs_graph(8, 8, 2), 2, id="two_blobs8_8_2"),
+        pytest.param(two_blobs_graph(100, 100, 4), 4, id="two_blobs100_100_4"),
+    ],
+)
+def test_sweep_separator_validates_at_c(g, cost):
+    sol = sweep_separator(g, THIRD)
+    assert sol is not None
+    ok, msg = validate_separator(g, sol, THIRD)
+    assert ok, msg
+    assert sol.balance_achieved == THIRD
+    assert sol.cost == cost
+    assert sweep_separator(g, THIRD) == sol  # deterministic
+
+
+def test_sweep_separator_none_cases():
+    # cores of ceil(0.49 * 9) = 5 vertices overlap on 9 vertices
+    assert sweep_separator(path_graph(9), Fraction(49, 100)) is None
+    # the BFS does not reach the second component
+    assert sweep_separator(make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), THIRD) is None
 
 
 # ---------------------------------------------------------------------------

@@ -465,10 +465,12 @@ def test_solve_two_blobs_ratio_under_eight():
     g = two_blobs_graph(8, 8, 2)
     cfg = SolverConfig(brute_bypass=False, c_prime=F(1, 4))
     r = binary_search_solve(g, cfg, seed=3)
-    assert r.separator_via in ("oracle", "fallback")
+    assert r.separator_via in ("oracle", "sweep", "fallback")
     assert r.brute_opt == 2
     assert r.ratio_vs_brute is not None
     assert r.ratio_vs_brute <= 8
+    # the oracle's own separator is graded too, whichever exit is taken
+    assert r.oracle_cost is None or F(r.oracle_cost, r.brute_opt) <= 8
 
 
 def test_solve_fallback_covers_all_vertices(monkeypatch):
@@ -489,14 +491,17 @@ def test_solve_fallback_covers_all_vertices(monkeypatch):
         "no run produced a separator; falling back to C = V",
     )
 
-    # runs that all end inconclusive fall back the same way
+    # when every run ends inconclusive, the sweep cut (the vertex 10 of
+    # path 15, cost 1) is the separator; the fallback needs no sweep cut
     def scripted_run(graph, alpha, config, seed, counters=None):
         return Inconclusive(reason="scripted", iterations_run=3, alpha=F(alpha))
 
     monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
     r = binary_search_solve(g, SolverConfig(brute_bypass=False), seed=0)
-    assert r.separator_via == "fallback"
-    assert r.separator.cost == 15
+    assert r.separator_via == "sweep"
+    assert r.separator.separator == (10,) and r.separator.cost == 1
+    assert r.separator.balance_achieved == F(1, 3)
+    assert r.oracle_cost is None and r.kappa is None
     assert r.alphas_tried == (F(1), F(2), F(4), F(8))
     assert r.counters["mmwu_runs"] == 4 and r.counters["iterations"] == 12
     assert r.notes == (
@@ -504,7 +509,6 @@ def test_solve_fallback_covers_all_vertices(monkeypatch):
         "alpha=2: inconclusive (scripted)",
         "alpha=4: inconclusive (scripted)",
         "alpha=8: inconclusive (scripted)",
-        "no run produced a separator; falling back to C = V",
     )
 
 
@@ -515,10 +519,23 @@ def test_solve_epsilon_clamp_note():
     assert any("epsilon clamped" in note for note in r.notes)
 
 
+def _scripted_certificate(n: int, alpha: F, iterations: int) -> CertificateFound:
+    cert = DualCertificate(
+        n=n, alpha=alpha, delta=alpha / 2, xi=F(1, 4), y=(), z=(), f=(), lam=(),
+        lambda_max_estimate=0.0, norm_scale=0.0,
+    )
+    diag = RunDiagnostics(
+        eta=0.1, rho=1.0, iterations_run=iterations,
+        iterations_scheduled=iterations, mean_inner=0.0,
+    )
+    return CertificateFound(certificate=cert, diagnostics=diag)
+
+
 def test_solve_refines_between_certificate_and_separator(monkeypatch):
-    # a scripted sweep on path 20 (w(V) = 20, so the ladder is 1..16):
-    # every alpha <= 5 certifies, every larger one returns a separator,
-    # and two separators tie at the least cost
+    # a scripted sweep on path 20: the sweep cut costs 1, so the ladder is
+    # 1..8 = 8 w(C) rather than 1..16 <= w(V) = 20; every alpha <= 5
+    # certifies, every larger one returns a separator, and alpha 6's ties
+    # the sweep cut at the least cost
     g = path_graph(20)
     cheap = SeparatorSolution.build(g, range(10), range(11, 20), [10], F(1, 24))
     dear = SeparatorSolution.build(g, range(9), range(11, 20), [9, 10], F(1, 24))
@@ -526,16 +543,7 @@ def test_solve_refines_between_certificate_and_separator(monkeypatch):
     def scripted_run(graph, alpha, config, seed, counters=None):
         alpha = F(alpha)
         if alpha <= 5:
-            cert = DualCertificate(
-                n=graph.n, alpha=alpha, delta=alpha / 2, xi=F(1, 4),
-                y=(), z=(), f=(), lam=(),
-                lambda_max_estimate=0.0, norm_scale=0.0,
-            )
-            diag = RunDiagnostics(
-                eta=0.1, rho=1.0, iterations_run=10,
-                iterations_scheduled=10, mean_inner=0.0,
-            )
-            return CertificateFound(certificate=cert, diagnostics=diag)
+            return _scripted_certificate(graph.n, alpha, 10)
         return SeparatorFound(
             separator=dear if alpha == 8 else cheap,
             alpha=alpha,
@@ -545,61 +553,121 @@ def test_solve_refines_between_certificate_and_separator(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
     r = binary_search_solve(g, SolverConfig(), seed=0)
-    # ladder 1..16 brackets (lo, hi) = (4, 8); mid 6 separates, so hi = 6;
+    # ladder 1..8 brackets (lo, hi) = (4, 8); mid 6 separates, so hi = 6;
     # mid 5 certifies, so lo = 5; REFINE_STEPS = 2 ends the bisection
     assert REFINE_STEPS == 2
-    assert r.alphas_tried == (F(1), F(2), F(4), F(8), F(16), F(6), F(5))
+    assert r.alphas_tried == (F(1), F(2), F(4), F(8), F(6), F(5))
     assert r.alpha_star == 5
     assert r.certificate.alpha == 5
     assert r.certified_lower_bound == F(5, 2)
     assert r.cost_vs_bound_ok is True  # cost 1 >= (5/2) / 4
-    # alpha 16 and alpha 6 tie at cost 1: the first run of least cost wins
+    # alpha 6's separator ties the sweep cut at cost 1: the oracle's wins
     assert r.separator == cheap
-    assert r.separator_alpha == 16 and r.kappa == 16.0
+    assert r.separator_alpha == 6 and r.kappa == 6.0
+    assert r.oracle_cost == 1
     assert r.separator_via == "oracle"
-    # four certificates of 10 steps, separators at steps 8, 16 and 6
-    assert r.counters["mmwu_runs"] == 7
-    assert r.counters["iterations"] == 4 * 10 + 9 + 17 + 7
+    # four certificates of 10 steps, separators at steps 8 and 6
+    assert r.counters["mmwu_runs"] == 6
+    assert r.counters["iterations"] == 4 * 10 + 9 + 7
     assert r.notes == ()
 
 
+@pytest.mark.parametrize("oracle_cost, via", [(1, "oracle"), (2, "sweep")])
+def test_solve_shares_one_budget_below_the_sweep_cap(monkeypatch, oracle_cost, via):
+    # path 20: the sweep cut {13} costs 1, so the ladder stops at
+    # 8 = 8 w(C) < w(V) = 20; alpha <= 3 certifies in 3 steps, a larger
+    # alpha separates at its first step
+    g = path_graph(20)
+    sep = SeparatorSolution.build(
+        g, range(10), range(10 + oracle_cost, 20), range(10, 10 + oracle_cost), F(1, 24)
+    )
+    calls = []
+
+    def scripted_run(graph, alpha, config, seed, counters=None):
+        alpha = F(alpha)
+        calls.append((alpha, config.t_cap))
+        if alpha <= 3:
+            return _scripted_certificate(graph.n, alpha, 3)
+        return SeparatorFound(separator=sep, alpha=alpha, kappa=float(alpha), iteration=0)
+
+    monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
+    r = binary_search_solve(g, SolverConfig(t_cap=20), seed=0)
+    # each ladder call gets the budget left less one step per later guess;
+    # the bisection at mid 3 gets all that is left
+    assert calls == [(1, 17), (2, 15), (4, 13), (8, 13), (3, 12)]
+    assert max(a for a, _ in calls) <= 8 * 1
+    assert r.counters["iterations"] == 3 + 3 + 1 + 1 + 3 <= 20
+    assert r.alpha_star == 3
+    # a tie with the sweep cut goes to the oracle; a cheaper cut is returned,
+    # and the report still describes the oracle's separator
+    assert r.separator_via == via
+    assert r.separator.cost == 1
+    assert r.oracle_cost == oracle_cost
+    assert r.separator_alpha == 4 and r.kappa == 4.0
+    assert r.notes == ()
+
+
+def test_solve_notes_a_short_budget_and_a_missing_sweep_cut(monkeypatch):
+    calls = []
+
+    def scripted_run(graph, alpha, config, seed, counters=None):
+        calls.append((F(alpha), config.t_cap))
+        return Inconclusive(reason="scripted", iterations_run=config.t_cap, alpha=F(alpha))
+
+    monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
+    # a budget of 2 steps covers 2 of the guesses 1, 2, 4, 8 <= 8 w(C)
+    r = binary_search_solve(path_graph(20), SolverConfig(t_cap=2), seed=0)
+    assert calls == [(1, 1), (2, 1)]
+    assert r.counters["iterations"] == 2
+    assert r.separator_via == "sweep"
+    assert r.notes[0] == "t_cap=2 is below the 4 guesses up to 8: alpha > 2 not tried"
+    # two paths of 10: the BFS misses one, so the ladder runs up to w(V)
+    calls.clear()
+    two_paths = make_graph(20, [(i, i + 1) for i in range(19) if i != 9])
+    r = binary_search_solve(two_paths, SolverConfig(t_cap=5), seed=0)
+    assert [a for a, _ in calls] == [F(1), F(2), F(4), F(8), F(16)]
+    assert r.separator_via == "fallback"
+    assert r.notes[0] == "no sweep cut at c=1/3: alpha runs up to w(V)=20"
+
+
 # sha256 of report_to_dict, serialised with sorted keys, for one solve
-# through each exit of binary_search_solve: brute, oracle and fallback,
-# and one solve above DENSE_CAP that pins the sketch's probes
+# through each exit of binary_search_solve: brute, oracle, sweep (path 9,
+# whose sweep cut costs 1 against the oracle's 2) and fallback, and one
+# solve above DENSE_CAP that pins the sketch's probes
 PINNED_REPORTS = [
     pytest.param(
         path_graph(5), SolverConfig(), 0,
-        "ac0b5b647b94e7e50b597ff399b7550751f2f2afde6c291557321602af5aabd3",
+        "72ffd04bf093859f070cb3719708c0018d2752be598aa42df89d8c8862ef7209",
         id="brute-path5",
     ),
     pytest.param(
         make_graph(6, []), SolverConfig(), 0,
-        "f4a16579b671333235296f04568320d29cb05a71ca559e8eca5ac17afea0902c",
+        "05671aa9cbe45d8a63c3e77c09cc5f8dd7064c1b37fb01f1ee4d428706e7de7e",
         id="brute-zero-optimum",
     ),
     pytest.param(
         grid_graph(4, 4), SolverConfig(brute_bypass=False), 11,
-        "3cd8e2f721475010b6d3d72e760e158b61ecc63d52ee4f400a2a56ceb3a9664b",
+        "e2b57d4b29e74370fe72b65f0c5c97dbe0de6418c973969cf487f609362cbf14",
         id="oracle-grid4x4",
     ),
     pytest.param(
         grid_graph(4, 4), SolverConfig(epsilon=0.01), 0,
-        "2c002ef15469f4b44ebfa42a9b616e80372a76ffea328ed16123e225924bd93f",
+        "77e37082f7722f387b494efaeae281ee01143a7de39240c9f30ad75b3c39c363",
         id="oracle-epsilon-clamp",
     ),
     pytest.param(
         path_graph(5), SolverConfig(brute_cap=0, t_cap=10), 0,
-        "d2bd8843d4b77bb2415674417de9906af97b76104da0964a57ce91bdb1056b16",
+        "b98a954df96cb9204f7b4248134b5e0a1c2a755a790a20129eea6194a44bccd4",
         id="fallback-path5",
     ),
     pytest.param(
         path_graph(9), SolverConfig(brute_bypass=False, c_prime=F(1, 4)), 0,
-        "eb5f14a93110508efb82bdb090c3d32b5208ec4b08f065281b5c1f05a43d6736",
+        "3ef29b08d0b88b9c92018e2bcd2ecb09016f9a418301776ab96edccf632d9c8f",
         id="oracle-brute-ratio",
     ),
     pytest.param(
         grid_graph(9, 9), SolverConfig(), 0,
-        "193406e19dc907119446c941881a5e666e743fc03ea1226fe3b27672053b98b9",
+        "5c0431ea944119c52d3a20cf970da225ac1954c62eaedb2f792a169f6e4aa0ef",
         id="sketch-grid9x9",
     ),
 ]
