@@ -4,7 +4,9 @@ Subcommands: gen (graph generators), solve (full pipeline), validate
 (check a separator against a graph), brute (exact enumeration), flow
 (max-flow debugging), bench (epsilon sweep).  Exit codes: 0 success,
 1 validation reject, 2 usage, 3 bad input, 4 internal failure (a
-certification check, or a max flow inside a solve).
+certification check, or a max flow inside a solve).  Exit 2 covers
+every bad value of a solver flag: argparse only converts the types,
+and ``SolverConfig`` judges the values before any input is read.
 
 Text solve output embeds the three-line A:/B:/C: block plus a
 ``balance:`` line, so it pipes straight into ``validate``.  Structured
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -82,30 +83,6 @@ def _balance_arg(text: str) -> Fraction:
     return c
 
 
-def _finite_float(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return x
-
-
-def _epsilon_arg(text: str) -> float:
-    x = _finite_float(text)
-    if x <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
-    return x
-
-
-def _sigma_arg(text: str) -> float:
-    x = _finite_float(text)
-    if x < 0:
-        raise argparse.ArgumentTypeError("sigma must be non-negative")
-    return x
-
-
 def _dump_json(tree) -> str:
     return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -115,13 +92,10 @@ def _load_graph(path: Optional[str]) -> WeightedGraph:
 
 
 def _build_config(args) -> SolverConfig:
-    kwargs = {"c": args.c, "epsilon": args.epsilon}
-    for name in ("c_prime", "t_cap", "brute_cap", "replication", "sigma"):
-        if getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    if args.no_brute_bypass:
-        kwargs["brute_bypass"] = False
-    return SolverConfig(**kwargs)
+    """The ``SolverConfig`` of the parsed solver flags: one keyword per
+    field, and a flag left unset keeps the field's default."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(SolverConfig)}
+    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +134,12 @@ def _solve(g: WeightedGraph, config: SolverConfig, seed: int) -> SolveReport:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.input)
-    config = _build_config(args)
-    report = _solve(g, config, args.seed)
+    report = _solve(g, args.config, args.seed)
     if args.format == "json":
         tree = report_to_dict(report)
         tree["n"] = g.n
         tree["m"] = g.m
-        tree["c"] = str(args.c)
+        tree["c"] = str(args.config.c)
         sys.stdout.write(_dump_json(tree))
         return EXIT_OK
     sol = report.separator
@@ -174,7 +147,7 @@ def _cmd_solve(args) -> int:
     lines = [
         f"n: {g.n}",
         f"m: {g.m}",
-        f"c: {args.c}",
+        f"c: {args.config.c}",
         f"epsilon: {report.epsilon_used:.6g}",
         f"seed: {report.seed}",
         f"cost: {sol.cost}",
@@ -343,10 +316,9 @@ def _cmd_bench(args) -> int:
         raise _InputError(f"bad epsilon grid {args.epsilons!r}")
     if not eps_grid:
         raise _InputError("empty epsilon grid")
-    base = _build_config(args)
     rows = []
     for eps in eps_grid:
-        config = replace(base, epsilon=eps)
+        config = replace(args.config, epsilon=eps)
         started = time.perf_counter()
         report = _solve(g, config, args.seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -354,6 +326,7 @@ def _cmd_bench(args) -> int:
             {
                 "epsilon": report.epsilon_used,
                 "cost": report.separator.cost,
+                "oracle_cost": report.oracle_cost,
                 "maxflow_calls": report.counters["maxflow_calls"],
                 "kappa": report.kappa,
                 "wall_ms": wall_ms,
@@ -365,11 +338,11 @@ def _cmd_bench(args) -> int:
         sys.stdout.write(_dump_json({"rows": clean}))
         return EXIT_OK
     for row in rows:
-        kappa = "-" if row["kappa"] is None else f"{row['kappa']:.6g}"
         sys.stdout.write(
             f"eps={row['epsilon']:.6g} cost={row['cost']} "
-            f"maxflow_calls={row['maxflow_calls']} kappa={kappa} "
-            f"wall_ms={row['wall_ms']:.1f}\n"
+            f"oracle_cost={_opt(row['oracle_cost'])} "
+            f"maxflow_calls={row['maxflow_calls']} "
+            f"kappa={_opt_float(row['kappa'])} wall_ms={row['wall_ms']:.1f}\n"
         )
     return EXIT_OK
 
@@ -390,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
         if with_solver:
-            p.add_argument("--c", type=_balance_arg, default=Fraction(1, 3))
-            p.add_argument("--epsilon", type=_epsilon_arg, default=0.5)
+            # types only: SolverConfig judges the values (see main)
+            p.set_defaults(solver_parser=p)
+            p.add_argument("--c", type=_parse_fraction)
+            p.add_argument("--epsilon", type=float)
             p.add_argument("--c-prime", dest="c_prime", type=_parse_fraction)
             p.add_argument(
                 "--t-cap",
@@ -401,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--brute-cap", dest="brute_cap", type=int)
             p.add_argument("--replication", type=int)
-            p.add_argument("--sigma", type=_sigma_arg)
+            p.add_argument("--sigma", type=float)
             p.add_argument(
                 "--no-brute-bypass",
-                dest="no_brute_bypass",
-                action="store_true",
+                dest="brute_bypass",
+                action="store_false",
                 help="run the full pipeline even below the brute-force cap",
             )
 
@@ -461,6 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "solver_parser" in args:
+        # before any input is read: a bad solver flag is a usage error
+        try:
+            args.config = _build_config(args)
+        except ValueError as exc:
+            args.solver_parser.error(str(exc))
     try:
         return args.func(args)
     except (CertificationError, ScheduleError) as exc:

@@ -454,17 +454,11 @@ def approximation_violations(emb: Embedding, exact_cols: np.ndarray) -> tuple[in
     approx_n = emb.norms_sq
     exact_n = np.sum(exact_cols * exact_cols, axis=0)
     bad = int(np.sum(np.abs(approx_n - exact_n) > g * (approx_n + t)))
-    total = n
-    approx_g = emb.gram()
-    exact_g = exact_cols.T @ exact_cols
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = approx_n[i] + approx_n[j] - 2 * approx_g[i, j]
-            de = exact_n[i] + exact_n[j] - 2 * exact_g[i, j]
-            if abs(da - de) > g * (da + t):
-                bad += 1
-            total += 1
-    return bad, total
+    i, j = np.triu_indices(n, k=1)
+    da = approx_n[i] + approx_n[j] - 2 * emb.gram()[i, j]
+    de = exact_n[i] + exact_n[j] - 2 * (exact_cols.T @ exact_cols)[i, j]
+    bad += int(np.sum(np.abs(da - de) > g * (da + t)))
+    return bad, n + len(i)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -18,7 +18,7 @@ with == rather than tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Union
@@ -108,7 +108,9 @@ def clamp_epsilon(epsilon: float, n: int) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the solve pipeline.
+    """Knobs of the solve pipeline, and their one validator: ``vsep
+    solve`` and ``vsep bench`` pass their flags here unchecked, and a
+    ``ValueError`` from here is their usage error.
 
     ``c`` is the target balance, ``c_prime`` the achieved balance of
     returned separators (default c/8); each oracle round routes flow
@@ -633,7 +635,9 @@ class SolveReport:
     the largest guess whose run certified a lower bound, ``certificate``
     that run's certificate.
     ``cost_vs_bound_ok`` records cost >= (alpha_star - delta)/4 whenever
-    a certificate is present.
+    a certificate is present.  ``counters["maxflow_calls"]`` counts the
+    oracle's max flows only: the sweep cut's one flow is left out, which
+    keeps it equal to the flow.max_flow.calls that perfbench traces.
     """
 
     separator: SeparatorSolution
@@ -964,20 +968,31 @@ def primal_witness(g: WeightedGraph, s: SeparatorSolution, c: Rational) -> Prima
     return PrimalWitness(x=x, v=v, objective=objective, checks=tuple(checks))
 
 
+def _json_value(v):
+    """A report value as JSON: a Fraction as its string, a tuple as a list."""
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return str(v) if isinstance(v, Fraction) else v
+
+
 def report_to_dict(report: SolveReport) -> dict:
-    """JSON-ready tree with every report field; rationals as strings."""
-
-    def frac(v: Optional[Fraction]):
-        return None if v is None else str(v)
-
+    """JSON-ready tree with one key per ``SolveReport`` field; only the
+    separator and certificate subtrees are spelled out."""
+    tree = {f.name: _json_value(getattr(report, f.name)) for f in fields(SolveReport)}
     sol = report.separator
+    tree["separator"] = {
+        "a": list(sol.a_side),
+        "b": list(sol.b_side),
+        "c": list(sol.separator),
+        "cost": sol.cost,
+        "balance": str(Fraction(sol.balance_achieved)),
+    }
     cert = report.certificate
-    cert_dict = None
     if cert is not None:
-        cert_dict = {
-            "alpha": frac(cert.alpha),
-            "delta": frac(cert.delta),
-            "objective": frac(cert.objective()),
+        tree["certificate"] = {
+            "alpha": str(cert.alpha),
+            "delta": str(cert.delta),
+            "objective": str(cert.objective()),
             "lambda_max_estimate": cert.lambda_max_estimate,
             "norm_scale": cert.norm_scale,
             "terms": {
@@ -986,27 +1001,4 @@ def report_to_dict(report: SolveReport) -> dict:
                 "edges": len(cert.lam),
             },
         }
-    return {
-        "separator": {
-            "a": list(sol.a_side),
-            "b": list(sol.b_side),
-            "c": list(sol.separator),
-            "cost": sol.cost,
-            "balance": frac(Fraction(sol.balance_achieved)),
-        },
-        "alpha_star": frac(report.alpha_star),
-        "certified_lower_bound": frac(report.certified_lower_bound),
-        "certificate": cert_dict,
-        "oracle_cost": report.oracle_cost,
-        "kappa": report.kappa,
-        "separator_alpha": frac(report.separator_alpha),
-        "separator_via": report.separator_via,
-        "ratio_vs_brute": frac(report.ratio_vs_brute),
-        "brute_opt": report.brute_opt,
-        "cost_vs_bound_ok": report.cost_vs_bound_ok,
-        "counters": report.counters,
-        "alphas_tried": [frac(a) for a in report.alphas_tried],
-        "seed": report.seed,
-        "epsilon_used": report.epsilon_used,
-        "notes": list(report.notes),
-    }
+    return tree

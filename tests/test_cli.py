@@ -313,6 +313,25 @@ def test_bench_text_and_json(tmp_path, capsys):
     assert "cost" in tree["rows"][0]
 
 
+def test_bench_oracle_cost_matches_solve(tmp_path, capsys):
+    # cost is the returned separator, often the sweep cut whatever epsilon;
+    # oracle_cost is the paper pipeline's, as solve reports it
+    graph_file = tmp_path / "grid6.txt"
+    graph_file.write_text(render_graph(grid_graph(6, 6)))
+    common = ["--input", str(graph_file), "--t-cap", "10", "--format", "json"]
+    code, out, _ = run_cli(["bench", *common], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    assert any(row["oracle_cost"] is not None for row in rows)
+    for row in rows:
+        code, out, _ = run_cli(
+            ["solve", *common, "--epsilon", repr(row["epsilon"])], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["oracle_cost"] == row["oracle_cost"], row
+
+
 def test_bench_bad_grid(tmp_path, capsys):
     graph_file = tmp_path / "p5.txt"
     graph_file.write_text(P5_TEXT)
@@ -331,6 +350,16 @@ def test_usage_errors_exit_two(capsys):
     for command in ("solve", "bench"):
         bad += [[command, "--epsilon", x] for x in ("0", "-1", "nan", "inf")]
         bad += [[command, "--sigma", x] for x in ("-1", "nan", "inf")]
+        # SolverConfig judges these before the input is opened, so not exit 3
+        bad += [
+            [command, "--input", "/nonexistent/g.txt", flag, x]
+            for flag, x in (
+                ("--t-cap", "0"),
+                ("--replication", "0"),
+                ("--brute-cap", "-1"),
+                ("--c-prime", "1/2"),
+            )
+        ]
     for argv in bad:
         with pytest.raises(SystemExit) as info:
             main(argv)
