@@ -3,8 +3,9 @@
 The solver never materializes its (dense, exponential) primal iterate;
 it works with a low-dimensional random sketch whose pairwise distances
 approximate the exact ones.  This demo builds A from a few structured
-matrices the way the solver does, A + eta * N.sparse per step, and
-compares the sketch against the exact reference.
+matrices, A + eta * N.sparse per step, and compares the sketch against
+the exact reference.  The solver's sketch regime adds
+N.structured_sparse = N - y I instead, which gives the same X.
 
 Run with: python3 demos/02_embeddings.py
 """

@@ -8,13 +8,14 @@ symmetric A.  This module provides:
   the oracle: a scalar diagonal y plus one exact rational unit times
   non-negative integer multiplicities of spread, path and edge terms;
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
-  it current by A + eta * N.sparse each step;
+  it current by A + eta * N.structured_sparse each step, leaving out the
+  scalar diagonal that X ignores;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
   sign probes +-1/sqrt(d) (Achlioptas, JCSS 2003: the same JL bound as
   Gaussian ones at a fraction of the draw) multiplied by exp(A/2),
   evaluated by scaling and a Taylor series summed until its terms fall
-  below unit roundoff, in O(nnz(A) d) time per term and without any
-  n x n array;
+  below unit roundoff, on the rows of A that have entries only, in
+  O(nnz(A) d) time per term and without any n x n array;
 * :func:`dense_reference`, the exact eigendecomposition-based Gram
   columns, used wherever :func:`embeds_exactly` holds and for validation;
 * :func:`spectral_norm` / :func:`largest_eigenvalue`, by ``eigvalsh`` at
@@ -131,7 +132,11 @@ class FeedbackMatrix:
     repeats on every step; the multiplicities m are non-negative integers,
     so every coefficient is ``unit * m`` and every entry is an integer
     over one common denominator.  ``width_bound`` is the certified
-    spectral-norm bound for this instance of the case that produced it.
+    spectral-norm bound for this instance of the case that produced it,
+    and ``structured_bound`` the same case's bound on the structured part
+    N - y I.  ``sparse`` is N as CSR and ``structured_sparse`` is N - y I,
+    which touches only the vertices of the easy set, the paths and the
+    edges.
     """
 
     n: int
@@ -144,6 +149,7 @@ class FeedbackMatrix:
     lam: tuple[tuple[tuple[int, int], int], ...] = ()
     case: str = "custom"
     width_bound: float = 0.0
+    structured_bound: float = 0.0
 
     def __post_init__(self):
         if self.unit <= 0:
@@ -187,15 +193,18 @@ class FeedbackMatrix:
     def degree_ok(self, weights: Sequence[int]) -> bool:
         return all(d <= w for d, w in zip(self.lambda_degrees(), weights))
 
-    def _numerators(self) -> tuple[dict[tuple[int, int], int], int]:
+    def _numerators(
+        self, scalar: bool = True
+    ) -> tuple[dict[tuple[int, int], int], int]:
         """Upper-triangle entries (i <= j) as integer numerators over one
-        common denominator, which is returned alongside."""
+        common denominator, which is returned alongside; with ``scalar``
+        false, those of N - y I."""
         den = math.lcm(self.y.denominator, self.unit.denominator)
         y = self.y.numerator * (den // self.y.denominator)
         u = self.unit.numerator * (den // self.unit.denominator)
         s, m_s = self.easy_set or ((), 0)
         num = structured_entries(
-            (y,) * self.n,
+            (y,) * self.n if scalar else (),
             [(s, u * m_s)],
             [(p, u * m) for p, m in self.path_terms],
             [(e, u * m) for e, m in self.lam],
@@ -207,16 +216,22 @@ class FeedbackMatrix:
         num, den = self._numerators()
         return {key: Fraction(v, den) for key, v in num.items()}
 
-    def _floats(self) -> dict[tuple[int, int], float]:
+    def _floats(self, scalar: bool = True) -> dict[tuple[int, int], float]:
         """Upper-triangle entries, each rounded to float once (int / int
         division is correctly rounded)."""
-        num, den = self._numerators()
+        num, den = self._numerators(scalar)
         return {key: v / den for key, v in num.items()}
 
     @cached_property
     def sparse(self) -> sp.csr_matrix:
         """The assembled matrix as CSR (both triangles)."""
         return _symmetric_csr(self.n, self._floats())
+
+    @cached_property
+    def structured_sparse(self) -> sp.csr_matrix:
+        """N - y I as CSR (both triangles), from the same exact numerators
+        with y left out: rows of vertices no term touches are empty."""
+        return _symmetric_csr(self.n, self._floats(scalar=False))
 
     def assemble_dense(self) -> np.ndarray:
         """The floats of ``sparse`` as a dense array, built directly: a
@@ -251,10 +266,14 @@ def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix
 
 @dataclass(frozen=True, eq=False)
 class AccumulatedOperator:
-    """Symmetric operator A = eta * sum_r N^(r), held as a sparse matrix.
+    """Symmetric operator A, held as a sparse matrix, whose X is that of
+    eta * sum_r N^(r).
 
-    The solver keeps the matrix current by A + eta * N.sparse; products
-    run in time proportional to the number of non-zeros.
+    X = n exp(A)/Tr(exp(A)) does not change under A -> A - cI, so the
+    solver keeps A = eta * sum_r (N^(r) - y_r I), current by
+    A + eta * N.structured_sparse: no scalar fills the diagonal, and the
+    rows of vertices no feedback has touched stay empty.  Products run in
+    time proportional to the number of non-zeros.
     """
 
     n: int
@@ -331,36 +350,47 @@ def embeds_exactly(n: int) -> bool:
 
 
 def _expm_action(
-    m: sp.csr_matrix, u: np.ndarray, norm_bound: float, max_terms: int
+    m: sp.csr_matrix,
+    u: np.ndarray,
+    norm_bound: float,
+    max_terms: int,
+    floor: float = 0.0,
 ) -> np.ndarray:
-    """exp(M) u for a symmetric sparse M with ||M||_2 <= norm_bound, on a
-    C-ordered block u (one row per vertex), returned in the same layout.
+    """exp(M) u for a sparse M with ||M||_2 <= norm_bound, on a C-ordered
+    block u (one row per vertex), returned in the same layout.
 
     Applies exp(M / s) s times, s = max(1, ceil(norm_bound)), so each
     step's series converges at least as fast as that of exp(1).  A step
     sums Taylor terms until the largest entry of the term just added is
-    at most machine epsilon times the largest entry of the partial sum.
-    A step that has not stopped within ``max_terms`` terms (non-finite
-    input, or a norm bound far below ||M||) raises ScheduleError.
+    at most machine epsilon times the largest entry of the partial sum,
+    or ``floor`` if that is larger: the largest |entry| of block rows
+    that belong to the same sketch but that M leaves unchanged, so that
+    the series on M's rows alone stops where the one on the whole block
+    would.  A step that has not stopped within ``max_terms`` terms
+    (non-finite input, or a norm bound far below ||M||) raises
+    ScheduleError.
     """
     eps = np.finfo(float).eps
     s = max(1, math.ceil(norm_bound))
     for _ in range(s):
-        acc = u.copy()
-        term = u
-        for j in range(1, max_terms + 1):
+        term = m @ u
+        term /= s
+        acc = u + term
+        j = 1
+        # max|x| = max(max x, -min x) with no n x d temporary; a NaN in
+        # either block fails the test
+        while not max(term.max(), -term.min()) <= eps * max(
+            acc.max(), -acc.min(), floor
+        ):
+            if j == max_terms:
+                raise ScheduleError(
+                    f"exponential series did not reach unit roundoff within "
+                    f"{max_terms} terms (norm bound {norm_bound:.6g})"
+                )
+            j += 1
             term = m @ term
             term /= s * j
             acc += term
-            # max|x| = max(max x, -min x) with no n x d temporary; a NaN
-            # in either block fails the test
-            if max(term.max(), -term.min()) <= eps * max(acc.max(), -acc.min()):
-                break
-        else:
-            raise ScheduleError(
-                f"exponential series did not reach unit roundoff within "
-                f"{max_terms} terms (norm bound {norm_bound:.6g})"
-            )
         u = acc
     return u
 
@@ -372,6 +402,18 @@ def _sign_probes(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     block = np.multiply(rng.integers(0, 2, size=(n, d), dtype=bool), 2.0 * s)
     block -= s
     return block
+
+
+def _restrict(m: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """m on the rows and columns where the boolean mask ``keep`` holds,
+    which must include every row and column with an entry; the entries
+    keep m's order, so each row's products sum in the same order."""
+    rows = np.flatnonzero(keep)
+    indptr = np.concatenate(([0], m.indptr[rows + 1]))
+    renumber = np.cumsum(keep) - 1
+    return sp.csr_matrix(
+        (m.data, renumber[m.indices], indptr), shape=(len(rows), len(rows))
+    )
 
 
 def project_embedding(
@@ -387,13 +429,19 @@ def project_embedding(
     the result; independent signs carry the same Johnson-Lindenstrauss
     bound as Gaussian probes (Achlioptas, JCSS 2003) and cost one boolean
     draw.  The probes are drawn vertex-major, as a C-ordered n x d block
-    that the series and the normalization update without a copy, and the
-    embedding's ``vectors`` is its d x n transposed view.  The
+    that the series and the normalization update in place, and the
+    embedding's ``vectors`` is its d x n transposed view.  exp(A/2) is
+    the identity on the rows and columns of A that hold no entry, so the
+    series runs on the block's other rows and A restricted to them, and
+    the untouched probe rows enter its stopping test through their
+    largest |entry|: for a given A the block is bit for bit the one the
+    series on the whole block gives.  When every row has entries, A is
+    used as it is, which saves the gather and scatter of the block.  The
     exponential uses max(1, ceil(lambda_max / 2)) scaling steps
     (lambda_max >= ||A|| is the caller's certified bound), each a Taylor
     series summed to unit roundoff; the a-priori term count
     k = taylor_terms(...) caps every step.  Each term costs one sparse
-    product with the block, so a call is O(nnz(A) d) per term and
+    product with the rows in play, so a call is O(nnz(A) d) per term and
     allocates nothing n x n.  Raises ScheduleError when d or k exceed
     DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
     terms.  At A = 0 the sketch is the scaled probe block itself.
@@ -413,8 +461,21 @@ def project_embedding(
             "the schedule is mis-set for this instance"
         )
     block = _sign_probes(np.random.default_rng(seed), n, d)
-    if op.matrix.nnz:  # exp(0) = I: at A = 0 the probes are the sketch
-        block = _expm_action(op.matrix * 0.5, block, lambda_max / 2, k)
+    a = op.matrix
+    if a.nnz:  # exp(0) = I: at A = 0 the probes are the sketch
+        touched = np.diff(a.indptr) > 0
+        touched[a.indices] = True
+        if touched.all():  # no row to set aside: skip two n x d gathers
+            block = _expm_action(a * 0.5, block, lambda_max / 2, k)
+        else:
+            idle = block[~touched]
+            block[touched] = _expm_action(
+                _restrict(a * 0.5, touched),
+                block[touched],
+                lambda_max / 2,
+                k,
+                floor=max(idle.max(), -idle.min()),
+            )
     trace = float(np.vdot(block, block))
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")

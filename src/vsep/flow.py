@@ -294,10 +294,11 @@ class _Dinic:
         for v in queue:  # the queue grows while it is read
             d = depth[v] + 1
             for a in adj[v]:
-                u = to[a]
-                if depth[u] < 0 and res[a] > 0:
-                    depth[u] = d
-                    queue.append(u)
+                if res[a] > 0:
+                    u = to[a]
+                    if depth[u] < 0:
+                        depth[u] = d
+                        queue.append(u)
             if depth[t] >= 0:
                 break  # nodes deeper than t are on no shortest path
         level = [-1] * self.n

@@ -200,7 +200,9 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
     alpha = params.alpha
     z = 2 * alpha / (params.xi * n * n)
     y = -alpha / n
-    # exact eigenvalues are -alpha/n and -alpha/n + z |S|
+    # exact eigenvalues are -alpha/n and -alpha/n + z |S|; those of the
+    # spread term z K_S alone are 0 and z |S|
+    part = float(z * len(s))
     width = max(float(-y), abs(float(y + z * len(s))))
     return FeedbackMatrix(
         n=n,
@@ -211,6 +213,7 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
         easy_set=(tuple(s), 1),
         case="easy",
         width_bound=width,
+        structured_bound=part,
     )
 
 
@@ -257,7 +260,8 @@ def matching(
             f"sort domain has {len(domain)} vertices, need {2 * ab} for the slices"
         )
     proj = emb.vectors.T @ u_canon
-    order = sorted(domain, key=lambda x: (proj[x], x))
+    ids = np.array(domain)
+    order = ids[np.lexsort((ids, proj[ids]))].tolist()  # ties by vertex id
     a_side = sorted(order[:ab])
     b_side = sorted(order[-ab:])
 
@@ -340,7 +344,8 @@ def _flow_feedback(
             deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
     lam = [(edge, load) for edge, load in zip(g.edges, loads) if load]
     scale = 2 * params.beta_q
-    width = float(alpha / n) + 2 * (max(deg_mass.values(), default=0) / scale)
+    part = 2 * (max(deg_mass.values(), default=0) / scale)
+    width = float(alpha / n) + part
     return FeedbackMatrix(
         n=n,
         alpha=alpha,
@@ -351,6 +356,7 @@ def _flow_feedback(
         lam=tuple(lam),
         case="flow",
         width_bound=width,
+        structured_bound=part,
     )
 
 
@@ -472,9 +478,10 @@ def _chain_feedback(
             deg_f[b] = deg_f.get(b, 0) + 1
         deg_d[p[0]] = deg_d.get(p[0], 0) + 1
         deg_d[p[-1]] = deg_d.get(p[-1], 0) + 1
-    width = float(alpha / n) + float(f) * 2 * (
+    part = float(f) * 2 * (
         max(deg_f.values(), default=0) + max(deg_d.values(), default=0)
     )
+    width = float(alpha / n) + part
     return FeedbackMatrix(
         n=n,
         alpha=alpha,
@@ -484,6 +491,7 @@ def _chain_feedback(
         path_terms=tuple((p, 1) for p in paths),
         case="chain",
         width_bound=width,
+        structured_bound=part,
     )
 
 

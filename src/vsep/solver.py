@@ -494,7 +494,11 @@ def mmwu_run(
     ``DualLedger``, whose certificate a full horizon returns once ``verify``
     accepts it.  Capped, width-violating or oracle-failed runs return
     Inconclusive.  The loop runs at every n: the brute-force bypass is
-    decided by ``binary_search_solve`` alone.
+    decided by ``binary_search_solve`` alone.  In the sketch regime the
+    operator keeps each step's structured part N - y I rather than N (X
+    does not see a multiple of I), its norm is bounded by the sum of
+    eta * structured_bound, and N.X is formed as y sum_i ||v_i||^2 +
+    (N - y I).X.
     pre: alpha in [1, w(V)], seed >= 0 and ``slices_fit(n, c')``;
     ``make_oracle_params`` raises ValueError on the last.
     """
@@ -512,9 +516,9 @@ def mmwu_run(
     counters = counters if counters is not None else OracleCounters()
 
     dense_mode = embeds_exactly(n)
-    # A = eta * sum N: dense where the embedding is exact (eigh needs A
-    # dense), CSR otherwise, updated from each step's sparse N so that no
-    # iteration of the sketch regime touches an n x n array
+    # A = eta * sum N, dense where the embedding is exact (eigh needs A
+    # dense); in the sketch regime CSR, updated from each step's sparse
+    # N - y I, so that no iteration touches an n x n array
     a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
     eta_width_sum = 0.0
     ledger = DualLedger(n, alpha, sched.delta, params.xi)
@@ -586,8 +590,15 @@ def mmwu_run(
                 iterations_run=t,
                 alpha=alpha,
             )
-        nm = fm.assemble_dense() if dense_mode else fm.sparse
-        inner = emb.inner(nm)
+        if dense_mode:
+            nm = fm.assemble_dense()
+            inner = emb.inner(nm)
+            width = fm.width_bound
+        else:
+            # N.X = y Tr X + (N - y I).X
+            nm = fm.structured_sparse
+            inner = float(fm.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
+            width = fm.structured_bound
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "
@@ -596,7 +607,7 @@ def mmwu_run(
 
         ledger.add(fm)
         a_eta = a_eta + sched.eta * nm
-        eta_width_sum += sched.eta * fm.width_bound
+        eta_width_sum += sched.eta * width
         inner_sum += inner
 
     if not sched.completes:

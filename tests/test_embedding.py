@@ -410,6 +410,94 @@ def test_sign_probes_are_exact_signs():
     assert np.all(np.abs(emb.norms_sq - 1.0) <= 1e-12)
 
 
+def test_series_kernel_keeps_the_bits_of_its_first_form():
+    # the first partial sum is u + term, the probes 2s b - s from one
+    # boolean draw: both against their written-out forms, bit for bit
+    def reference_series(m, u, norm_bound, max_terms):
+        eps = np.finfo(float).eps
+        s = max(1, math.ceil(norm_bound))
+        for _ in range(s):
+            acc = u.copy()
+            term = u
+            for j in range(1, max_terms + 1):
+                term = m @ term
+                term /= s * j
+                acc += term
+                if max(term.max(), -term.min()) <= eps * max(acc.max(), -acc.min()):
+                    break
+            u = acc
+        return u
+
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal((30, 5))
+    for norm in (1e-3, 0.7, 3.5):
+        m = random_sparse_symmetric(rng, 30, norm)
+        assert np.array_equal(_expm_action(m, u, norm, 100),
+                              reference_series(m, u, norm, 100))
+    for d in (1, 2, 3, 384, 436, 443):
+        s = 1.0 / math.sqrt(d)
+        bits = np.random.default_rng(d).integers(0, 2, size=(7, d), dtype=bool)
+        got = _sign_probes(np.random.default_rng(d), 7, d)
+        assert np.array_equal(got, np.where(bits, s, -s))
+        assert got.flags.c_contiguous
+
+
+def touched_rows_operator(rng, n, rows, norm):
+    """Symmetric CSR whose entries lie on ``rows`` x ``rows`` only, with
+    spectral norm ``norm``: the other rows and columns are empty."""
+    k = len(rows)
+    inner = random_sparse_symmetric(rng, k, norm).tocoo()
+    rows = np.asarray(rows)
+    a = sp.csr_matrix((inner.data, (rows[inner.row], rows[inner.col])), shape=(n, n))
+    assert a.has_sorted_indices
+    return a
+
+
+def normalized_series(a, n, lam, seed):
+    """The sketch by the series on the whole probe block."""
+    d = projection_dimension(n, 0.25)
+    k = taylor_terms(n, 0.125, lam)
+    block = _expm_action(a * 0.5, _sign_probes(np.random.default_rng(seed), n, d),
+                         lam / 2, k)
+    block *= np.sqrt(n / float(np.vdot(block, block)))
+    return block
+
+
+@pytest.mark.parametrize("norm, shift", [(6.0, 3.0), (2.0, -12.0)])
+def test_sketch_on_touched_rows_is_the_full_block_series(norm, shift):
+    # exp(A/2) is the identity on A's empty rows: the series on the rows
+    # with entries, stopped with the idle rows' largest |entry| in view,
+    # gives the full-block series' block bit for bit.  A shift of -12
+    # shrinks the touched rows below the idle probes, so that entry
+    # decides when each series stops; every case takes several scaling
+    # steps
+    rng = np.random.default_rng(43)
+    n, seed = 90, 7
+    rows = sorted(rng.choice(n, size=25, replace=False).tolist())
+    on_rows = np.isin(np.arange(n), rows)
+    a = touched_rows_operator(rng, n, rows, norm)
+    a = (a + sp.diags(np.where(on_rows, shift, 0.0))).tocsr()
+    lam = float(spectral_norm(a.toarray()))
+    assert np.count_nonzero(np.diff(a.indptr)) == 25 and lam > 4
+    got = project_embedding(AccumulatedOperator(n, a), 0.25, 0.125, lam, seed)
+    assert np.array_equal(got.vectors.T, normalized_series(a, n, lam, seed))
+    assert got.vectors.T.flags.c_contiguous
+
+
+def test_sketch_ignores_the_scalar_part():
+    # X is invariant under A -> A + cI: B, whose empty rows skip the
+    # series, and B + cI, which runs it on every row, sketch the same X
+    rng = np.random.default_rng(47)
+    n, seed, c = 80, 3, 0.75
+    b = touched_rows_operator(rng, n, list(range(10, 40)), 1.5)
+    shifted = (b + c * sp.identity(n, format="csr")).tocsr()
+    lam = float(spectral_norm(b.toarray()))
+    e1 = project_embedding(AccumulatedOperator(n, b), 0.25, 0.125, lam, seed)
+    e2 = project_embedding(AccumulatedOperator(n, shifted), 0.25, 0.125, lam + c, seed)
+    assert np.linalg.norm(e1.vectors - e2.vectors) <= 1e-12 * np.linalg.norm(e2.vectors)
+    assert not np.array_equal(e1.vectors, e2.vectors)
+
+
 def test_project_embedding_guards(monkeypatch):
     op = AccumulatedOperator(4, sp.csr_matrix((4, 4)))
     with pytest.raises(ValueError):

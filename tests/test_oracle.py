@@ -469,6 +469,62 @@ def test_inner_from_vectors_matches_gram():
         assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
 
 
+def test_structured_part_within_its_bound():
+    # the sketch regime adds N - y I to A and bounds its norm by
+    # structured_bound; eigvalsh checks it on easy, flow and chain
+    # feedback.  For the easy step it is exact and above width - |y|; for
+    # flow and chain it is width - |y|, since their width is |y| plus it
+    n = 5
+    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25,
+                          tau=0.125)
+    easy = easy_case(collapsed, mk_params(n=n, alpha=3))
+    g, flow_emb, params = flow_setup()
+    flow = matching(g, flow_emb, np.array([1.0, 0.0]), params).feedback
+    chain_fm = _chain_feedback([(0, 1, 2), (3, 4)],
+                               mk_params(n=6, alpha=3, delta_spread=2.0, path_min=2))
+    rng = np.random.default_rng(19)
+    for fm, emb in ((easy, collapsed), (flow, flow_emb), (chain_fm, None)):
+        part = fm.structured_sparse.toarray()
+        y = float(fm.y)
+        assert np.allclose(part + y * np.eye(fm.n), fm.sparse.toarray(),
+                           rtol=0, atol=1e-15)
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(part))))
+        assert 0 < norm <= fm.structured_bound * (1 + 1e-12), fm.case
+        if fm.case == "easy":
+            assert math.isclose(norm, fm.structured_bound, rel_tol=1e-12)
+            assert norm > fm.width_bound - abs(y)
+        else:
+            assert math.isclose(fm.structured_bound, fm.width_bound - abs(y),
+                                rel_tol=1e-12), fm.case
+        # the solver's N.X = y sum ||v_i||^2 + (N - y I).X
+        if emb is None:
+            emb = Embedding(vectors=rng.standard_normal((3, fm.n)), gamma=0.25,
+                            tau=0.125)
+        split = y * float(emb.norms_sq.sum()) + emb.inner(fm.structured_sparse)
+        assert math.isclose(split, emb.inner(fm.sparse), rel_tol=1e-12)
+    # rows no term touches are empty: vertex 5 is on no path, and the
+    # two-vertex path (3, 4) is identically zero
+    assert np.diff(chain_fm.structured_sparse.indptr).tolist() == [2, 3, 2, 0, 0, 0]
+
+
+def test_matching_breaks_projection_ties_by_vertex_id(monkeypatch):
+    # projections 1, 0, 1, 0, 1, 0: the sort order is 1, 3, 5, 0, 2, 4,
+    # so the two-vertex slices are {1, 3} and {2, 4}
+    g, _, params = matching_setup()
+    emb = line_embedding([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    sides = []
+    build = oracle_mod.build_split_network
+
+    def spy(g, a_side, b_side, *args):
+        sides.append((a_side, b_side))
+        return build(g, a_side, b_side, *args)
+
+    monkeypatch.setattr(oracle_mod, "build_split_network", spy)
+    matching(g, emb, np.array([1.0]), params)
+    assert sides == [([1, 3], [2, 4])]
+    assert all(type(v) is int for side in sides[0] for v in side)
+
+
 # ---------------------------------------------------------------------------
 # chain: integration
 # ---------------------------------------------------------------------------

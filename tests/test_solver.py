@@ -10,9 +10,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from vsep.embedding import DENSE_CAP, FeedbackMatrix, ScheduleError
+from vsep.embedding import DENSE_CAP, FeedbackMatrix, ScheduleError, spectral_norm
 from vsep.graphs import (
     SeparatorSolution,
     complete_graph,
@@ -280,6 +281,48 @@ def test_embedding_regime_boundary(monkeypatch):
         calls.update(dense=0, sketch=0)
         mmwu_run(path_graph(n), 2, cfg, seed=0)
         assert calls == want, n
+
+
+def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
+    # a path of weight-8 vertices at alpha = 1 takes a flow step at every
+    # iteration; after three of them the operator the sketch receives is
+    # eta * sum (N - y I): the rows no path or edge touched are empty, no
+    # scalar sits on the diagonal, and every row sums to zero because
+    # each flow term is a Laplacian.  Its norm bound is eta times the
+    # structured parts' bounds, below the widths by alpha/n a step
+    ops, lams, feedback = [], [], []
+    sketch, oracle = solver_mod.project_embedding, solver_mod.run_oracle
+
+    def spy_sketch(op, *args, **kwargs):
+        ops.append(op)
+        lams.append(kwargs["lambda_max"])
+        return sketch(op, *args, **kwargs)
+
+    def spy_oracle(*args):
+        out = oracle(*args)
+        feedback.append(out.feedback)
+        return out
+
+    monkeypatch.setattr(solver_mod, "project_embedding", spy_sketch)
+    monkeypatch.setattr(solver_mod, "run_oracle", spy_oracle)
+    g = with_weights(path_graph(120), [8] * 120)
+    cfg = SolverConfig(t_cap=4)
+    out = mmwu_run(g, 1, cfg, seed=0)
+    assert isinstance(out, Inconclusive) and len(ops) == 4
+    assert [fm.case for fm in feedback] == ["flow"] * 4
+    a = ops[3].matrix
+    touched = np.count_nonzero(np.diff(a.indptr))
+    assert 0 < touched < g.n
+    assert np.count_nonzero(a.diagonal()) <= touched
+    assert np.abs(a @ np.ones(g.n)).max() <= 1e-12 * np.abs(a.data).max()
+    eta = MMWUSchedule.plan(make_oracle_params(g, 1, cfg), cfg).eta
+    want = sum(eta * fm.structured_sparse for fm in feedback[:3])
+    assert np.allclose(a.toarray(), want.toarray(), rtol=0, atol=1e-15)
+    bound = sum(eta * fm.structured_bound for fm in feedback[:3])
+    assert math.isclose(lams[3], bound, rel_tol=1e-12)
+    assert spectral_norm(a.toarray()) <= lams[3]
+    widths = sum(eta * fm.width_bound for fm in feedback[:3])
+    assert math.isclose(widths - lams[3], 3 * eta / g.n, rel_tol=1e-9)
 
 
 def test_mmwu_run_requires_slices_that_fit():
