@@ -25,7 +25,7 @@ from vsep.oracle import (
 
 
 def line(coords) -> Embedding:
-    return Embedding(vectors=np.array([coords], dtype=float), gamma=0.25, tau=0.125)
+    return Embedding(vectors=np.array([coords], dtype=float))
 
 
 def easy_case() -> None:
@@ -62,8 +62,7 @@ def flow_case() -> None:
         k_rounds=2, path_min=2, attempt_budget=20,
     )
     emb = Embedding(
-        vectors=np.array([[-1.7, 0.0, 0.0, 1.7], [0.0, 1.0, -1.0, 0.0]]),
-        gamma=0.25, tau=0.125,
+        vectors=np.array([[-1.7, 0.0, 0.0, 1.7], [0.0, 1.0, -1.0, 0.0]])
     )
     out = run_oracle(g, emb, params, np.random.default_rng(0), OracleCounters())
     assert isinstance(out, FeedbackOutcome)

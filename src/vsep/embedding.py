@@ -134,9 +134,11 @@ class FeedbackMatrix:
     over one common denominator.  ``width_bound`` is the certified
     spectral-norm bound for this instance of the case that produced it,
     and ``structured_bound`` the same case's bound on the structured part
-    N - y I.  ``sparse`` is N as CSR and ``structured_sparse`` is N - y I,
-    which touches only the vertices of the easy set, the paths and the
-    edges.
+    N - y I.  The solver adds one of two float forms to A:
+    ``assemble_dense()``, N as a dense array, where the embedding is
+    exact, and ``structured_sparse``, N - y I as CSR, which touches only
+    the vertices of the easy set, the paths and the edges, in the sketch
+    regime.
     """
 
     n: int
@@ -223,19 +225,15 @@ class FeedbackMatrix:
         return {key: v / den for key, v in num.items()}
 
     @cached_property
-    def sparse(self) -> sp.csr_matrix:
-        """The assembled matrix as CSR (both triangles)."""
-        return _symmetric_csr(self.n, self._floats())
-
-    @cached_property
     def structured_sparse(self) -> sp.csr_matrix:
         """N - y I as CSR (both triangles), from the same exact numerators
         with y left out: rows of vertices no term touches are empty."""
         return _symmetric_csr(self.n, self._floats(scalar=False))
 
     def assemble_dense(self) -> np.ndarray:
-        """The floats of ``sparse`` as a dense array, built directly: a
-        scipy construction costs more than a whole small-n iteration."""
+        """N as a dense array, its exact entries each rounded to float
+        once, built directly: a scipy construction costs more than a whole
+        small-n iteration."""
         return symmetric_dense(self.n, self._floats())
 
 
@@ -291,8 +289,6 @@ class Embedding:
     """
 
     vectors: np.ndarray
-    gamma: float
-    tau: float
 
     @property
     def n(self) -> int:
@@ -480,7 +476,7 @@ def project_embedding(
     if trace <= 0:
         raise ScheduleError("sketch collapsed to zero; increase dimensions")
     block *= np.sqrt(n / trace)
-    return Embedding(vectors=block.T, gamma=gamma, tau=tau)
+    return Embedding(block.T)
 
 
 def dense_reference(a: np.ndarray) -> np.ndarray:
@@ -502,23 +498,24 @@ def dense_reference(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(scale)).T
 
 
-def approximation_violations(emb: Embedding, exact_cols: np.ndarray) -> tuple[int, int]:
+def approximation_violations(
+    emb: Embedding, exact_cols: np.ndarray, gamma: float, tau: float
+) -> tuple[int, int]:
     """Count failures of the two sketch-accuracy inequalities.
 
     Checks |~n_i - n_i| <= gamma (~n_i + tau) for the n squared norms and
     the analogous bound for all n(n-1)/2 squared pairwise distances,
-    where n_i comes from the exact Gram columns, at the embedding's own
-    gamma and tau.  Returns (violations, checks).
+    where n_i comes from the exact Gram columns, at the given gamma and
+    tau (those the sketch was drawn for).  Returns (violations, checks).
     """
-    g, t = emb.gamma, emb.tau
     n = emb.n
     approx_n = emb.norms_sq
     exact_n = np.sum(exact_cols * exact_cols, axis=0)
-    bad = int(np.sum(np.abs(approx_n - exact_n) > g * (approx_n + t)))
+    bad = int(np.sum(np.abs(approx_n - exact_n) > gamma * (approx_n + tau)))
     i, j = np.triu_indices(n, k=1)
     da = approx_n[i] + approx_n[j] - 2 * emb.gram()[i, j]
     de = exact_n[i] + exact_n[j] - 2 * (exact_cols.T @ exact_cols)[i, j]
-    bad += int(np.sum(np.abs(da - de) > g * (da + t)))
+    bad += int(np.sum(np.abs(da - de) > gamma * (da + tau)))
     return bad, n + len(i)
 
 

@@ -148,6 +148,13 @@ class SolverConfig:
             raise ValueError("achieved balance c' must lie in (0, c]")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
+        # a float count would fail only deep in a solve, at range()
+        if not (
+            isinstance(self.t_cap, int)
+            and isinstance(self.brute_cap, int)
+            and isinstance(self.replication, (int, type(None)))
+        ):
+            raise ValueError("t_cap, brute_cap and replication must be ints")
         if self.t_cap < 1:
             raise ValueError("t_cap must be >= 1")
         if self.brute_cap < 0:
@@ -244,7 +251,6 @@ class MMWUSchedule:
     against its case bound and aborts on violation.
     """
 
-    alpha: Fraction
     delta: Fraction
     rho: float
     eta: float
@@ -295,7 +301,6 @@ class MMWUSchedule:
             4 * n * n * rho * rho * log_guard(n) / float(delta) ** 2
         )
         sched = cls(
-            alpha=alpha,
             delta=delta,
             rho=rho,
             eta=eta,
@@ -376,7 +381,6 @@ class RunDiagnostics:
     eta: float
     rho: float
     iterations_run: int
-    iterations_scheduled: int
     mean_inner: float
 
 
@@ -402,7 +406,6 @@ class CertificateFound:
 class Inconclusive:
     reason: str
     iterations_run: int
-    alpha: Fraction
 
 
 MMWUOutcome = Union[SeparatorFound, CertificateFound, Inconclusive]
@@ -492,13 +495,15 @@ def mmwu_run(
     from the embedding and parameters every replica shares, so it ends the
     run.  A separator outcome returns immediately; feedback goes into a
     ``DualLedger``, whose certificate a full horizon returns once ``verify``
-    accepts it.  Capped, width-violating or oracle-failed runs return
-    Inconclusive.  The loop runs at every n: the brute-force bypass is
-    decided by ``binary_search_solve`` alone.  In the sketch regime the
-    operator keeps each step's structured part N - y I rather than N (X
-    does not see a multiple of I), its norm is bounded by the sum of
-    eta * structured_bound, and N.X is formed as y sum_i ||v_i||^2 +
-    (N - y I).X.
+    accepts it.  Capped, oracle-failed and sketch-failed runs return
+    Inconclusive, as does a run whose feedback exceeds its case's width
+    bound or comes from a case the schedule planned no bound for.  The
+    loop runs at every n: the brute-force bypass is decided by
+    ``binary_search_solve`` alone.  The exact regime adds N itself to a
+    dense A.  The sketch regime adds each step's structured part N - y I
+    instead (X does not see a multiple of I), bounds ||A|| by the sum of
+    eta * structured_bound for the sketch's series, and forms N.X as
+    y sum_i ||v_i||^2 + (N - y I).X.
     pre: alpha in [1, w(V)], seed >= 0 and ``slices_fit(n, c')``;
     ``make_oracle_params`` raises ValueError on the last.
     """
@@ -518,20 +523,17 @@ def mmwu_run(
     dense_mode = embeds_exactly(n)
     # A = eta * sum N, dense where the embedding is exact (eigh needs A
     # dense); in the sketch regime CSR, updated from each step's sparse
-    # N - y I, so that no iteration touches an n x n array
+    # N - y I, so that no iteration touches an n x n array; a_bound >=
+    # ||A|| is kept for the sketch's series only
     a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
-    eta_width_sum = 0.0
+    a_bound = 0.0
     ledger = DualLedger(n, alpha, sched.delta, params.xi)
     inner_sum = 0.0
     t_run = sched.run_iterations
 
     for t in range(t_run):
         if dense_mode:
-            emb = Embedding(
-                vectors=dense_reference(a_eta),
-                gamma=DEFAULT_GAMMA,
-                tau=tau_val,
-            )
+            emb = Embedding(dense_reference(a_eta))
         else:
             op = AccumulatedOperator(n=n, matrix=a_eta)
             try:
@@ -539,13 +541,11 @@ def mmwu_run(
                     op,
                     DEFAULT_GAMMA,
                     tau_val,
-                    lambda_max=eta_width_sum,
+                    lambda_max=a_bound,
                     seed=_substream(seed, _EMBED_STREAM, t),
                 )
             except ScheduleError as exc:
-                return Inconclusive(
-                    reason=f"projection schedule: {exc}", iterations_run=t, alpha=alpha
-                )
+                return Inconclusive(reason=f"projection schedule: {exc}", iterations_run=t)
 
         outcome = None
         for r in range(replication):
@@ -560,7 +560,6 @@ def mmwu_run(
                     return Inconclusive(
                         reason=f"oracle failed at iteration {t}: {exc}",
                         iterations_run=t,
-                        alpha=alpha,
                     )
                 if exc.harvested == 0 and params.sigma > SIGMA_FLOOR:
                     params = replace(params, sigma=max(params.sigma / 2.0, SIGMA_FLOOR))
@@ -568,7 +567,6 @@ def mmwu_run(
             return Inconclusive(
                 reason=f"oracle exhausted {replication} replicas at iteration {t}",
                 iterations_run=t,
-                alpha=alpha,
             )
 
         if isinstance(outcome, SeparatorOutcome):
@@ -582,23 +580,21 @@ def mmwu_run(
         fm = outcome.feedback
         bound = sched.case_bounds.get(fm.case)
         if bound is None or fm.width_bound > bound * (1 + 1e-9):
-            return Inconclusive(
-                reason=(
-                    f"width {fm.width_bound:.6g} exceeds the {fm.case} "
-                    f"bound {bound:.6g} at iteration {t}"
-                ),
-                iterations_run=t,
-                alpha=alpha,
+            why = (
+                f"feedback case {fm.case!r} has no planned width bound"
+                if bound is None
+                else f"width {fm.width_bound:.6g} exceeds the {fm.case} "
+                f"bound {bound:.6g}"
             )
+            return Inconclusive(reason=f"{why} at iteration {t}", iterations_run=t)
         if dense_mode:
             nm = fm.assemble_dense()
             inner = emb.inner(nm)
-            width = fm.width_bound
         else:
             # N.X = y Tr X + (N - y I).X
             nm = fm.structured_sparse
             inner = float(fm.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
-            width = fm.structured_bound
+            a_bound += sched.eta * fm.structured_bound
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "
@@ -607,7 +603,6 @@ def mmwu_run(
 
         ledger.add(fm)
         a_eta = a_eta + sched.eta * nm
-        eta_width_sum += sched.eta * width
         inner_sum += inner
 
     if not sched.completes:
@@ -617,7 +612,6 @@ def mmwu_run(
                 f"horizon {sched.iterations}"
             ),
             iterations_run=t_run,
-            alpha=alpha,
         )
 
     cert = verify(ledger.certificate(), g, config.certification_tol)
@@ -625,7 +619,6 @@ def mmwu_run(
         eta=sched.eta,
         rho=sched.rho,
         iterations_run=t_run,
-        iterations_scheduled=sched.iterations,
         mean_inner=inner_sum / t_run,
     )
     return CertificateFound(certificate=cert, diagnostics=diagnostics)

@@ -124,7 +124,7 @@ def test_criterion_2_embedding_fidelity():
         lam = spectral_norm(a)
         op = AccumulatedOperator(n, sp.csr_matrix(a))
         emb = project_embedding(op, DEFAULT_GAMMA, 0.125, lam, seed=trial)
-        b, t = approximation_violations(emb, dense_reference(a))
+        b, t = approximation_violations(emb, dense_reference(a), DEFAULT_GAMMA, 0.125)
         bad += b
         total += t
     elapsed = time.perf_counter() - t0
@@ -259,10 +259,7 @@ def _line_separator_fixture(n, idx, trials):
         epsilon=0.5, delta_spread=2.0, beta_p=10, beta_q=1,
         k_rounds=2, path_min=2, attempt_budget=20,
     )
-    emb = Embedding(
-        vectors=np.array([[0.5 * i for i in range(n)]]),
-        gamma=0.25, tau=0.125,
-    )
+    emb = Embedding(vectors=np.array([[0.5 * i for i in range(n)]]))
     out = run_oracle(g, emb, params, np.random.default_rng((idx, n)), OracleCounters())
     assert isinstance(out, SeparatorOutcome)
     sol = out.separator
@@ -337,9 +334,10 @@ def test_criterion_3_oracle_contract(oracle_trials):
 
 
 def test_feedback_floats_are_exact_entries_rounded_once(oracle_trials):
-    # every emitted N.sparse and N.assemble_dense() equal, bitwise, the
-    # matrix whose entries are structured_entries over the exact
-    # coefficients, each float()ed once
+    # every emitted N.assemble_dense() and N.structured_sparse, the two
+    # forms the solver adds to A, equal, bitwise, the matrices whose
+    # entries are structured_entries over the exact coefficients (without
+    # y for the second), each float()ed once
     feedback = [t for t in oracle_trials if t.kind != "separator"]
     assert feedback
     assert all(t.floats_exact for t in feedback)
@@ -453,10 +451,11 @@ def test_criterion_5_end_to_end_vs_brute_force(small_suite, staged_run):
 
 
 def test_criterion_6_regret_arithmetic(staged_run):
-    g, _, out = staged_run
+    g, cfg, out = staged_run
     assert isinstance(out, CertificateFound)
     cert, diag = out.certificate, out.diagnostics
-    completed = diag.iterations_run == diag.iterations_scheduled
+    scheduled = MMWUSchedule.plan(make_oracle_params(g, 1, cfg), cfg).iterations
+    completed = diag.iterations_run == scheduled
     spectral_ok = cert.lambda_max_estimate <= 1e-6 * max(cert.norm_scale, 1e-12)
     objective_ok = cert.objective() == cert.alpha - cert.delta
 

@@ -75,14 +75,15 @@ def entries_to_dense(n, entries):
     return m
 
 
-def reference_dense(fm):
+def reference_dense(fm, scalar=True):
     """fm assembled from its exact coefficients unit * m by
-    structured_entries, with one float() per entry."""
+    structured_entries, with one float() per entry; with ``scalar`` false,
+    N - y I."""
     spread = ()
     if fm.easy_set is not None:
         spread = ((fm.easy_set[0], fm.unit * fm.easy_set[1]),)
     return entries_to_dense(fm.n, structured_entries(
-        (fm.y,) * fm.n,
+        (fm.y,) * fm.n if scalar else (),
         spread,
         [(p, fm.unit * m) for p, m in fm.path_terms],
         [(e, fm.unit * m) for e, m in fm.lam],
@@ -90,10 +91,11 @@ def reference_dense(fm):
 
 
 def floats_are_exact(fm):
-    """Both float forms of fm equal reference_dense bitwise."""
-    want = reference_dense(fm)
-    return (np.array_equal(fm.sparse.toarray(), want)
-            and np.array_equal(fm.assemble_dense(), want))
+    """Both float forms the solver adds to A equal their references
+    bitwise: N dense, and N - y I as CSR."""
+    return (np.array_equal(fm.assemble_dense(), reference_dense(fm))
+            and np.array_equal(fm.structured_sparse.toarray(),
+                               reference_dense(fm, scalar=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,8 @@ def make_random_feedback(rng, n):
 
 
 def test_incremental_sparse_update_matches_accumulate():
-    # the solver's running A + eta * N.sparse against the exact sum of
-    # the history, formed as Fractions and rounded once
+    # the sketch regime's running A + eta * (N - y I) against the exact
+    # sum of the history, formed as Fractions and rounded once
     rng = np.random.default_rng(13)
     n = 9
     history = [make_random_feedback(rng, n) for _ in range(20)]
@@ -235,9 +237,11 @@ def test_incremental_sparse_update_matches_accumulate():
     a = sp.csr_matrix((n, n))
     total: dict = {}
     for fm in history:
-        a = a + float(eta) * fm.sparse
+        a = a + float(eta) * fm.structured_sparse
         for key, v in fm.entries().items():
             total[key] = total.get(key, 0) + v * eta
+        for i in range(n):
+            total[(i, i)] = total.get((i, i), 0) - fm.y * eta
     want = entries_to_dense(n, total)
     assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
     for fm in history:
@@ -531,7 +535,7 @@ def test_projection_accuracy_against_dense():
         op = AccumulatedOperator(n, sp.csr_matrix(a))
         emb = project_embedding(op, 0.25, 0.125, lam, seed=trial)
         exact = dense_reference(a)
-        b, t = approximation_violations(emb, exact)
+        b, t = approximation_violations(emb, exact, 0.25, 0.125)
         bad += b
         total += t
     assert total > 500
@@ -544,10 +548,12 @@ def test_dense_embedding_is_exact():
     rng = np.random.default_rng(23)
     a = rng.standard_normal((8, 8))
     a = (a + a.T) / 4
-    emb = Embedding(vectors=dense_reference(a), gamma=0.25, tau=0.125)
+    emb = Embedding(vectors=dense_reference(a))
     ex = scipy.linalg.expm(a)
     x = 8 * ex / np.trace(ex)
-    bad, total = approximation_violations(emb, np.real(scipy.linalg.sqrtm(x)))
+    bad, total = approximation_violations(
+        emb, np.real(scipy.linalg.sqrtm(x)), 0.25, 0.125
+    )
     assert bad == 0 and total == 8 + 28
     assert np.allclose(emb.gram(), x, atol=1e-10)
     assert math.isclose(float(np.sum(emb.norms_sq)), 8.0, rel_tol=1e-12)
@@ -559,7 +565,7 @@ def test_spread_over_matches_double_loop():
     vertex_major = np.ascontiguousarray(vectors.T).T
     assert vertex_major.T.flags.c_contiguous
     for v in (vectors, vertex_major):
-        emb = Embedding(vectors=v, gamma=0.25, tau=0.125)
+        emb = Embedding(vectors=v)
         direct_norms = [sum(x * x for x in v[:, i]) for i in range(9)]
         assert np.allclose(emb.norms_sq, direct_norms, rtol=1e-12, atol=0)
         for s in ([1, 3, 4, 8], list(range(9))):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import vsep.graphs as graphs_mod
 from vsep.graphs import (
     GraphFormatError,
     SeparatorSolution,
@@ -43,6 +44,23 @@ def test_make_graph_canonicalizes_edges():
     assert g.edges == ((0, 3), (1, 2))
     assert g.m == 2
     assert g.weights == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "n, edges, weights, message",
+    [
+        (0, (), (), "at least one vertex"),
+        (2, (), (1,), "length"),
+        (2, (), (1, 0), "outside"),
+        (3, ((1, 1),), (1, 1, 1), "self-loop"),
+        (3, ((2, 1),), (1, 1, 1), "not sorted"),
+        (3, ((0, 1), (0, 1)), (1, 1, 1), "duplicate"),
+    ],
+)
+def test_direct_construction_rejects(n, edges, weights, message):
+    # parse_graph refuses these first; only direct construction gets here
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(n, edges, weights)
 
 
 def test_round_trip_parse_render():
@@ -240,6 +258,28 @@ def test_sweep_separator_validates_at_c(g, cost):
     assert sol.balance_achieved == THIRD
     assert sol.cost == cost
     assert sweep_separator(g, THIRD) == sol  # deterministic
+
+
+def test_sweep_separator_restarts_at_a_peripheral_vertex(monkeypatch):
+    # path 21 relabelled so that vertex 0 sits in the middle and 1 and 20
+    # at the ends: the BFS from 0 has 11 levels, ending in {1, 20}; the
+    # one from 1 has 21, so the sweep restarts, and the one from 20 (the
+    # far end) has no more, so it stops
+    line = [1, *range(2, 11), 0, *range(11, 21)]
+    g = make_graph(21, list(zip(line, line[1:])))
+    roots = []
+    bfs = graphs_mod._bfs_levels
+
+    def spy(adj, root):
+        roots.append(root)
+        return bfs(adj, root)
+
+    monkeypatch.setattr(graphs_mod, "_bfs_levels", spy)
+    sol = sweep_separator(g, THIRD)
+    assert roots == [0, 1, 20]
+    assert sol is not None and sol.cost == 1
+    ok, msg = validate_separator(g, sol, THIRD)
+    assert ok, msg
 
 
 def test_sweep_separator_none_cases():

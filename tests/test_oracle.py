@@ -58,10 +58,7 @@ def mk_params(n, alpha=1, c=F(1, 3), c_prime=F(1, 4), sigma=0.05,
 
 def line_embedding(coords):
     """One-dimensional embedding with the given x coordinates."""
-    return Embedding(
-        vectors=np.array([coords], dtype=float),
-        gamma=0.25, tau=0.125,
-    )
+    return Embedding(vectors=np.array([coords], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +114,7 @@ def test_canonical_direction():
 
 def test_easy_case_collapsed_embedding():
     n, alpha = 5, F(3)
-    emb = Embedding(
-        vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25, tau=0.125,
-    )
+    emb = Embedding(vectors=np.ones((2, n)) / math.sqrt(2))
     params = mk_params(n=n, alpha=3)
     fm = easy_case(emb, params)
     assert fm is not None and fm.case == "easy"
@@ -157,7 +152,7 @@ def test_easy_case_threshold_is_strict():
 
 def test_easy_case_abstains_when_spread():
     n = 6
-    emb = Embedding(vectors=np.eye(n), gamma=0.25, tau=0.125)
+    emb = Embedding(vectors=np.eye(n))
     assert easy_case(emb, mk_params(n=n)) is None
 
 
@@ -212,7 +207,7 @@ def flow_setup():
         [-1.7, 0.0, 0.0, 1.7],
         [0.0, 1.0, -1.0, 0.0],
     ])
-    emb = Embedding(vectors=vectors, gamma=0.25, tau=0.125)
+    emb = Embedding(vectors=vectors)
     params = mk_params(n=4, alpha=5, c_prime=F(1, 8), beta_p=1, beta_q=1)
     assert params.ab_size == 1
     return g, emb, params
@@ -332,7 +327,7 @@ def test_matching_exact_reversal_symmetry_sweep():
         g = gnp_graph(n, 0.5, seed=int(rng.integers(0, 10 ** 6)))
         vecs = rng.standard_normal((3, n))
         vecs *= math.sqrt(6.0 / max(np.sum(vecs * vecs, axis=0).max(), 1e-9))
-        emb = Embedding(vectors=vecs, gamma=0.25, tau=0.125)
+        emb = Embedding(vectors=vecs)
         params = mk_params(
             n=n,
             alpha=int(rng.integers(1, n)),
@@ -442,12 +437,12 @@ def test_chain_feedback_coefficients():
 
 
 def test_inner_from_vectors_matches_gram():
-    # the solver's N.X from the embedding vectors, sparse and dense N,
-    # against the Frobenius product with the n x n Gram matrix
+    # the solver's N.X from the embedding vectors, in both regimes' forms
+    # (dense N, and y sum ||v_i||^2 plus the sparse N - y I), against the
+    # Frobenius product with the n x n Gram matrix
     rng = np.random.default_rng(17)
     n, alpha = 5, F(3)
-    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25,
-                          tau=0.125)
+    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2))
     easy = easy_case(collapsed, mk_params(n=n, alpha=3))
     g, flow_emb, params = flow_setup()
     flow = matching(g, flow_emb, np.array([1.0, 0.0]), params).feedback
@@ -459,13 +454,15 @@ def test_inner_from_vectors_matches_gram():
         lam=(((1, 2), 140),),
     )
     cases = [(easy, collapsed), (flow, flow_emb)] + [
-        (fm, Embedding(vectors=rng.standard_normal((3, 6)), gamma=0.25, tau=0.125))
+        (fm, Embedding(vectors=rng.standard_normal((3, 6))))
         for fm in (chain_fm, custom)
     ]
     assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
     for fm, emb in cases:
         want = float(np.sum(fm.assemble_dense() * (emb.vectors.T @ emb.vectors)))
-        assert math.isclose(emb.inner(fm.sparse), want, rel_tol=1e-10)
+        split = (float(fm.y) * float(emb.norms_sq.sum())
+                 + emb.inner(fm.structured_sparse))
+        assert math.isclose(split, want, rel_tol=1e-10)
         assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
 
 
@@ -475,8 +472,7 @@ def test_structured_part_within_its_bound():
     # feedback.  For the easy step it is exact and above width - |y|; for
     # flow and chain it is width - |y|, since their width is |y| plus it
     n = 5
-    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2), gamma=0.25,
-                          tau=0.125)
+    collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2))
     easy = easy_case(collapsed, mk_params(n=n, alpha=3))
     g, flow_emb, params = flow_setup()
     flow = matching(g, flow_emb, np.array([1.0, 0.0]), params).feedback
@@ -486,7 +482,7 @@ def test_structured_part_within_its_bound():
     for fm, emb in ((easy, collapsed), (flow, flow_emb), (chain_fm, None)):
         part = fm.structured_sparse.toarray()
         y = float(fm.y)
-        assert np.allclose(part + y * np.eye(fm.n), fm.sparse.toarray(),
+        assert np.allclose(part + y * np.eye(fm.n), fm.assemble_dense(),
                            rtol=0, atol=1e-15)
         norm = float(np.max(np.abs(np.linalg.eigvalsh(part))))
         assert 0 < norm <= fm.structured_bound * (1 + 1e-12), fm.case
@@ -498,10 +494,9 @@ def test_structured_part_within_its_bound():
                                 rel_tol=1e-12), fm.case
         # the solver's N.X = y sum ||v_i||^2 + (N - y I).X
         if emb is None:
-            emb = Embedding(vectors=rng.standard_normal((3, fm.n)), gamma=0.25,
-                            tau=0.125)
+            emb = Embedding(vectors=rng.standard_normal((3, fm.n)))
         split = y * float(emb.norms_sq.sum()) + emb.inner(fm.structured_sparse)
-        assert math.isclose(split, emb.inner(fm.sparse), rel_tol=1e-12)
+        assert math.isclose(split, emb.inner(fm.assemble_dense()), rel_tol=1e-12)
     # rows no term touches are empty: vertex 5 is on no path, and the
     # two-vertex path (3, 4) is identically zero
     assert np.diff(chain_fm.structured_sparse.indptr).tolist() == [2, 3, 2, 0, 0, 0]
@@ -543,7 +538,7 @@ def test_chain_budget_exhaustion():
     # endpoint distance 2, so nothing ever violates and the budget runs out
     n = 6
     g = with_weights(complete_graph(n), [3] * n)
-    emb = Embedding(vectors=np.eye(n), gamma=0.25, tau=0.125)
+    emb = Embedding(vectors=np.eye(n))
     params = mk_params(n=n, alpha=1, c_prime=F(1, 6), beta_p=1, beta_q=4,
                        delta_spread=3.0, k_rounds=2, attempt_budget=6)
     counters = OracleCounters()
@@ -620,7 +615,7 @@ def test_chain_deduplicates_harvest(monkeypatch):
 
 def test_run_oracle_easy_precedence():
     g = complete_graph(5)
-    emb = Embedding(vectors=np.ones((2, 5)) * 0.5, gamma=0.25, tau=0.125)
+    emb = Embedding(vectors=np.ones((2, 5)) * 0.5)
     counters = OracleCounters()
     out = run_oracle(g, emb, mk_params(n=5), np.random.default_rng(3), counters)
     assert isinstance(out, FeedbackOutcome)

@@ -8,6 +8,7 @@ from test_graphs.
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from vsep.graphs import (
     two_blobs_graph,
     with_weights,
 )
-from vsep.oracle import OracleError
+import vsep.embedding
+from vsep.oracle import FeedbackOutcome, OracleError
 import vsep.solver as solver_mod
 from vsep.solver import (
     REFINE_STEPS,
@@ -93,6 +95,16 @@ def test_config_validation_and_resolution():
     assert cfg.resolved_replication(16, 0.5) == 12
     assert SolverConfig(replication=3).resolved_replication(16, 0.5) == 3
     assert cfg.resolved_replication(10 ** 6, 1.0) == 64  # capped
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("t_cap", 1e4), ("t_cap", 10.5), ("brute_cap", 12.0), ("replication", 2.0)],
+)
+def test_config_rejects_float_counts(name, bad):
+    # range(), bit_length() and slicing would raise TypeError deep in a solve
+    with pytest.raises(ValueError, match="must be ints"):
+        SolverConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -254,7 +266,6 @@ def test_mmwu_run_iteration_cap_is_inconclusive():
     assert isinstance(out, Inconclusive)
     assert "iteration cap" in out.reason
     assert out.iterations_run == 50
-    assert out.alpha == 1
 
 
 def test_embedding_regime_boundary(monkeypatch):
@@ -370,6 +381,40 @@ def test_mmwu_run_retries_only_a_spent_chain_budget(monkeypatch):
     assert seen == [0.05]
     assert isinstance(out, Inconclusive) and out.iterations_run == 2
     assert out.reason == "oracle failed at iteration 2: scripted failure"
+
+
+@pytest.mark.parametrize(
+    "case, width, reason",
+    [
+        ("flow", 1e9, r"width 1e\+09 exceeds the flow bound \S+ at iteration 0"),
+        ("custom", 0.0, "feedback case 'custom' has no planned width bound "
+                        "at iteration 0"),
+    ],
+)
+def test_mmwu_run_ends_at_an_unplanned_width(monkeypatch, case, width, reason):
+    # heavy K4 at alpha = 1 (the staged run of test_acceptance), with the
+    # oracle scripted to answer one edge term of the given case and width
+    def scripted(graph, emb, params, key, counters=None):
+        # budget n y = 4 * 1/4 = alpha
+        return FeedbackOutcome(FeedbackMatrix(
+            n=4, alpha=params.alpha, xi=params.xi, y=F(1, 4), unit=F(1),
+            lam=(((0, 1), 1),), case=case, width_bound=width,
+        ))
+
+    monkeypatch.setattr(solver_mod, "run_oracle", scripted)
+    cfg = SolverConfig(c=F(49, 100), c_prime=F(6, 25), epsilon=1.0, t_cap=10)
+    out = mmwu_run(with_weights(complete_graph(4), [64] * 4), 1, cfg, seed=0)
+    assert isinstance(out, Inconclusive) and out.iterations_run == 0
+    assert re.fullmatch(reason, out.reason), out.reason
+
+
+def test_mmwu_run_ends_at_a_projection_schedule_error(monkeypatch):
+    # a dimension cap of 1 refuses the first sketch of path 65, above
+    # DENSE_CAP
+    monkeypatch.setattr(vsep.embedding, "DEFAULT_D_CAP", 1)
+    out = mmwu_run(path_graph(DENSE_CAP + 1), 2, SolverConfig(t_cap=5), seed=0)
+    assert isinstance(out, Inconclusive) and out.iterations_run == 0
+    assert out.reason.startswith("projection schedule: projection needs d=")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +582,7 @@ def test_solve_fallback_covers_all_vertices(monkeypatch):
     # when every run ends inconclusive, the sweep cut (the vertex 10 of
     # path 15, cost 1) is the separator; the fallback needs no sweep cut
     def scripted_run(graph, alpha, config, seed, counters=None):
-        return Inconclusive(reason="scripted", iterations_run=3, alpha=F(alpha))
+        return Inconclusive(reason="scripted", iterations_run=3)
 
     monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
     r = binary_search_solve(g, SolverConfig(brute_bypass=False), seed=0)
@@ -562,15 +607,14 @@ def test_solve_epsilon_clamp_note():
     assert any("epsilon clamped" in note for note in r.notes)
 
 
-def _scripted_certificate(n: int, alpha: F, iterations: int) -> CertificateFound:
-    cert = DualCertificate(
+def _scripted_certificate(n: int, alpha: F, iterations: int, **parts) -> CertificateFound:
+    # parts replaces the empty dual's fields
+    base = dict(
         n=n, alpha=alpha, delta=alpha / 2, xi=F(1, 4), y=(), z=(), f=(), lam=(),
         lambda_max_estimate=0.0, norm_scale=0.0,
     )
-    diag = RunDiagnostics(
-        eta=0.1, rho=1.0, iterations_run=iterations,
-        iterations_scheduled=iterations, mean_inner=0.0,
-    )
+    cert = DualCertificate(**{**base, **parts})
+    diag = RunDiagnostics(eta=0.1, rho=1.0, iterations_run=iterations, mean_inner=0.0)
     return CertificateFound(certificate=cert, diagnostics=diag)
 
 
@@ -650,12 +694,46 @@ def test_solve_shares_one_budget_below_the_sweep_cap(monkeypatch, oracle_cost, v
     assert r.notes == ()
 
 
+def test_report_spells_out_the_certificate(monkeypatch):
+    # path 20, ladder 1..8: alpha <= 2 certifies with a scripted dual of
+    # one spread set, two paths and three edges; alpha 2's is reported.
+    # Its objective is sum(y) + xi n^2 z = 20/20 + (1/4) 400 / 800 = 9/8
+    parts = dict(
+        y=(F(1, 20),) * 20,
+        z=(((0, 1, 2), F(1, 800)),),
+        f=(((0, 1, 2), F(1, 2)), ((3, 4, 5), F(1, 3))),
+        lam=(((0, 1), F(1, 4)), ((1, 2), F(1, 4)), ((2, 3), F(1, 4))),
+        lambda_max_estimate=-0.5,
+        norm_scale=2.0,
+    )
+
+    def scripted_run(graph, alpha, config, seed, counters=None):
+        if alpha <= 2:
+            return _scripted_certificate(graph.n, F(alpha), 2, **parts)
+        return Inconclusive(reason="scripted", iterations_run=1)
+
+    monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
+    r = binary_search_solve(path_graph(20), SolverConfig(), seed=0)
+    assert r.alphas_tried == (F(1), F(2), F(4), F(8))
+    tree = report_to_dict(r)
+    assert tree["certificate"] == {
+        "alpha": "2",
+        "delta": "1",
+        "objective": "9/8",
+        "lambda_max_estimate": -0.5,
+        "norm_scale": 2.0,
+        "terms": {"spread_sets": 1, "paths": 2, "edges": 3},
+    }
+    assert (tree["alpha_star"], tree["certified_lower_bound"]) == ("2", "1")
+    json.dumps(tree)
+
+
 def test_solve_notes_a_short_budget_and_a_missing_sweep_cut(monkeypatch):
     calls = []
 
     def scripted_run(graph, alpha, config, seed, counters=None):
         calls.append((F(alpha), config.t_cap))
-        return Inconclusive(reason="scripted", iterations_run=config.t_cap, alpha=F(alpha))
+        return Inconclusive(reason="scripted", iterations_run=config.t_cap)
 
     monkeypatch.setattr(solver_mod, "mmwu_run", scripted_run)
     # a budget of 2 steps covers 2 of the guesses 1, 2, 4, 8 <= 8 w(C)
