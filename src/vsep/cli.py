@@ -6,7 +6,8 @@ Subcommands: gen (graph generators), solve (full pipeline), validate
 1 validation reject, 2 usage, 3 bad input, 4 internal failure (a
 certification check, or a max flow inside a solve).  Exit 2 covers
 every bad value of a solver flag: argparse only converts the types,
-and ``SolverConfig`` judges the values before any input is read.
+and ``SolverConfig`` judges the values before any input is read, as
+``check_seed`` judges solve's and bench's ``--seed``.
 
 Text solve output embeds the three-line A:/B:/C: block plus a
 ``balance:`` line, so it pipes straight into ``validate``.  Structured
@@ -45,6 +46,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     binary_search_solve,
+    check_seed,
     report_to_dict,
 )
 
@@ -437,9 +439,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "solver_parser" in args:
-        # before any input is read: a bad solver flag is a usage error
+        # before any input is read: a bad solver flag or seed is a usage error
         try:
             args.config = _build_config(args)
+            check_seed(args.seed)
         except ValueError as exc:
             args.solver_parser.error(str(exc))
     try:

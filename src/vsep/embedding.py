@@ -9,7 +9,7 @@ symmetric A.  This module provides:
   non-negative integer multiplicities of spread, path and edge terms;
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.structured_sparse each step, leaving out the
-  scalar diagonal that X ignores;
+  scalar diagonal that X ignores, and starts it at :data:`NO_ENTRIES`;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
   sign probes +-1/sqrt(d) (Achlioptas, JCSS 2003: the same JL bound as
   Gaussian ones at a fraction of the draw) multiplied by exp(A/2),
@@ -26,6 +26,11 @@ d x n transposed view of a C-ordered n x d block, so each vertex's
 vector is one contiguous row of ``vectors.T`` and no reader copies the
 block.
 
+This is the only module that imports scipy, and only ``scipy.sparse``,
+where a sparse matrix is first built (:func:`_symmetric_csr`, reached by
+the first ``FeedbackMatrix.structured_sparse``) or restricted: importing
+vsep, the exact regime and a sketch at A = 0 need numpy alone.
+
 Floating point is used for everything spectral.  A feedback matrix's
 entries are exact: integer sums of multiplicities over a common
 denominator, each rounded to float once, so certificate identities can
@@ -38,10 +43,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # imported where first used, to keep `import vsep` light
+    import scipy.sparse as sp
 
 Rational = Union[int, Fraction]
 
@@ -250,6 +257,8 @@ def symmetric_dense(
 
 def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix:
     """CSR matrix with the given upper-triangle entries mirrored below."""
+    import scipy.sparse as sp
+
     rows, cols, vals = [], [], []
     for (i, j), v in upper.items():
         rows.append(i)
@@ -262,6 +271,20 @@ def _symmetric_csr(n: int, upper: dict[tuple[int, int], float]) -> sp.csr_matrix
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+class _NoEntries:
+    """A = 0 before the first sketch-regime feedback: no entries, and
+    A + M is M itself, so no sparse matrix (and no scipy) is needed until
+    M exists."""
+
+    nnz = 0
+
+    def __add__(self, other):
+        return other
+
+
+NO_ENTRIES = _NoEntries()
+
+
 @dataclass(frozen=True, eq=False)
 class AccumulatedOperator:
     """Symmetric operator A, held as a sparse matrix, whose X is that of
@@ -271,11 +294,14 @@ class AccumulatedOperator:
     solver keeps A = eta * sum_r (N^(r) - y_r I), current by
     A + eta * N.structured_sparse: no scalar fills the diagonal, and the
     rows of vertices no feedback has touched stay empty.  Products run in
-    time proportional to the number of non-zeros.
+    time proportional to the number of non-zeros.  The solver starts at
+    ``NO_ENTRIES`` (``nnz`` 0, and ``+`` returns its operand), so a run
+    that stops at A = 0 never imports scipy; the first update is the CSR
+    eta * N.structured_sparse itself.
     """
 
     n: int
-    matrix: sp.csr_matrix = field(repr=False)
+    matrix: Union[sp.csr_matrix, _NoEntries] = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +430,8 @@ def _restrict(m: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """m on the rows and columns where the boolean mask ``keep`` holds,
     which must include every row and column with an entry; the entries
     keep m's order, so each row's products sum in the same order."""
+    import scipy.sparse as sp
+
     rows = np.flatnonzero(keep)
     indptr = np.concatenate(([0], m.indptr[rows + 1]))
     renumber = np.cumsum(keep) - 1
@@ -430,17 +458,18 @@ def project_embedding(
     the identity on the rows and columns of A that hold no entry, so the
     series runs on the block's other rows and A restricted to them, and
     the untouched probe rows enter its stopping test through their
-    largest |entry|: for a given A the block is bit for bit the one the
-    series on the whole block gives.  When every row has entries, A is
-    used as it is, which saves the gather and scatter of the block.  The
-    exponential uses max(1, ceil(lambda_max / 2)) scaling steps
-    (lambda_max >= ||A|| is the caller's certified bound), each a Taylor
-    series summed to unit roundoff; the a-priori term count
+    |entry|, exactly 1/sqrt(d): for a given A the block is bit for bit
+    the one the series on the whole block gives.  When every row has
+    entries, A is used as it is, which saves the gather and scatter of
+    the block.  The exponential uses max(1, ceil(lambda_max / 2))
+    scaling steps (lambda_max >= ||A|| is the caller's certified bound),
+    each a Taylor series summed to unit roundoff; the a-priori term count
     k = taylor_terms(...) caps every step.  Each term costs one sparse
     product with the rows in play, so a call is O(nnz(A) d) per term and
     allocates nothing n x n.  Raises ScheduleError when d or k exceed
     DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
-    terms.  At A = 0 the sketch is the scaled probe block itself.
+    terms.  At A = 0 (``op.matrix.nnz`` is 0, as for ``NO_ENTRIES``) the
+    sketch is the scaled probe block itself, and no scipy is used.
     Deterministic for a fixed seed (an int or a numpy Generator).
     """
     if not (0 < gamma < 0.5):
@@ -464,13 +493,13 @@ def project_embedding(
         if touched.all():  # no row to set aside: skip two n x d gathers
             block = _expm_action(a * 0.5, block, lambda_max / 2, k)
         else:
-            idle = block[~touched]
+            # every idle entry is an untouched probe, exactly +-1/sqrt(d)
             block[touched] = _expm_action(
                 _restrict(a * 0.5, touched),
                 block[touched],
                 lambda_max / 2,
                 k,
-                floor=max(idle.max(), -idle.min()),
+                floor=1.0 / math.sqrt(d),
             )
     trace = float(np.vdot(block, block))
     if trace <= 0:

@@ -24,10 +24,10 @@ from itertools import combinations, permutations
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .embedding import (
     DEFAULT_GAMMA,
+    NO_ENTRIES,
     AccumulatedOperator,
     Embedding,
     FeedbackMatrix,
@@ -87,6 +87,12 @@ class CertificationError(RuntimeError):
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed: every seed keys a numpy SeedSequence."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -503,14 +509,16 @@ def mmwu_run(
     dense A.  The sketch regime adds each step's structured part N - y I
     instead (X does not see a multiple of I), bounds ||A|| by the sum of
     eta * structured_bound for the sketch's series, and forms N.X as
-    y sum_i ||v_i||^2 + (N - y I).X.
+    y sum_i ||v_i||^2 + (N - y I).X.  Its A starts with no entries, so
+    scipy.sparse is first imported by the first such feedback's CSR: a
+    run that stops at iteration 0, and every exact-regime run, needs
+    numpy alone.
     pre: alpha in [1, w(V)], seed >= 0 and ``slices_fit(n, c')``;
     ``make_oracle_params`` raises ValueError on the last.
     """
     alpha = Fraction(alpha)
     n = g.n
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    check_seed(seed)
     if not (1 <= alpha <= g.total_weight()):
         raise ValueError(f"alpha must lie in [1, w(V)] = [1, {g.total_weight()}]")
 
@@ -523,9 +531,10 @@ def mmwu_run(
     dense_mode = embeds_exactly(n)
     # A = eta * sum N, dense where the embedding is exact (eigh needs A
     # dense); in the sketch regime CSR, updated from each step's sparse
-    # N - y I, so that no iteration touches an n x n array; a_bound >=
-    # ||A|| is kept for the sketch's series only
-    a_eta = np.zeros((n, n)) if dense_mode else sp.csr_matrix((n, n))
+    # N - y I, so that no iteration touches an n x n array, and no CSR
+    # (nor scipy) before the first feedback; a_bound >= ||A|| is kept
+    # for the sketch's series only
+    a_eta = np.zeros((n, n)) if dense_mode else NO_ENTRIES
     a_bound = 0.0
     ledger = DualLedger(n, alpha, sched.delta, params.xi)
     inner_sum = 0.0
@@ -745,8 +754,9 @@ def binary_search_solve(g: WeightedGraph, config: SolverConfig, seed: int) -> So
     the result.  No run is made either when ``slices_fit(n, c')`` fails,
     since every oracle call would; a note says so and the fallback is
     returned.  Every separator leaves through the same validation and
-    report.
+    report.  A negative seed is rejected before any work.
     """
+    check_seed(seed)
     n = g.n
     notes: list[str] = []
     eps_used, warned = clamp_epsilon(config.epsilon, n)

@@ -367,6 +367,27 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch):
+    # numpy's SeedSequence takes no negative seed: solve and bench refuse
+    # one before reading the input, even where the brute bypass makes no run
+    for argv in (
+        ["solve", "--input", "/nonexistent/g.txt", "--seed", "-1"],
+        ["bench", "--input", "/nonexistent/g.txt", "--seed", "-3"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO(P5_TEXT))
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--seed", "-1", "--format", "json"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    # gen's seed drives Python's own generator, which takes any integer
+    code, out, _ = run_cli(["gen", "path", "5", "--seed", "-1"], capsys)
+    assert code == 0 and parse_graph(out) == path_graph(5)
+
+
 def test_bad_graph_input_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(["solve"], capsys, monkeypatch, stdin="p 2\n")
     assert code == 3
@@ -400,14 +421,55 @@ def test_internal_flow_error_exits_four(tmp_path, capsys, monkeypatch):
 # import cost
 # ---------------------------------------------------------------------------
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # every command starts with `import vsep`; each of these subpackages
-    # takes a tenth of a second or more to import
-    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+_HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def _run_python(code: str) -> list[str]:
+    """The lines a fresh interpreter prints for ``code``, vsep from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys, vsep; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == []
+    return out.stdout.splitlines()
+
+
+_SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_import_loads_no_scipy():
+    # every command starts with `import vsep`; scipy.sparse alone takes
+    # about 0.2 s to import, and only a sketch with A != 0 needs it
+    assert _run_python(f"import sys, vsep; print({_SCIPY_LOADED})") == ["[]"]
+
+
+def test_solve_stopping_at_a_zero_loads_no_scipy():
+    # grid 9x9 (n = 81 > DENSE_CAP) sketches, and every run of its pinned
+    # default solve stops at iteration 0, where A has no entries
+    code = f"""
+import sys
+from vsep.graphs import grid_graph
+from vsep.solver import SolverConfig, binary_search_solve
+r = binary_search_solve(grid_graph(9, 9), SolverConfig(), 0)
+print(r.counters["mmwu_runs"], r.counters["iterations"])
+print({_SCIPY_LOADED})
+"""
+    runs, loaded = _run_python(code)
+    assert runs == "6 6"
+    assert loaded == "[]"
+
+
+def test_feedback_loads_scipy_sparse_only():
+    # cheap-middle path 401 at t_cap 10 takes 8 flow steps: the first one
+    # imports scipy.sparse, and nothing heavier is ever imported
+    code = f"""
+import sys
+from vsep.graphs import path_graph, with_weights
+from vsep.solver import SolverConfig, binary_search_solve
+g = with_weights(path_graph(401), [1 if i == 200 else 8 for i in range(401)])
+print("scipy.sparse" in sys.modules)
+r = binary_search_solve(g, SolverConfig(t_cap=10), 0)
+print(r.counters["oracle_outcomes"]["flow"])
+print("scipy.sparse" in sys.modules, *[m for m in {_HEAVY_SCIPY!r} if m in sys.modules])
+"""
+    assert _run_python(code) == ["False", "8", "True"]

@@ -221,12 +221,25 @@ def test_mmwu_run_ignores_brute_bypass():
 
 def test_mmwu_run_input_validation():
     cfg = SolverConfig()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed"):
         mmwu_run(path_graph(5), 3, cfg, seed=-1)
     with pytest.raises(ValueError):
         mmwu_run(path_graph(5), F(1, 2), cfg, seed=0)
     with pytest.raises(ValueError):
         mmwu_run(path_graph(5), 6, cfg, seed=0)  # above w(V) = 5
+
+
+def test_solve_rejects_negative_seed_up_front(monkeypatch):
+    # the brute bypass (path 5) makes no run, and grid 9x9 would fail only
+    # at its first child seed, after the brute check and the sweep cut
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work done before the seed was checked")
+
+    monkeypatch.setattr(solver_mod, "brute_force_opt", unreachable)
+    monkeypatch.setattr(solver_mod, "sweep_separator", unreachable)
+    for g in (path_graph(5), grid_graph(9, 9)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            binary_search_solve(g, SolverConfig(), seed=-1)
 
 
 def test_mmwu_run_finds_separator_on_path():
@@ -334,6 +347,41 @@ def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
     assert spectral_norm(a.toarray()) <= lams[3]
     widths = sum(eta * fm.width_bound for fm in feedback[:3])
     assert math.isclose(widths - lams[3], 3 * eta / g.n, rel_tol=1e-9)
+
+
+def test_first_sketch_update_keeps_the_csr_sum_bits(monkeypatch):
+    # A starts with no entries, so its first update is the CSR
+    # eta * N.structured_sparse itself: the same arrays, bit for bit, as
+    # the sum with an empty CSR that it replaces
+    import scipy.sparse as sp
+
+    ops, feedback = [], []
+    sketch, oracle = solver_mod.project_embedding, solver_mod.run_oracle
+
+    def spy_sketch(op, *args, **kwargs):
+        ops.append(op.matrix)
+        return sketch(op, *args, **kwargs)
+
+    def spy_oracle(*args):
+        out = oracle(*args)
+        feedback.append(out.feedback)
+        return out
+
+    monkeypatch.setattr(solver_mod, "project_embedding", spy_sketch)
+    monkeypatch.setattr(solver_mod, "run_oracle", spy_oracle)
+    g = with_weights(path_graph(120), [8] * 120)
+    cfg = SolverConfig(t_cap=2)
+    eta = MMWUSchedule.plan(make_oracle_params(g, 1, cfg), cfg).eta
+    for seed in range(4):
+        ops.clear()
+        feedback.clear()
+        mmwu_run(g, 1, cfg, seed=seed)
+        assert ops[0].nnz == 0 and feedback[0].case == "flow"
+        want = sp.csr_matrix((g.n, g.n)) + eta * feedback[0].structured_sparse
+        assert want.nnz > 0
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(ops[1], name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 def test_mmwu_run_requires_slices_that_fit():
