@@ -5,8 +5,8 @@ it works with a low-dimensional random sketch whose pairwise distances
 approximate the exact ones.  This demo builds A from a few structured
 matrices as the solver's sketch regime does, A + eta * (N - y I) per
 step with N.structured_sparse (X does not see a multiple of I), bounds
-||A|| by the sum of eta times each step's largest absolute row sum, and
-compares the sketch against the exact reference.
+||A|| by its largest absolute row sum, as the solver does, and compares
+the sketch against the exact reference.
 
 Run with: python3 demos/02_embeddings.py
 """
@@ -15,7 +15,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from vsep.embedding import (
     AccumulatedOperator,
@@ -23,6 +22,7 @@ from vsep.embedding import (
     FeedbackMatrix,
     approximation_violations,
     dense_reference,
+    norm_bound,
     project_embedding,
     spectral_norm,
 )
@@ -69,12 +69,10 @@ def sketch_accuracy() -> None:
     n = 48
     eta = 1 / 50
     a = sp.csr_matrix((n, n))
-    # ||M||_2 <= ||M||_inf for a symmetric M, so the sum bounds ||A||
-    lambda_max = 0.0
     for _ in range(12):
-        part = _random_step(rng, n).structured_sparse
-        a = a + eta * part
-        lambda_max += eta * spla.norm(part, np.inf)
+        a = a + eta * _random_step(rng, n).structured_sparse
+    # ||A||_2 <= ||A||_inf for a symmetric A
+    lambda_max = norm_bound(a)
     exact = dense_reference(a.toarray())
     emb = project_embedding(AccumulatedOperator(n=n, matrix=a), gamma=0.25,
                             tau=0.125, lambda_max=lambda_max, seed=1)

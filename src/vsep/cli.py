@@ -5,8 +5,9 @@ Subcommands: gen (graph generators), solve (full pipeline), validate
 (max-flow debugging), bench (epsilon sweep).  Exit codes: 0 success,
 1 validation reject, 2 usage, 3 bad input, 4 internal failure (a
 certification check, or a max flow inside a solve).  Exit 2 covers
-every bad value of a solver flag: argparse only converts the types,
-and ``SolverConfig`` judges the values before any input is read, as
+every bad value of a solver flag or of bench's ``--epsilons`` grid:
+argparse only converts the types, and ``SolverConfig`` judges the
+values, each epsilon of the grid included, before any input is read, as
 ``check_seed`` judges solve's and bench's ``--seed``.
 
 Text solve output embeds the three-line A:/B:/C: block plus a
@@ -83,6 +84,15 @@ def _balance_arg(text: str) -> Fraction:
     if not (0 < c < Fraction(1, 2)):
         raise argparse.ArgumentTypeError("balance must lie in (0, 1/2)")
     return c
+
+
+def _epsilon_grid(text: str) -> list[float]:
+    """The comma-separated ``--epsilons`` grid, types only: every item
+    must be a float, and SolverConfig judges each value (see main)."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad epsilon grid {text!r}")
 
 
 def _dump_json(tree) -> str:
@@ -312,15 +322,8 @@ def _cmd_flow(args) -> int:
 
 def _cmd_bench(args) -> int:
     g = _load_graph(args.input)
-    try:
-        eps_grid = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
-    except ValueError:
-        raise _InputError(f"bad epsilon grid {args.epsilons!r}")
-    if not eps_grid:
-        raise _InputError("empty epsilon grid")
     rows = []
-    for eps in eps_grid:
-        config = replace(args.config, epsilon=eps)
+    for config in args.configs:
         started = time.perf_counter()
         report = _solve(g, config, args.seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -428,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_bench, with_solver=True)
     p_bench.add_argument(
         "--epsilons",
+        type=_epsilon_grid,
         default="0.25,0.5,0.75,1.0",
         help="comma-separated epsilon grid",
     )
@@ -439,10 +443,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "solver_parser" in args:
-        # before any input is read: a bad solver flag or seed is a usage error
+        # before any input is read: a bad solver flag, seed or epsilon of
+        # bench's grid is a usage error
         try:
             args.config = _build_config(args)
             check_seed(args.seed)
+            if "epsilons" in args:
+                args.configs = [replace(args.config, epsilon=e) for e in args.epsilons]
         except ValueError as exc:
             args.solver_parser.error(str(exc))
     try:

@@ -10,6 +10,7 @@ symmetric A.  This module provides:
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.structured_sparse each step, leaving out the
   scalar diagonal that X ignores, and starts it at :data:`NO_ENTRIES`;
+  :func:`norm_bound` bounds its norm by its largest absolute row sum;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
   sign probes +-1/sqrt(d) (Achlioptas, JCSS 2003: the same JL bound as
   Gaussian ones at a fraction of the draw) multiplied by exp(A/2),
@@ -139,9 +140,8 @@ class FeedbackMatrix:
     repeats on every step; the multiplicities m are non-negative integers,
     so every coefficient is ``unit * m`` and every entry is an integer
     over one common denominator.  ``width_bound`` is the certified
-    spectral-norm bound for this instance of the case that produced it,
-    and ``structured_bound`` the same case's bound on the structured part
-    N - y I.  The solver adds one of two float forms to A:
+    spectral-norm bound for this instance of the case that produced it.
+    The solver adds one of two float forms to A:
     ``assemble_dense()``, N as a dense array, where the embedding is
     exact, and ``structured_sparse``, N - y I as CSR, which touches only
     the vertices of the easy set, the paths and the edges, in the sketch
@@ -158,7 +158,6 @@ class FeedbackMatrix:
     lam: tuple[tuple[tuple[int, int], int], ...] = ()
     case: str = "custom"
     width_bound: float = 0.0
-    structured_bound: float = 0.0
 
     def __post_init__(self):
         if self.unit <= 0:
@@ -294,10 +293,11 @@ class AccumulatedOperator:
     solver keeps A = eta * sum_r (N^(r) - y_r I), current by
     A + eta * N.structured_sparse: no scalar fills the diagonal, and the
     rows of vertices no feedback has touched stay empty.  Products run in
-    time proportional to the number of non-zeros.  The solver starts at
-    ``NO_ENTRIES`` (``nnz`` 0, and ``+`` returns its operand), so a run
-    that stops at A = 0 never imports scipy; the first update is the CSR
-    eta * N.structured_sparse itself.
+    time proportional to the number of non-zeros, and :func:`norm_bound`
+    reads the sketch's bound on ||A|| off the same entries.  The solver
+    starts at ``NO_ENTRIES`` (``nnz`` 0, and ``+`` returns its operand),
+    so a run that stops at A = 0 never imports scipy; the first update is
+    the CSR eta * N.structured_sparse itself.
     """
 
     n: int
@@ -426,6 +426,14 @@ def _sign_probes(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return block
 
 
+def norm_bound(a: Union[sp.csr_matrix, _NoEntries]) -> float:
+    """Largest absolute row sum of a symmetric sparse A, which bounds
+    ||A||_2, in O(nnz): by symmetry it equals the largest absolute column
+    sum, which one pass over the CSR's column indices gives.  0 when A
+    has no entries, as at ``NO_ENTRIES``."""
+    return float(np.bincount(a.indices, np.abs(a.data)).max()) if a.nnz else 0.0
+
+
 def _restrict(m: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """m on the rows and columns where the boolean mask ``keep`` holds,
     which must include every row and column with an entry; the entries
@@ -462,11 +470,11 @@ def project_embedding(
     the one the series on the whole block gives.  When every row has
     entries, A is used as it is, which saves the gather and scatter of
     the block.  The exponential uses max(1, ceil(lambda_max / 2))
-    scaling steps (lambda_max >= ||A|| is the caller's certified bound),
-    each a Taylor series summed to unit roundoff; the a-priori term count
-    k = taylor_terms(...) caps every step.  Each term costs one sparse
-    product with the rows in play, so a call is O(nnz(A) d) per term and
-    allocates nothing n x n.  Raises ScheduleError when d or k exceed
+    scaling steps, where lambda_max >= ||A|| is the caller's bound (the
+    solver passes :func:`norm_bound` of A), each a Taylor series summed
+    to unit roundoff; the a-priori term count k = taylor_terms(...) caps
+    every step.  Each term costs one sparse product with the rows in
+    play, so a call is O(nnz(A) d) per term and allocates nothing n x n.  Raises ScheduleError when d or k exceed
     DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
     terms.  At A = 0 (``op.matrix.nnz`` is 0, as for ``NO_ENTRIES``) the
     sketch is the scaled probe block itself, and no scipy is used.

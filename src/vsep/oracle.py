@@ -200,9 +200,7 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
     alpha = params.alpha
     z = 2 * alpha / (params.xi * n * n)
     y = -alpha / n
-    # exact eigenvalues are -alpha/n and -alpha/n + z |S|; those of the
-    # spread term z K_S alone are 0 and z |S|
-    part = float(z * len(s))
+    # exact eigenvalues are -alpha/n and -alpha/n + z |S|
     width = max(float(-y), abs(float(y + z * len(s))))
     return FeedbackMatrix(
         n=n,
@@ -213,7 +211,6 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
         easy_set=(tuple(s), 1),
         case="easy",
         width_bound=width,
-        structured_bound=part,
     )
 
 
@@ -356,7 +353,6 @@ def _flow_feedback(
         lam=tuple(lam),
         case="flow",
         width_bound=width,
-        structured_bound=part,
     )
 
 
@@ -491,7 +487,6 @@ def _chain_feedback(
         path_terms=tuple((p, 1) for p in paths),
         case="chain",
         width_bound=width,
-        structured_bound=part,
     )
 
 

@@ -37,6 +37,7 @@ from .embedding import (
     embeds_exactly,
     largest_eigenvalue,
     log_guard,
+    norm_bound,
     project_embedding,
     spectral_norm,
     structured_entries,
@@ -507,8 +508,8 @@ def mmwu_run(
     loop runs at every n: the brute-force bypass is decided by
     ``binary_search_solve`` alone.  The exact regime adds N itself to a
     dense A.  The sketch regime adds each step's structured part N - y I
-    instead (X does not see a multiple of I), bounds ||A|| by the sum of
-    eta * structured_bound for the sketch's series, and forms N.X as
+    instead (X does not see a multiple of I), bounds ||A|| for the
+    sketch's series by ``norm_bound(A)``, and forms N.X as
     y sum_i ||v_i||^2 + (N - y I).X.  Its A starts with no entries, so
     scipy.sparse is first imported by the first such feedback's CSR: a
     run that stops at iteration 0, and every exact-regime run, needs
@@ -532,10 +533,8 @@ def mmwu_run(
     # A = eta * sum N, dense where the embedding is exact (eigh needs A
     # dense); in the sketch regime CSR, updated from each step's sparse
     # N - y I, so that no iteration touches an n x n array, and no CSR
-    # (nor scipy) before the first feedback; a_bound >= ||A|| is kept
-    # for the sketch's series only
+    # (nor scipy) before the first feedback
     a_eta = np.zeros((n, n)) if dense_mode else NO_ENTRIES
-    a_bound = 0.0
     ledger = DualLedger(n, alpha, sched.delta, params.xi)
     inner_sum = 0.0
     t_run = sched.run_iterations
@@ -550,7 +549,7 @@ def mmwu_run(
                     op,
                     DEFAULT_GAMMA,
                     tau_val,
-                    lambda_max=a_bound,
+                    lambda_max=norm_bound(a_eta),
                     seed=_substream(seed, _EMBED_STREAM, t),
                 )
             except ScheduleError as exc:
@@ -603,7 +602,6 @@ def mmwu_run(
             # N.X = y Tr X + (N - y I).X
             nm = fm.structured_sparse
             inner = float(fm.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
-            a_bound += sched.eta * fm.structured_bound
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "

@@ -124,6 +124,20 @@ def test_solve_json_byte_identical(tmp_path, capsys):
     assert trees[9]["separator_via"] == "oracle"
 
 
+def test_solve_text_prints_the_notes(tmp_path, capsys):
+    # a t_cap below the number of objective guesses leaves the top ones
+    # untried, and text output says so on a note: line
+    graph_file = tmp_path / "grid6.txt"
+    graph_file.write_text(render_graph(grid_graph(6, 6)))
+    code, out, _ = run_cli(["solve", "--input", str(graph_file), "--t-cap", "2"],
+                           capsys)
+    assert code == 0
+    notes = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert notes == [
+        "note: t_cap=2 is below the 6 guesses up to 36: alpha > 2 not tried"
+    ]
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(["solve"], capsys, monkeypatch, stdin=P5_TEXT)
     assert code == 0
@@ -332,13 +346,29 @@ def test_bench_oracle_cost_matches_solve(tmp_path, capsys):
         assert json.loads(out)["oracle_cost"] == row["oracle_cost"], row
 
 
-def test_bench_bad_grid(tmp_path, capsys):
+def test_bench_bad_grid(tmp_path, capsys, monkeypatch):
+    # the grid is judged with the other solver flags, before the input is
+    # read and before any solve runs: 0.5,nan used to solve at 0.5 first
+    # and then exit 3
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the grid was judged")
+
+    monkeypatch.setattr("vsep.cli.binary_search_solve", no_solve)
     graph_file = tmp_path / "p5.txt"
     graph_file.write_text(P5_TEXT)
-    code, _, err = run_cli(
-        ["bench", "--input", str(graph_file), "--epsilons", "zero"], capsys
-    )
-    assert code == 3
+    for grid, message in (
+        ("zero", "bad epsilon grid 'zero'"),
+        ("abc", "bad epsilon grid 'abc'"),
+        (",", "bad epsilon grid ','"),
+        ("0.5,", "bad epsilon grid '0.5,'"),
+        ("0", "epsilon must be finite and positive"),
+        ("0.5,nan", "epsilon must be finite and positive"),
+    ):
+        for path in (str(graph_file), "/nonexistent/g.txt"):
+            with pytest.raises(SystemExit) as info:
+                main(["bench", "--input", path, "--epsilons", grid])
+            assert info.value.code == 2, (path, grid)
+            assert message in capsys.readouterr().err, (path, grid)
 
 
 # ---------------------------------------------------------------------------

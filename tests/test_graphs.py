@@ -85,6 +85,50 @@ def test_parse_rejects_bad_records():
     assert err is not None and err.line_no == 2
 
 
+# blank and comment lines count in line numbers
+@pytest.mark.parametrize(
+    "text, message, line_no",
+    [
+        ("p 2 0\n\np 2 0\n", "duplicate 'p' header", 3),
+        ("# header\np two 0\n", "'p' record fields must be integers", 2),
+        ("p 0 0\n", "need n >= 1 and m >= 0", 1),
+        ("p 2 0\nw 0\n", "'w' record needs <v> <weight>", 2),
+        ("p 2 0\nw 0 x\n", "'w' record fields must be integers", 2),
+        ("p 2 0\n# w\nw 2 1\n", "vertex 2 out of range [0, 2)", 3),
+        ("p 2 0\nw 0 1\n\nw 0 2\n", "duplicate weight for vertex 0", 4),
+        ("p 2 1\ne 0\n", "'e' record needs <u> <v>", 2),
+        ("p 2 1\ne 0 y\n", "'e' record fields must be integers", 2),
+        ("p 2 1\n  # edges\ne 0 5\n", "edge (0, 5) out of range", 3),
+        ("# no header\n\n", "missing 'p' header", None),
+    ],
+)
+def test_parse_graph_rejection_names_its_line(text, message, line_no):
+    for given in (text, text.encode()):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(given)
+        assert info.value.line_no == line_no
+        where = "" if line_no is None else f"line {line_no}: "
+        assert str(info.value) == where + message
+
+
+@pytest.mark.parametrize(
+    "text, message, line_no",
+    [
+        ("A: 0 1\n\n2\n", "separator line needs 'A:'/'B:'/'C:' prefix", 3),
+        ("# sides\nD: 1\n", "unknown separator side 'D'", 2),
+        ("A: 0\nA: 1\n", "duplicate side 'A'", 2),
+        ("A: 0 x\n", "vertex ids must be integers", 1),
+        ("A: 0 1\nB: 3 4\n", "missing side 'C'", None),
+    ],
+)
+def test_parse_separator_rejection_names_its_line(text, message, line_no):
+    with pytest.raises(GraphFormatError) as info:
+        parse_separator(text, path_graph(5), THIRD)
+    assert info.value.line_no == line_no
+    where = "" if line_no is None else f"line {line_no}: "
+    assert str(info.value) == where + message
+
+
 def test_weight_bound_enforced_at_parse():
     # cap is max(n, 4)^3; n=2 floors the base at 4
     assert max_weight_bound(2) == 64
@@ -140,6 +184,11 @@ def test_validate_rejects_bad_partition_and_balance():
     )
     ok, msg = validate_separator(g, bad_cost, THIRD)
     assert not ok and "cost" in msg
+
+    uncovered = SeparatorSolution.build(g, [0, 1], [3, 4], [2], balance_achieved=THIRD)
+    assert validate_separator(g, uncovered, THIRD) == (
+        False, "sides do not cover all vertices"
+    )
 
 
 def test_connected_components():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vsep.oracle as oracle_mod
-from vsep.embedding import Embedding, FeedbackMatrix, spectral_norm
+from vsep.embedding import Embedding, FeedbackMatrix, norm_bound, spectral_norm
 from vsep.graphs import (
     complete_graph,
     gnp_graph,
@@ -467,10 +467,11 @@ def test_inner_from_vectors_matches_gram():
 
 
 def test_structured_part_within_its_bound():
-    # the sketch regime adds N - y I to A and bounds its norm by
-    # structured_bound; eigvalsh checks it on easy, flow and chain
-    # feedback.  For the easy step it is exact and above width - |y|; for
-    # flow and chain it is width - |y|, since their width is |y| plus it
+    # the sketch regime adds N - y I to A and bounds its norm by its
+    # largest absolute row sum; eigvalsh checks that bound on easy, flow
+    # and chain feedback.  For the easy step it is 2 z (|S| - 1), up to
+    # twice the exact z |S|; flow's N - y I is -unit L(D), whose bound is
+    # width - |y| exactly, and chain's is at most width - |y|
     n = 5
     collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2))
     easy = easy_case(collapsed, mk_params(n=n, alpha=3))
@@ -484,14 +485,19 @@ def test_structured_part_within_its_bound():
         y = float(fm.y)
         assert np.allclose(part + y * np.eye(fm.n), fm.assemble_dense(),
                            rtol=0, atol=1e-15)
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(part))))
-        assert 0 < norm <= fm.structured_bound * (1 + 1e-12), fm.case
+        norm = spectral_norm(part)
+        bound = norm_bound(fm.structured_sparse)
+        # eigvalsh itself rounds: allow it one part in 10^12
+        assert 0 < norm <= bound * (1 + 1e-12), fm.case
         if fm.case == "easy":
-            assert math.isclose(norm, fm.structured_bound, rel_tol=1e-12)
-            assert norm > fm.width_bound - abs(y)
+            size = len(fm.easy_set[0])
+            assert math.isclose(norm, float(fm.unit) * size, rel_tol=1e-12)
+            assert math.isclose(bound, 2 * float(fm.unit) * (size - 1),
+                                rel_tol=1e-12)
+        elif fm.case == "flow":
+            assert math.isclose(bound, fm.width_bound - abs(y), rel_tol=1e-12)
         else:
-            assert math.isclose(fm.structured_bound, fm.width_bound - abs(y),
-                                rel_tol=1e-12), fm.case
+            assert bound <= (fm.width_bound - abs(y)) * (1 + 1e-12), fm.case
         # the solver's N.X = y sum ||v_i||^2 + (N - y I).X
         if emb is None:
             emb = Embedding(vectors=rng.standard_normal((3, fm.n)))

@@ -9,12 +9,15 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vsep.embedding import DENSE_CAP, FeedbackMatrix, ScheduleError, spectral_norm
+from vsep.embedding import (
+    DENSE_CAP, FeedbackMatrix, ScheduleError, norm_bound, spectral_norm,
+)
 from vsep.graphs import (
     SeparatorSolution,
     complete_graph,
@@ -30,6 +33,7 @@ import vsep.solver as solver_mod
 from vsep.solver import (
     REFINE_STEPS,
     SIGMA_FLOOR,
+    WITNESS_EXHAUSTIVE_CAP,
     CertificateFound,
     CertificationError,
     DualCertificate,
@@ -312,8 +316,8 @@ def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
     # iteration; after three of them the operator the sketch receives is
     # eta * sum (N - y I): the rows no path or edge touched are empty, no
     # scalar sits on the diagonal, and every row sums to zero because
-    # each flow term is a Laplacian.  Its norm bound is eta times the
-    # structured parts' bounds, below the widths by alpha/n a step
+    # each flow term is a Laplacian.  Its norm bound is its largest
+    # absolute row sum, at most eta times the widths less alpha/n a step
     ops, lams, feedback = [], [], []
     sketch, oracle = solver_mod.project_embedding, solver_mod.run_oracle
 
@@ -342,11 +346,44 @@ def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
     eta = MMWUSchedule.plan(make_oracle_params(g, 1, cfg), cfg).eta
     want = sum(eta * fm.structured_sparse for fm in feedback[:3])
     assert np.allclose(a.toarray(), want.toarray(), rtol=0, atol=1e-15)
-    bound = sum(eta * fm.structured_bound for fm in feedback[:3])
-    assert math.isclose(lams[3], bound, rel_tol=1e-12)
+    assert lams[:2] == [0.0, norm_bound(ops[1].matrix)]
+    assert lams[3] == norm_bound(a)
     assert spectral_norm(a.toarray()) <= lams[3]
-    widths = sum(eta * fm.width_bound for fm in feedback[:3])
-    assert math.isclose(widths - lams[3], 3 * eta / g.n, rel_tol=1e-9)
+    parts = sum(eta * (fm.width_bound - abs(float(fm.y))) for fm in feedback[:3])
+    assert lams[3] <= parts * (1 + 1e-12)
+
+
+def test_large_step_keeps_the_series_within_its_term_cap(monkeypatch):
+    # eta x 10^5 on a weight-40 grid 10x10 at alpha = 1: A grows fast, and
+    # a loose norm bound asks the series for more than DEFAULT_K_CAP terms
+    # (a sum of per-step bounds stopped this run at t = 14).  The largest
+    # absolute row sum of A itself keeps the run going to its cap, and
+    # every bound the sketch receives holds ||A||, up to eigvalsh's own
+    # rounding: after one flow step the bound is exact
+    plan = MMWUSchedule.plan
+
+    def scaled(params, config):
+        sched = plan(params, config)
+        return replace(sched, eta=sched.eta * 1e5)
+
+    monkeypatch.setattr(MMWUSchedule, "plan", staticmethod(scaled))
+    seen = []
+    sketch = solver_mod.project_embedding
+
+    def spy_sketch(op, *args, **kwargs):
+        a = op.matrix
+        norm = spectral_norm(a.toarray()) if a.nnz else 0.0
+        seen.append((kwargs["lambda_max"], norm))
+        return sketch(op, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "project_embedding", spy_sketch)
+    g = with_weights(grid_graph(10, 10), [40] * 100)
+    out = mmwu_run(g, 1, SolverConfig(t_cap=40), seed=0)
+    assert isinstance(out, Inconclusive), out
+    assert out.reason.startswith("iteration cap 40"), out.reason
+    assert len(seen) == 40
+    assert all(norm <= lam * (1 + 1e-12) for lam, norm in seen)
+    assert seen[-1][1] > 2  # the bound needs more than one scaling step
 
 
 def test_first_sketch_update_keeps_the_csr_sum_bits(monkeypatch):
@@ -882,6 +919,27 @@ def test_primal_witness_path():
     assert "path-family-exhaustive" in joined
     assert "spread-family-exhaustive" in joined
     assert "objective-4wC" in joined
+
+
+@pytest.mark.parametrize(
+    "g, sep",
+    [
+        pytest.param(path_graph(20), range(9, 10), id="path20"),
+        pytest.param(grid_graph(5, 5), range(10, 15), id="grid5x5"),
+    ],
+)
+def test_primal_witness_samples_above_the_exhaustive_cap(g, sep):
+    # n > WITNESS_EXHAUSTIVE_CAP: both families are sampled.  The middle
+    # separator is vertex 9 of the path and row 2 of the row-major grid
+    sol = SeparatorSolution.build(
+        g, range(sep.start), range(sep.stop, g.n), sep, balance_achieved=F(1, 3)
+    )
+    w = primal_witness(g, sol, F(1, 3))
+    assert g.n > WITNESS_EXHAUSTIVE_CAP
+    assert w.objective == 4 * sol.cost == 4 * len(sep)
+    assert "spread-family-sampled[200]" in w.checks
+    assert "path-family-sampled[200]" in w.checks
+    assert not any("exhaustive" in check for check in w.checks)
 
 
 def test_primal_witness_weighted():
