@@ -95,6 +95,20 @@ def _epsilon_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad epsilon grid {text!r}")
 
 
+def _grid_configs(config: SolverConfig, grid: list[float]) -> list[SolverConfig]:
+    """One config per epsilon of bench's grid; a bad item is named with
+    its value and its 1-based position."""
+    configs = []
+    for i, e in enumerate(grid, start=1):
+        try:
+            configs.append(replace(config, epsilon=e))
+        except ValueError as exc:
+            raise ValueError(
+                f"--epsilons item {i} of {len(grid)} is {e!r}: {exc}"
+            ) from None
+    return configs
+
+
 def _dump_json(tree) -> str:
     return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -366,12 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_solver=False):
         p.add_argument("--input", default=None, help="input path (default stdin)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
         if with_solver:
-            # types only: SolverConfig judges the values (see main)
+            # types only: SolverConfig and check_seed judge the values (see main)
             p.set_defaults(solver_parser=p)
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--c", type=_parse_fraction)
-            p.add_argument("--epsilon", type=float)
             p.add_argument("--c-prime", dest="c_prime", type=_parse_fraction)
             p.add_argument(
                 "--t-cap",
@@ -404,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve for a balanced separator")
     add_common(p_solve, with_solver=True)
+    # bench has no --epsilon: its --epsilons grid sets epsilon row by row
+    p_solve.add_argument("--epsilon", type=float)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_val = sub.add_parser("validate", help="check a separator against a graph")
@@ -427,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_flow)
     p_flow.set_defaults(func=_cmd_flow)
 
-    p_bench = sub.add_parser("bench", help="epsilon sweep on one instance")
+    # no abbreviations, or --epsilon would silently stand for --epsilons
+    p_bench = sub.add_parser(
+        "bench", help="epsilon sweep on one instance", allow_abbrev=False
+    )
     add_common(p_bench, with_solver=True)
     p_bench.add_argument(
         "--epsilons",
@@ -449,7 +467,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.config = _build_config(args)
             check_seed(args.seed)
             if "epsilons" in args:
-                args.configs = [replace(args.config, epsilon=e) for e in args.epsilons]
+                args.configs = _grid_configs(args.config, args.epsilons)
         except ValueError as exc:
             args.solver_parser.error(str(exc))
     try:

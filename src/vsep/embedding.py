@@ -55,16 +55,19 @@ Rational = Union[int, Fraction]
 
 DEFAULT_GAMMA = 0.25
 DEFAULT_C_D = 4.0
-DEFAULT_C_K = 4.0
+DEFAULT_C_K = 4.0  # taylor_terms' default c_k; nothing in vsep calls it
 DEFAULT_D_CAP = 5000
+# Taylor terms of one scaling step at most: a step that needs more has
+# non-finite input, or its caller's norm bound lies below ||M||
 DEFAULT_K_CAP = 2000
 # largest n embedded exactly; above it every embedding is a sketch
 DENSE_CAP = 64
 
 
 class ScheduleError(RuntimeError):
-    """Projection parameters demand more dimensions/terms than the caps
-    allow; the calling schedule is mis-set for this instance size."""
+    """The sketch cannot be formed within its caps: more dimensions than
+    ``DEFAULT_D_CAP``, or a scaling step of the series that does not
+    converge within ``DEFAULT_K_CAP`` terms."""
 
 
 def log_guard(n: int) -> float:
@@ -361,6 +364,11 @@ def projection_dimension(n: int, gamma: float, c_d: float = DEFAULT_C_D) -> int:
 def taylor_terms(
     n: int, tau: float, lambda_max: float, c_k: float = DEFAULT_C_K
 ) -> int:
+    """The a-priori Taylor budget c_k max(lambda_max^2, ln(n^2.5 / tau), 1)
+    of one unscaled series for exp(A).  Nothing in vsep calls it any more:
+    each scaling step of :func:`_expm_action` stops at unit roundoff, and
+    ``DEFAULT_K_CAP`` caps the terms of one step.  The benchmark's trace
+    still reports it."""
     need = max(lambda_max * lambda_max, np.log(n ** 2.5 / tau), 1.0)
     return int(np.ceil(c_k * need))
 
@@ -372,11 +380,7 @@ def embeds_exactly(n: int) -> bool:
 
 
 def _expm_action(
-    m: sp.csr_matrix,
-    u: np.ndarray,
-    norm_bound: float,
-    max_terms: int,
-    floor: float = 0.0,
+    m: sp.csr_matrix, u: np.ndarray, norm_bound: float, *, floor: float = 0.0
 ) -> np.ndarray:
     """exp(M) u for a sparse M with ||M||_2 <= norm_bound, on a C-ordered
     block u (one row per vertex), returned in the same layout.
@@ -388,9 +392,9 @@ def _expm_action(
     or ``floor`` if that is larger: the largest |entry| of block rows
     that belong to the same sketch but that M leaves unchanged, so that
     the series on M's rows alone stops where the one on the whole block
-    would.  A step that has not stopped within ``max_terms`` terms
-    (non-finite input, or a norm bound far below ||M||) raises
-    ScheduleError.
+    would.  No budget is set in advance: a step that has not stopped
+    within ``DEFAULT_K_CAP`` terms (non-finite input, or a norm bound
+    far below ||M||) raises ScheduleError.
     """
     eps = np.finfo(float).eps
     s = max(1, math.ceil(norm_bound))
@@ -404,10 +408,11 @@ def _expm_action(
         while not max(term.max(), -term.min()) <= eps * max(
             acc.max(), -acc.min(), floor
         ):
-            if j == max_terms:
+            if j == DEFAULT_K_CAP:
                 raise ScheduleError(
                     f"exponential series did not reach unit roundoff within "
-                    f"{max_terms} terms (norm bound {norm_bound:.6g})"
+                    f"{DEFAULT_K_CAP} terms of one scaling step "
+                    f"(norm bound {norm_bound:.6g})"
                 )
             j += 1
             term = m @ term
@@ -471,13 +476,14 @@ def project_embedding(
     entries, A is used as it is, which saves the gather and scatter of
     the block.  The exponential uses max(1, ceil(lambda_max / 2))
     scaling steps, where lambda_max >= ||A|| is the caller's bound (the
-    solver passes :func:`norm_bound` of A), each a Taylor series summed
-    to unit roundoff; the a-priori term count k = taylor_terms(...) caps
-    every step.  Each term costs one sparse product with the rows in
-    play, so a call is O(nnz(A) d) per term and allocates nothing n x n.  Raises ScheduleError when d or k exceed
-    DEFAULT_D_CAP / DEFAULT_K_CAP or a step fails to converge within k
-    terms.  At A = 0 (``op.matrix.nnz`` is 0, as for ``NO_ENTRIES``) the
-    sketch is the scaled probe block itself, and no scipy is used.
+    solver passes :func:`norm_bound` of A), each a Taylor series that
+    sizes itself: it stops at unit roundoff.  ``tau`` is checked but
+    shapes nothing.  Each term costs one sparse product with the rows in
+    play, so a call is O(nnz(A) d) per term and allocates nothing n x n.
+    Raises ScheduleError when d exceeds DEFAULT_D_CAP, or when one
+    scaling step does not converge within DEFAULT_K_CAP terms.  At A = 0
+    (``op.matrix.nnz`` is 0, as for ``NO_ENTRIES``) the sketch is the
+    scaled probe block itself, and no scipy is used.
     Deterministic for a fixed seed (an int or a numpy Generator).
     """
     if not (0 < gamma < 0.5):
@@ -486,11 +492,9 @@ def project_embedding(
         raise ValueError("tau must be positive")
     n = op.n
     d = projection_dimension(n, gamma)
-    k = taylor_terms(n, tau, lambda_max)
-    if d > DEFAULT_D_CAP or k > DEFAULT_K_CAP:
+    if d > DEFAULT_D_CAP:
         raise ScheduleError(
-            f"projection needs d={d}, k={k} "
-            f"(caps {DEFAULT_D_CAP}, {DEFAULT_K_CAP}); "
+            f"projection needs d={d} (cap {DEFAULT_D_CAP}); "
             "the schedule is mis-set for this instance"
         )
     block = _sign_probes(np.random.default_rng(seed), n, d)
@@ -499,14 +503,13 @@ def project_embedding(
         touched = np.diff(a.indptr) > 0
         touched[a.indices] = True
         if touched.all():  # no row to set aside: skip two n x d gathers
-            block = _expm_action(a * 0.5, block, lambda_max / 2, k)
+            block = _expm_action(a * 0.5, block, lambda_max / 2)
         else:
             # every idle entry is an untouched probe, exactly +-1/sqrt(d)
             block[touched] = _expm_action(
                 _restrict(a * 0.5, touched),
                 block[touched],
                 lambda_max / 2,
-                k,
                 floor=1.0 / math.sqrt(d),
             )
     trace = float(np.vdot(block, block))

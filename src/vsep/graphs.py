@@ -258,7 +258,9 @@ def render_separator(s: SeparatorSolution) -> str:
 
 
 def parse_separator(text: str, g: WeightedGraph, balance: Fraction) -> SeparatorSolution:
-    """Parse the A:/B:/C: exchange format against a known graph."""
+    """Parse the A:/B:/C: exchange format against a known graph.  A
+    vertex id outside [0, n), or one repeated within a side, is a format
+    error on its line."""
     sides: dict[str, list[int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,9 +275,17 @@ def parse_separator(text: str, g: WeightedGraph, balance: Fraction) -> Separator
         if tag in sides:
             raise GraphFormatError(f"duplicate side '{tag}'", line_no)
         try:
-            sides[tag] = [int(tok) for tok in rest.split()]
+            ids = [int(tok) for tok in rest.split()]
         except ValueError:
             raise GraphFormatError("vertex ids must be integers", line_no)
+        seen: set[int] = set()
+        for v in ids:
+            if not 0 <= v < g.n:
+                raise GraphFormatError(f"vertex {v} out of range [0, {g.n})", line_no)
+            if v in seen:
+                raise GraphFormatError(f"vertex {v} repeated in side '{tag}'", line_no)
+            seen.add(v)
+        sides[tag] = ids
     for tag in ("A", "B", "C"):
         if tag not in sides:
             raise GraphFormatError(f"missing side '{tag}'")

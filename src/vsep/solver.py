@@ -255,7 +255,10 @@ class MMWUSchedule:
 
     rho is the a-priori width bound, the max of the three per-case bounds
     in ``case_bounds``; the run additionally checks every emitted matrix
-    against its case bound and aborts on violation.
+    against its case bound and aborts on violation.  The regret algebra
+    needs eta rho <= 1, which holds by construction: eta rho =
+    alpha / (4 n rho), and rho is at least the flow bound
+    alpha/n + 2 beta > alpha/n, so eta rho < 1/4.
     """
 
     delta: Fraction
@@ -315,8 +318,6 @@ class MMWUSchedule:
             iteration_cap=config.t_cap,
             case_bounds=bounds,
         )
-        if eta * rho > 1.0:
-            raise ScheduleError(f"eta*rho = {eta * rho:.3g} > 1 breaks the regret algebra")
         if sched.consistency > CONSISTENCY_CAP:
             raise ScheduleError(
                 f"schedule consistency eta*rho*T = {sched.consistency:.3g} "

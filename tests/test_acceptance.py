@@ -58,6 +58,7 @@ from vsep.oracle import (
     OracleParams,
     SeparatorOutcome,
     run_oracle,
+    slices_fit,
 )
 from vsep.solver import (
     SIGMA_FLOOR,
@@ -448,6 +449,30 @@ def test_criterion_5_end_to_end_vs_brute_force(small_suite, staged_run):
         f"<= 8, certificate bridge 4*{opt_staged} >= {bound}, {elapsed:.1f}s < 300s",
     )
     assert ok
+
+
+def test_schedule_step_times_width_below_a_quarter(small_suite):
+    # the regret algebra needs eta rho <= 1, and the schedule gives
+    # eta rho = alpha / (4 n rho) < 1/4 because rho > alpha / n: over the
+    # suite, every guess of the ladder up to w(V), at the default config,
+    # a small epsilon and the staged run's balance constants
+    configs = [
+        SolverConfig(),
+        SolverConfig(epsilon=0.25),
+        SolverConfig(c=F(49, 100), c_prime=F(6, 25), epsilon=1.0),
+    ]
+    checked = 0
+    for name, g in small_suite:
+        for cfg in configs:
+            if not slices_fit(g.n, cfg.resolved_c_prime()):
+                continue
+            for i in range(g.total_weight().bit_length()):
+                params = make_oracle_params(g, 2**i, cfg)
+                sched = MMWUSchedule.plan(params, cfg)
+                assert sched.rho > params.alpha / g.n, (name, i)
+                assert sched.eta * sched.rho < 0.25, (name, i)
+                checked += 1
+    assert checked >= 100
 
 
 def test_criterion_6_regret_arithmetic(staged_run):

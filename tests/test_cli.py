@@ -197,6 +197,25 @@ def test_validate_rejects_tampered(tmp_path, capsys, monkeypatch):
     assert out.strip() == "reject: edge (1, 2) crosses A and B"
 
 
+def test_validate_bad_vertex_id_exits_three(tmp_path, capsys, monkeypatch):
+    # an id outside [0, n) or repeated within a side is bad input, named
+    # with its line, not a traceback (exit 1, the reject code) or a cost
+    # mismatch
+    graph_file = tmp_path / "p6.txt"
+    graph_file.write_text(render_graph(path_graph(6)))
+    for c_line, message in (
+        ("C: 3 99", "line 3: vertex 99 out of range [0, 6)"),
+        ("C: 3 -1", "line 3: vertex -1 out of range [0, 6)"),
+        ("C: 3 3", "line 3: vertex 3 repeated in side 'C'"),
+    ):
+        code, out, err = run_cli(
+            ["validate", "--graph", str(graph_file)],
+            capsys, monkeypatch, stdin=f"A: 0 1 2\nB: 4 5\n{c_line}\n",
+        )
+        assert code == 3, c_line
+        assert out == "" and err == f"input error: {message}\n", c_line
+
+
 def test_validate_balance_priority(tmp_path, capsys, monkeypatch):
     graph_file = tmp_path / "p5.txt"
     graph_file.write_text(P5_TEXT)
@@ -361,8 +380,9 @@ def test_bench_bad_grid(tmp_path, capsys, monkeypatch):
         ("abc", "bad epsilon grid 'abc'"),
         (",", "bad epsilon grid ','"),
         ("0.5,", "bad epsilon grid '0.5,'"),
-        ("0", "epsilon must be finite and positive"),
-        ("0.5,nan", "epsilon must be finite and positive"),
+        ("0", "--epsilons item 1 of 1 is 0.0: epsilon must be finite and positive"),
+        ("0.5,nan", "--epsilons item 2 of 2 is nan: epsilon must be finite and positive"),
+        ("0.25,0.5,0,1", "--epsilons item 3 of 4 is 0.0: epsilon must be finite"),
     ):
         for path in (str(graph_file), "/nonexistent/g.txt"):
             with pytest.raises(SystemExit) as info:
@@ -377,8 +397,8 @@ def test_bench_bad_grid(tmp_path, capsys, monkeypatch):
 
 def test_usage_errors_exit_two(capsys):
     bad = [["frobnicate"], ["solve", "--c", "0.7"]]  # balance outside (0, 1/2)
+    bad += [["solve", "--epsilon", x] for x in ("0", "-1", "nan", "inf")]
     for command in ("solve", "bench"):
-        bad += [[command, "--epsilon", x] for x in ("0", "-1", "nan", "inf")]
         bad += [[command, "--sigma", x] for x in ("-1", "nan", "inf")]
         # SolverConfig judges these before the input is opened, so not exit 3
         bad += [
@@ -395,6 +415,25 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert info.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_flags_nothing_reads_are_usage_errors(tmp_path, capsys):
+    # bench's --epsilons grid sets every row's epsilon, and only solve and
+    # bench draw random numbers: these flags would be accepted and ignored
+    graph_file = tmp_path / "p5.txt"
+    graph_file.write_text(P5_TEXT)
+    g = str(graph_file)
+    for argv in (
+        ["bench", "--input", g, "--epsilon", "0.5"],
+        ["bench", "--input", g, "--eps", "0.5"],
+        ["validate", "--graph", g, "--input", g, "--seed", "1"],
+        ["brute", "--input", g, "--seed", "1"],
+        ["flow", "--input", g, "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_negative_seed_is_a_usage_error(capsys, monkeypatch):

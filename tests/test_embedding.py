@@ -309,9 +309,9 @@ def random_sparse_symmetric(rng, n, norm):
     return m * (norm / spectral_norm(m.toarray()))
 
 
-def test_expm_action_scalar_and_against_scipy():
+def test_expm_action_scalar_and_against_scipy(monkeypatch):
     # one-dimensional case: the series stops at unit roundoff
-    got = _expm_action(sp.csr_matrix([[0.7]]), np.array([[1.0]]), 0.7, 100)
+    got = _expm_action(sp.csr_matrix([[0.7]]), np.array([[1.0]]), 0.7)
     assert math.isclose(got[0, 0], math.exp(0.7), rel_tol=1e-14)
 
     rng = np.random.default_rng(29)
@@ -319,7 +319,7 @@ def test_expm_action_scalar_and_against_scipy():
     u = rng.standard_normal((n, d))
     for norm in (1e-6, 0.5, 4.0, 40.0):
         m = random_sparse_symmetric(rng, n, norm)
-        got = _expm_action(m, u, norm, 100)
+        got = _expm_action(m, u, norm)
         # relative in the Frobenius norm: entries of exp(A) u near zero
         # carry the references' own cancellation error
         want = scipy.linalg.expm(m.toarray()) @ u
@@ -330,23 +330,27 @@ def test_expm_action_scalar_and_against_scipy():
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     # at norm 40 only the 40 scaling steps keep each series short: with
-    # the same 30-term budget, one unscaled step cannot converge
+    # a 30-term cap per step, one unscaled step cannot converge
     m = random_sparse_symmetric(rng, n, 40.0)
-    _expm_action(m, u, 40.0, 30)
-    with pytest.raises(ScheduleError):
-        _expm_action(m, u, 1.0, 30)
+    monkeypatch.setattr(vsep.embedding, "DEFAULT_K_CAP", 30)
+    _expm_action(m, u, 40.0)
+    with pytest.raises(ScheduleError, match="within 30 terms of one scaling step"):
+        _expm_action(m, u, 1.0)
+    # the floor is keyword-only: a stale positional term budget fails loudly
+    with pytest.raises(TypeError):
+        _expm_action(m, u, 40.0, 30)
 
 
 def test_expm_action_zero_and_non_finite():
     rng = np.random.default_rng(31)
     u = rng.standard_normal((8, 3))
-    got = _expm_action(sp.csr_matrix((8, 8)), u, 0.0, 10)
+    got = _expm_action(sp.csr_matrix((8, 8)), u, 0.0)
     assert np.array_equal(got, u)
     bad = random_sparse_symmetric(rng, 8, 1.0).tolil()
     bad[2, 5] = bad[5, 2] = np.nan
-    # a NaN never meets the stopping rule; the term budget ends the loop
+    # a NaN never meets the stopping rule; the per-step cap ends the loop
     with pytest.raises(ScheduleError):
-        _expm_action(bad.tocsr(), u, 1.0, 50)
+        _expm_action(bad.tocsr(), u, 1.0)
 
 
 def test_dimension_and_term_formulas():
@@ -386,7 +390,7 @@ def test_project_embedding_at_zero_matches_the_series_path():
     zero = sp.csr_matrix((n, n))
     d = projection_dimension(n, 0.25)
     probes = _sign_probes(np.random.default_rng(seed), n, d)
-    want = _expm_action(zero, probes, 0.0, 10)
+    want = _expm_action(zero, probes, 0.0)
     assert want.flags.c_contiguous
     want *= np.sqrt(n / float(np.vdot(want, want)))
     got = project_embedding(AccumulatedOperator(n, zero), 0.25, 0.125, 0.0, seed)
@@ -436,7 +440,7 @@ def test_series_kernel_keeps_the_bits_of_its_first_form():
     u = rng.standard_normal((30, 5))
     for norm in (1e-3, 0.7, 3.5):
         m = random_sparse_symmetric(rng, 30, norm)
-        assert np.array_equal(_expm_action(m, u, norm, 100),
+        assert np.array_equal(_expm_action(m, u, norm),
                               reference_series(m, u, norm, 100))
     for d in (1, 2, 3, 384, 436, 443):
         s = 1.0 / math.sqrt(d)
@@ -460,9 +464,8 @@ def touched_rows_operator(rng, n, rows, norm):
 def normalized_series(a, n, lam, seed):
     """The sketch by the series on the whole probe block."""
     d = projection_dimension(n, 0.25)
-    k = taylor_terms(n, 0.125, lam)
     block = _expm_action(a * 0.5, _sign_probes(np.random.default_rng(seed), n, d),
-                         lam / 2, k)
+                         lam / 2)
     block *= np.sqrt(n / float(np.vdot(block, block)))
     return block
 
@@ -512,12 +515,16 @@ def test_project_embedding_guards(monkeypatch):
         m.setattr(vsep.embedding, "DEFAULT_D_CAP", 2)
         with pytest.raises(ScheduleError):
             project_embedding(op, 0.25, 0.125, 0.0, seed=0)
+    # at A = 0 no series runs, so the term cap is checked on an A with
+    # entries: one scaling step of a norm-1 A needs more than 2 terms
+    a = AccumulatedOperator(4, sp.csr_matrix(np.eye(4)))
     with monkeypatch.context() as m:
         m.setattr(vsep.embedding, "DEFAULT_K_CAP", 2)
-        with pytest.raises(ScheduleError):
-            project_embedding(op, 0.25, 0.125, 0.0, seed=0)
-    # at the default caps the same call succeeds
+        with pytest.raises(ScheduleError, match="within 2 terms"):
+            project_embedding(a, 0.25, 0.125, 2.0, seed=0)
+    # at the default caps the same calls succeed
     assert project_embedding(op, 0.25, 0.125, 0.0, seed=0).n == 4
+    assert project_embedding(a, 0.25, 0.125, 2.0, seed=0).n == 4
 
 
 def test_projection_accuracy_against_dense():

@@ -119,6 +119,10 @@ def test_parse_graph_rejection_names_its_line(text, message, line_no):
         ("A: 0\nA: 1\n", "duplicate side 'A'", 2),
         ("A: 0 x\n", "vertex ids must be integers", 1),
         ("A: 0 1\nB: 3 4\n", "missing side 'C'", None),
+        # ids are checked against the graph: path 5 has vertices 0..4
+        ("A: 0 1\nB: 3 4\nC: 2 99\n", "vertex 99 out of range [0, 5)", 3),
+        ("A: 0 1\nB: 3 4\nC: 2 -1\n", "vertex -1 out of range [0, 5)", 3),
+        ("A: 0 1\n# repeat\nC: 2 2\nB: 3 4\n", "vertex 2 repeated in side 'C'", 3),
     ],
 )
 def test_parse_separator_rejection_names_its_line(text, message, line_no):

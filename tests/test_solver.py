@@ -180,7 +180,7 @@ def test_schedule_formulas_and_bounds():
     lg = math.log(n)
     want_t = math.ceil(4 * n * n * rho * rho * lg / float(sched.delta) ** 2)
     assert sched.iterations == want_t
-    assert sched.eta * rho <= 1.0
+    assert sched.eta * rho < 0.25  # alpha / (4 n rho), rho > alpha / n
     assert sched.consistency == pytest.approx(sched.eta * rho * sched.iterations)
 
     bounds = sched.case_bounds
@@ -353,18 +353,15 @@ def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
     assert lams[3] <= parts * (1 + 1e-12)
 
 
-def test_large_step_keeps_the_series_within_its_term_cap(monkeypatch):
-    # eta x 10^5 on a weight-40 grid 10x10 at alpha = 1: A grows fast, and
-    # a loose norm bound asks the series for more than DEFAULT_K_CAP terms
-    # (a sum of per-step bounds stopped this run at t = 14).  The largest
-    # absolute row sum of A itself keeps the run going to its cap, and
-    # every bound the sketch receives holds ||A||, up to eigvalsh's own
-    # rounding: after one flow step the bound is exact
+def scaled_eta_grid_run(monkeypatch, scale, t_cap):
+    """mmwu_run on a weight-40 grid 10x10 at alpha = 1, seed 0, with the
+    planned eta times ``scale``; returns the outcome and, per sketch call,
+    (lambda_max given, ||A||_2)."""
     plan = MMWUSchedule.plan
 
     def scaled(params, config):
         sched = plan(params, config)
-        return replace(sched, eta=sched.eta * 1e5)
+        return replace(sched, eta=sched.eta * scale)
 
     monkeypatch.setattr(MMWUSchedule, "plan", staticmethod(scaled))
     seen = []
@@ -378,12 +375,33 @@ def test_large_step_keeps_the_series_within_its_term_cap(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "project_embedding", spy_sketch)
     g = with_weights(grid_graph(10, 10), [40] * 100)
-    out = mmwu_run(g, 1, SolverConfig(t_cap=40), seed=0)
+    return mmwu_run(g, 1, SolverConfig(t_cap=t_cap), seed=0), seen
+
+
+def test_large_step_keeps_the_series_within_its_term_cap(monkeypatch):
+    # eta x 10^5: A grows fast, and a loose norm bound (a sum of per-step
+    # bounds) once stopped this run at t = 14.  The largest absolute row
+    # sum of A itself keeps the run going to its cap, and every bound the
+    # sketch receives holds ||A||, up to eigvalsh's own rounding: after
+    # one flow step the bound is exact
+    out, seen = scaled_eta_grid_run(monkeypatch, 1e5, 40)
     assert isinstance(out, Inconclusive), out
     assert out.reason.startswith("iteration cap 40"), out.reason
     assert len(seen) == 40
     assert all(norm <= lam * (1 + 1e-12) for lam, norm in seen)
     assert seen[-1][1] > 2  # the bound needs more than one scaling step
+
+
+def test_large_step_series_sizes_itself(monkeypatch):
+    # eta x 10^6: the norm bound is 33 at t = 3, where an a-priori budget
+    # of 4 lambda^2 terms for one unscaled series (k = 4341 > 2000 from
+    # lambda > 22.4) refused the sketch.  Each of the ceil(lambda/2)
+    # scaling steps stops at unit roundoff on its own, so the run reaches
+    # its iteration cap
+    out, seen = scaled_eta_grid_run(monkeypatch, 1e6, 6)
+    assert isinstance(out, Inconclusive), out
+    assert out.reason.startswith("iteration cap 6"), out.reason
+    assert len(seen) == 6 and max(lam for lam, _ in seen) > 22.4
 
 
 def test_first_sketch_update_keeps_the_csr_sum_bits(monkeypatch):
