@@ -2,7 +2,9 @@
 
 The solver never materializes its (dense, exponential) primal iterate;
 it works with a low-dimensional random sketch whose pairwise distances
-approximate the exact ones.  This demo builds A from a few structured
+approximate the exact ones.  This demo builds one feedback
+matrix from its case record (the exact y and unit one case of one run
+shares) and integer multiplicities, then builds A from a few structured
 matrices as the solver's sketch regime does, A + eta * (N - y I) per
 step with N.structured_sparse (X does not see a multiple of I), bounds
 ||A|| by its largest absolute row sum, as the solver does, and compares
@@ -19,6 +21,7 @@ import scipy.sparse as sp
 from vsep.embedding import (
     AccumulatedOperator,
     Embedding,
+    FeedbackCase,
     FeedbackMatrix,
     approximation_violations,
     dense_reference,
@@ -30,19 +33,19 @@ from vsep.embedding import (
 
 def structured_pieces() -> None:
     print("== one structured feedback matrix ==")
+    # n = 4, alpha = 2, xi = 1/4, y = 1/2; coefficients 1/8, 1/2 and 1/3
+    # as multiples of the unit 1/24
+    case = FeedbackCase.build("custom", 4, F(2), F(1, 4), F(1, 2), F(1, 24), 4.0)
     fm = FeedbackMatrix(
-        n=4,
-        alpha=F(2),
-        xi=F(1, 4),
-        y=F(1, 2),
-        unit=F(1, 24),  # coefficients 1/8, 1/2 and 1/3 as multiples of 1/24
+        case,
         easy_set=((0, 1, 2), 3),
         path_terms=(((0, 2, 3), 12),),
         lam=(((0, 1), 8),),
-        case="custom",
         width_bound=4.0,
     )
-    print(f"budget  sum(y) + xi n^2 sum(z) = {fm.budget_total} >= alpha = {fm.alpha}")
+    print(f"integers  y = {case.y_num}/{case.den}, unit = {case.unit_num}/{case.den}")
+    print(f"budget    sum(y) + xi n^2 unit m_S >= alpha from m_S = {case.min_easy}; "
+          f"this step has m_S = {fm.easy_set[1]}")
     print(f"dense form:\n{fm.assemble_dense()}")
     print()
 
@@ -52,12 +55,10 @@ def _random_step(rng: np.random.Generator, n: int) -> FeedbackMatrix:
     length = int(rng.integers(2, 6))
     path = tuple(int(v) for v in rng.permutation(n)[:length])
     i, j = sorted(int(v) for v in rng.permutation(n)[:2])
+    # path coefficients k/3 and edge coefficients k/2 in the unit 1/6
+    case = FeedbackCase.build("custom", n, F(0), F(1, 4), y, F(1, 6), 0.0)
     return FeedbackMatrix(
-        n=n,
-        alpha=F(0),
-        xi=F(1, 4),
-        y=y,
-        unit=F(1, 6),  # path coefficients k/3 and edge coefficients k/2
+        case,
         path_terms=((path, 2 * int(rng.integers(0, 4))),),
         lam=(((i, j), 3 * int(rng.integers(0, 5))),),
     )

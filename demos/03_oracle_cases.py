@@ -43,10 +43,12 @@ def easy_case() -> None:
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
     s, m = fm.easy_set
-    z = fm.unit * m
+    r = fm.record
+    z = r.unit * m
+    budget = r.n * r.y + params.xi * r.n * r.n * z
     print(f"case         {fm.case}")
     print(f"spread set   {s} with coefficient z = {z}")
-    print(f"budget       {fm.budget_total} >= alpha = {params.alpha}")
+    print(f"budget       {budget} >= alpha = {params.alpha}")
     print(f"width bound  {fm.width_bound}")
     print()
 
@@ -68,7 +70,7 @@ def flow_case() -> None:
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
     print(f"case         {fm.case}")
-    print(f"edge terms   {[(e, str(fm.unit * m)) for e, m in fm.lam]}")
+    print(f"edge terms   {[(e, str(fm.record.unit * m)) for e, m in fm.lam]}")
     print(f"degree <= w  {fm.degree_ok(g.weights)}")
     print()
 

@@ -4,7 +4,9 @@ Subcommands: gen (graph generators), solve (full pipeline), validate
 (check a separator against a graph), brute (exact enumeration), flow
 (max-flow debugging), bench (epsilon sweep).  Exit codes: 0 success,
 1 validation reject, 2 usage, 3 bad input, 4 internal failure (a
-certification check, or a max flow inside a solve).  Exit 2 covers
+certification check, or a max flow inside a solve).  A reader that
+closes standard output early (``vsep solve | head -1``) ends the
+command quietly with 0.  Exit 2 covers
 every bad value of a solver flag or of bench's ``--epsilons`` grid:
 argparse only converts the types, and ``SolverConfig`` judges the
 values, each epsilon of the grid included, before any input is read, as
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -471,7 +474,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError as exc:
             args.solver_parser.error(str(exc))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output, as `| head -1` does: not a
+        # reject.  Point it at devnull, so the interpreter's last flush of
+        # what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CertificationError, ScheduleError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERT

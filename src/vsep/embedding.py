@@ -6,7 +6,10 @@ symmetric A.  This module provides:
 
 * :class:`FeedbackMatrix`, the structured symmetric matrices produced by
   the oracle: a scalar diagonal y plus one exact rational unit times
-  non-negative integer multiplicities of spread, path and edge terms;
+  non-negative integer multiplicities of spread, path and edge terms,
+  where y, the unit and the budget test live in the step's
+  :class:`FeedbackCase`, built once per run and case, so a step holds
+  integers only;
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.structured_sparse each step, leaving out the
   scalar diagonal that X ignores, and starts it at :data:`NO_ENTRIES`;
@@ -33,7 +36,7 @@ the first ``FeedbackMatrix.structured_sparse``) or restricted: importing
 vsep, the exact regime and a sketch at A = 0 need numpy alone.
 
 Floating point is used for everything spectral.  A feedback matrix's
-entries are exact: integer sums of multiplicities over a common
+entries are exact: integer sums of multiplicities over its case's
 denominator, each rounded to float once, so certificate identities can
 be verified without rounding.
 """
@@ -131,6 +134,54 @@ def _check_multiplicity(m: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class FeedbackCase:
+    """One feedback case (easy, flow or chain) of one run: every exact
+    constant its steps share, built once by :meth:`build`.
+
+    ``y`` and ``unit`` are the case's scalar diagonal and coefficient
+    unit, held also as the integer numerators ``y_num`` and ``unit_num``
+    over their least common denominator ``den``.  ``bound`` is the
+    case's a-priori spectral-norm bound, from which the schedule plans
+    its width.  ``min_easy`` is the least easy-set multiplicity m_S >= 0
+    with n y + xi n^2 unit m_S >= alpha, so a step meets the budget
+    exactly when its m_S is at least ``min_easy``.  Records compare by
+    identity: the solver's ledger keys its counts by the record.
+    """
+
+    name: str
+    n: int
+    y: Fraction
+    unit: Fraction
+    bound: float
+    min_easy: int
+    den: int
+    y_num: int
+    unit_num: int
+
+    @classmethod
+    def build(
+        cls, name: str, n: int, alpha: Rational, xi: Fraction,
+        y: Rational, unit: Rational, bound: float,
+    ) -> "FeedbackCase":
+        y, unit = Fraction(y), Fraction(unit)
+        if unit <= 0:
+            raise ValueError("coefficient unit must be positive")
+        den = math.lcm(y.denominator, unit.denominator)
+        min_easy = max(0, math.ceil((alpha - n * y) / (xi * n * n * unit)))
+        return cls(
+            name, n, y, unit, bound, min_easy, den,
+            y.numerator * (den // y.denominator),
+            unit.numerator * (den // unit.denominator),
+        )
+
+    def width(self, k: int) -> float:
+        """max(|y|, y + unit k), rounded once: bounds ||N|| when N - y I
+        is PSD with norm at most unit k (easy), and when y > 0 and
+        ||N - y I|| <= unit k (flow, chain)."""
+        return max(abs(self.y_num), self.y_num + self.unit_num * k) / self.den
+
+
+@dataclass(frozen=True, eq=False)
 class FeedbackMatrix:
     """One oracle feedback step
     N = y I + unit * (m_S K_S + sum_p m_p T_p - sum_ij m_ij L_ij),
@@ -139,11 +190,12 @@ class FeedbackMatrix:
     T_p is the path-inequality matrix of path p (sum of hop Laplacians
     minus the endpoint Laplacian), K_S the pairwise-spread matrix of set S
     (|S| diag(1_S) - 1_S 1_S^T), and L_ij the single-edge Laplacian.
-    ``y`` and ``unit`` are exact rationals that one case of one run
-    repeats on every step; the multiplicities m are non-negative integers,
-    so every coefficient is ``unit * m`` and every entry is an integer
-    over one common denominator.  ``width_bound`` is the certified
-    spectral-norm bound for this instance of the case that produced it.
+    ``record`` is the :class:`FeedbackCase` of the run and case that
+    produced the step, which holds n, y and the unit; the step itself
+    carries only non-negative integer multiplicities m, so every entry is
+    an integer over the record's denominator, and the budget
+    sum(y) + xi n^2 z >= alpha is the integer test m_S >= ``min_easy``.
+    ``width_bound`` is the certified spectral-norm bound of this step.
     The solver adds one of two float forms to A:
     ``assemble_dense()``, N as a dense array, where the embedding is
     exact, and ``structured_sparse``, N - y I as CSR, which touches only
@@ -151,76 +203,65 @@ class FeedbackMatrix:
     regime.
     """
 
-    n: int
-    alpha: Fraction
-    xi: Fraction
-    y: Fraction
-    unit: Fraction
+    record: FeedbackCase
     easy_set: Optional[tuple[tuple[int, ...], int]] = None
     path_terms: tuple[tuple[tuple[int, ...], int], ...] = ()
     lam: tuple[tuple[tuple[int, int], int], ...] = ()
-    case: str = "custom"
     width_bound: float = 0.0
 
     def __post_init__(self):
-        if self.unit <= 0:
-            raise ValueError("coefficient unit must be positive")
+        n = self.record.n
+        m_s = 0
         if self.easy_set is not None:
-            s, m = self.easy_set
-            _check_multiplicity(m)
-            if len(set(s)) != len(s) or any(not 0 <= i < self.n for i in s):
+            s, m_s = self.easy_set
+            _check_multiplicity(m_s)
+            if len(set(s)) != len(s) or any(not 0 <= i < n for i in s):
                 raise ValueError("easy set must be distinct in-range vertices")
         for p, m in self.path_terms:
             _check_multiplicity(m)
             if len(p) < 2 or len(set(p)) != len(p):
                 raise ValueError("path must have at least 2 distinct vertices")
-            if any(not 0 <= i < self.n for i in p):
+            if any(not 0 <= i < n for i in p):
                 raise ValueError("path vertex out of range")
         for (i, j), m in self.lam:
             _check_multiplicity(m)
-            if not (0 <= i < j < self.n):
+            if not (0 <= i < j < n):
                 raise ValueError("edge coefficients must use ordered vertex pairs")
-        if self.budget_total < self.alpha:
+        if m_s < self.record.min_easy:
             raise ValueError(
                 "feedback violates sum(y) + xi n^2 sum(z) >= alpha"
             )
 
     @property
-    def budget_total(self) -> Fraction:
-        """sum_i y_i + xi n^2 z = n y + xi n^2 unit m_S, exact."""
-        total = self.n * self.y
-        if self.easy_set is not None:
-            total += self.xi * self.n * self.n * self.unit * self.easy_set[1]
-        return total
+    def case(self) -> str:
+        return self.record.name
 
-    def lambda_degrees(self) -> list[Fraction]:
-        """Per-vertex sums of incident edge coefficients, exact."""
-        deg = [0] * self.n
+    def degree_ok(self, weights: Sequence[int]) -> bool:
+        """Each vertex's edge coefficients, unit * sum_j m_ij, sum to at
+        most its weight; compared as integers over the denominator."""
+        deg = [0] * self.record.n
         for (i, j), m in self.lam:
             deg[i] += m
             deg[j] += m
-        return [self.unit * d for d in deg]
-
-    def degree_ok(self, weights: Sequence[int]) -> bool:
-        return all(d <= w for d, w in zip(self.lambda_degrees(), weights))
+        r = self.record
+        return all(r.unit_num * d <= w * r.den for d, w in zip(deg, weights))
 
     def _numerators(
         self, scalar: bool = True
     ) -> tuple[dict[tuple[int, int], int], int]:
-        """Upper-triangle entries (i <= j) as integer numerators over one
-        common denominator, which is returned alongside; with ``scalar``
+        """Upper-triangle entries (i <= j) as integer numerators over the
+        record's denominator, which is returned alongside; with ``scalar``
         false, those of N - y I."""
-        den = math.lcm(self.y.denominator, self.unit.denominator)
-        y = self.y.numerator * (den // self.y.denominator)
-        u = self.unit.numerator * (den // self.unit.denominator)
+        r = self.record
+        u = r.unit_num
         s, m_s = self.easy_set or ((), 0)
         num = structured_entries(
-            (y,) * self.n if scalar else (),
+            (r.y_num,) * r.n if scalar else (),
             [(s, u * m_s)],
             [(p, u * m) for p, m in self.path_terms],
             [(e, u * m) for e, m in self.lam],
         )
-        return num, den
+        return num, r.den
 
     def entries(self) -> dict[tuple[int, int], Fraction]:
         """Exact upper-triangle entries (i <= j), exact zeros dropped."""
@@ -237,13 +278,13 @@ class FeedbackMatrix:
     def structured_sparse(self) -> sp.csr_matrix:
         """N - y I as CSR (both triangles), from the same exact numerators
         with y left out: rows of vertices no term touches are empty."""
-        return _symmetric_csr(self.n, self._floats(scalar=False))
+        return _symmetric_csr(self.record.n, self._floats(scalar=False))
 
     def assemble_dense(self) -> np.ndarray:
         """N as a dense array, its exact entries each rounded to float
         once, built directly: a scipy construction costs more than a whole
         small-n iteration."""
-        return symmetric_dense(self.n, self._floats())
+        return symmetric_dense(self.record.n, self._floats())
 
 
 def symmetric_dense(

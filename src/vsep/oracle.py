@@ -12,8 +12,10 @@ budget.  Three routes produce feedback:
   violations).
 
 Flow amounts, capacities, and all matrix coefficients are exact
-rationals; embedded distances and thresholds on them are floats with
-explicit guard bands.
+rationals.  Each case's y and coefficient unit are the same for a whole
+run, so ``OracleParams.feedback_cases`` forms them once, and a step
+carries integer flow amounts and multiplicities only.  Embedded
+distances and thresholds on them are floats with explicit guard bands.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .embedding import Embedding, FeedbackMatrix
+from .embedding import Embedding, FeedbackCase, FeedbackMatrix
 from .flow import FlowError, build_split_network, max_flow
 from .graphs import SeparatorSolution, WeightedGraph
 
@@ -121,27 +123,62 @@ class OracleParams:
     def xi(self) -> Fraction:
         return spread_xi(self.c)
 
-    @property
+    @cached_property
     def beta(self) -> Fraction:
         return Fraction(self.beta_p, self.beta_q)
 
-    @property
+    @cached_property
     def ab_size(self) -> int:
         return slice_size(self.n, self.c_prime)
 
-    @property
+    @cached_property
     def cut_threshold_scaled(self) -> Fraction:
         """Scaled-integer form of the cut test c' n beta (scale 2q)."""
         return 2 * self.c_prime * self.n * self.beta_p
 
-    @property
+    @cached_property
     def separator_cost_bound(self) -> Fraction:
         return 2 * self.c_prime * self.n * self.beta
 
-    @property
+    @cached_property
     def norm_cap(self) -> float:
         """Membership threshold 4/c of the small-norm set."""
         return float(4 / self.c)
+
+    @cached_property
+    def easy_threshold(self) -> float:
+        """The easy case fires below the pairwise spread xi n^2 / 4."""
+        return float(self.xi * self.n * self.n) / 4.0
+
+    @cached_property
+    def feedback_cases(self) -> dict[str, FeedbackCase]:
+        """The run's three feedback cases, each with its exact y and unit
+        and its a-priori spectral-norm bound:
+
+        easy:  y = -alpha/n, unit z = 2 alpha / (xi n^2); bound
+               alpha (2/xi - 1) / n, the top eigenvalue at |S| = n;
+        flow:  y = alpha/n, unit 1/(2q); bound alpha/n + 2 beta
+               (endpoint mass is throughput-capped);
+        chain: y = alpha/n, unit f = 2 alpha / (path_min Delta); bound
+               alpha/n + 12 alpha / Delta (each of the exactly path_min
+               paths touches a vertex at most twice in hops, once as an
+               endpoint).
+        """
+        n = self.n
+        alpha = self.alpha
+        easy = float(alpha * (2 / self.xi - 1) / n)
+        flow = float(alpha / n + 2 * self.beta)
+        per_path = 2 * float(alpha) / (self.path_min * self.delta_spread)
+        chain = float(alpha / n) + per_path * 2 * (2 * self.path_min + self.path_min)
+        f = 2 * alpha / (self.path_min * Fraction(self.delta_spread))
+        return {
+            name: FeedbackCase.build(name, n, alpha, self.xi, y, unit, bound)
+            for name, y, unit, bound in (
+                ("easy", -alpha / n, 2 * alpha / (self.xi * n * n), easy),
+                ("flow", alpha / n, Fraction(1, 2 * self.beta_q), flow),
+                ("chain", alpha / n, f, chain),
+            )
+        }
 
 
 @dataclass
@@ -191,27 +228,12 @@ def easy_case(emb: Embedding, params: OracleParams) -> Optional[FeedbackMatrix]:
     The fire condition itself bounds N . X_tilde <= -alpha/2 < 0; the
     budget identity sum(y) + xi n^2 z = alpha holds exactly.
     """
-    n = params.n
     s = small_norm_set(emb, params)
-    spread = emb.spread_over(s)
-    threshold = float(params.xi * n * n) / 4.0
-    if spread >= threshold:
+    if emb.spread_over(s) >= params.easy_threshold:
         return None
-    alpha = params.alpha
-    z = 2 * alpha / (params.xi * n * n)
-    y = -alpha / n
-    # exact eigenvalues are -alpha/n and -alpha/n + z |S|
-    width = max(float(-y), abs(float(y + z * len(s))))
-    return FeedbackMatrix(
-        n=n,
-        alpha=alpha,
-        xi=params.xi,
-        y=y,
-        unit=z,
-        easy_set=(tuple(s), 1),
-        case="easy",
-        width_bound=width,
-    )
+    # exact eigenvalues are y = -alpha/n and y + z |S|
+    case = params.feedback_cases["easy"]
+    return FeedbackMatrix(case, easy_set=(tuple(s), 1), width_bound=case.width(len(s)))
 
 
 def _canonical_direction(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -328,8 +350,6 @@ def _flow_feedback(
     the endpoint-mass matrix.  Both are integer flow amounts in the unit
     1/(2q) of the scaled network.
     """
-    n = g.n
-    alpha = params.alpha
     path_terms = []
     deg_mass: dict[int, int] = {}
     for orig, amount in routes:
@@ -340,19 +360,13 @@ def _flow_feedback(
             deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + amount
             deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
     lam = [(edge, load) for edge, load in zip(g.edges, loads) if load]
-    scale = 2 * params.beta_q
-    part = 2 * (max(deg_mass.values(), default=0) / scale)
-    width = float(alpha / n) + part
+    # ||L(D)|| <= 2 max endpoint mass, in the unit
+    case = params.feedback_cases["flow"]
     return FeedbackMatrix(
-        n=n,
-        alpha=alpha,
-        xi=params.xi,
-        y=alpha / n,
-        unit=Fraction(1, scale),
+        case,
         path_terms=tuple(path_terms),
         lam=tuple(lam),
-        case="flow",
-        width_bound=width,
+        width_bound=case.width(2 * max(deg_mass.values(), default=0)),
     )
 
 
@@ -462,10 +476,8 @@ def chain(
 def _chain_feedback(
     paths: Sequence[tuple[int, ...]], params: OracleParams
 ) -> FeedbackMatrix:
-    """N = diag(alpha/n) + f * (L(F) - L(D)) with f = 2 alpha/(|P| Delta)."""
-    n = params.n
-    alpha = params.alpha
-    f = 2 * alpha / (len(paths) * Fraction(params.delta_spread))
+    """N = diag(alpha/n) + f * (L(F) - L(D)) over exactly ``path_min``
+    paths, with f = 2 alpha/(path_min Delta) the chain case's unit."""
     deg_f: dict[int, int] = {}
     deg_d: dict[int, int] = {}
     for p in paths:
@@ -474,19 +486,10 @@ def _chain_feedback(
             deg_f[b] = deg_f.get(b, 0) + 1
         deg_d[p[0]] = deg_d.get(p[0], 0) + 1
         deg_d[p[-1]] = deg_d.get(p[-1], 0) + 1
-    part = float(f) * 2 * (
-        max(deg_f.values(), default=0) + max(deg_d.values(), default=0)
-    )
-    width = float(alpha / n) + part
+    case = params.feedback_cases["chain"]
+    k = 2 * (max(deg_f.values(), default=0) + max(deg_d.values(), default=0))
     return FeedbackMatrix(
-        n=n,
-        alpha=alpha,
-        xi=params.xi,
-        y=alpha / n,
-        unit=f,
-        path_terms=tuple((p, 1) for p in paths),
-        case="chain",
-        width_bound=width,
+        case, path_terms=tuple((p, 1) for p in paths), width_bound=case.width(k)
     )
 
 

@@ -30,6 +30,7 @@ from .embedding import (
     NO_ENTRIES,
     AccumulatedOperator,
     Embedding,
+    FeedbackCase,
     FeedbackMatrix,
     Rational,
     ScheduleError,
@@ -253,12 +254,12 @@ class MMWUSchedule:
     """Update schedule of one run: delta = alpha/2 exactly,
     eta = delta / (2 n rho^2), T = ceil(4 n^2 rho^2 L(n) / delta^2).
 
-    rho is the a-priori width bound, the max of the three per-case bounds
-    in ``case_bounds``; the run additionally checks every emitted matrix
-    against its case bound and aborts on violation.  The regret algebra
-    needs eta rho <= 1, which holds by construction: eta rho =
-    alpha / (4 n rho), and rho is at least the flow bound
-    alpha/n + 2 beta > alpha/n, so eta rho < 1/4.
+    rho is the a-priori width bound, the largest ``bound`` of the run's
+    three ``OracleParams.feedback_cases``; the run additionally checks
+    every emitted matrix against its case's bound and aborts on
+    violation.  The regret algebra needs eta rho <= 1, which holds by
+    construction: eta rho = alpha / (4 n rho), and rho is at least the
+    flow bound alpha/n + 2 beta > alpha/n, so eta rho < 1/4.
     """
 
     delta: Fraction
@@ -266,7 +267,6 @@ class MMWUSchedule:
     eta: float
     iterations: int
     iteration_cap: int
-    case_bounds: dict = field(repr=False)
 
     @property
     def run_iterations(self) -> int:
@@ -281,30 +281,11 @@ class MMWUSchedule:
         """eta * rho * T, the dimensionless budget of the regret algebra."""
         return self.eta * self.rho * self.iterations
 
-    @staticmethod
-    def case_width_bounds(params: OracleParams) -> dict:
-        """A-priori spectral-norm bound per feedback case.
-
-        easy:  max eigenvalue magnitude alpha (2/xi - 1) / n;
-        flow:  alpha/n + 2 beta (endpoint mass is throughput-capped);
-        chain: alpha/n + 12 alpha / Delta (each of the exactly path_min
-               paths touches a vertex at most twice in hops, once as an
-               endpoint).
-        """
-        n = params.n
-        alpha = params.alpha
-        easy = float(alpha * (2 / params.xi - 1) / n)
-        flow = float(alpha / n + 2 * params.beta)
-        per_path = 2 * float(alpha) / (params.path_min * params.delta_spread)
-        chain = float(alpha / n) + per_path * 2 * (2 * params.path_min + params.path_min)
-        return {"easy": easy, "flow": flow, "chain": chain}
-
     @classmethod
     def plan(cls, params: OracleParams, config: SolverConfig) -> "MMWUSchedule":
         n = params.n
         alpha = params.alpha
-        bounds = cls.case_width_bounds(params)
-        rho = max(bounds.values())
+        rho = max(case.bound for case in params.feedback_cases.values())
         delta = alpha / 2
         eta = float(delta) / (2 * n * rho * rho)
         iterations = math.ceil(
@@ -316,7 +297,6 @@ class MMWUSchedule:
             eta=eta,
             iterations=iterations,
             iteration_cap=config.t_cap,
-            case_bounds=bounds,
         )
         if sched.consistency > CONSISTENCY_CAP:
             raise ScheduleError(
@@ -420,42 +400,45 @@ MMWUOutcome = Union[SeparatorFound, CertificateFound, Inconclusive]
 
 
 class DualLedger:
-    """Exact dual sums of one run: ``add`` keeps one scalar sum of the
-    steps' y and, per exact unit, integer multiplicities of their z, f and
-    lambda terms; ``certificate`` forms the averaged dual's Fractions once.
+    """Exact dual sums of one run, kept as integers: ``add`` counts, per
+    feedback case record (keyed by identity, so no Fraction is hashed),
+    the steps and the integer multiplicities of their z, f and lambda
+    terms.  ``certificate`` is the one place their Fractions are formed:
+    each record's y times its step count, and its unit times each count.
     """
 
     def __init__(self, n: int, alpha: Fraction, delta: Fraction, xi: Fraction):
         self.n, self.alpha, self.delta, self.xi = n, alpha, delta, xi
         self.steps = 0
-        self._y_sum = Fraction(0)
-        # unit -> term -> multiplicity, for the z, f and lambda terms
-        self._counts: tuple[dict, dict, dict] = ({}, {}, {})
+        # record -> [steps, z, f and lambda counts: term -> multiplicity]
+        self._tallies: dict[FeedbackCase, list] = {}
 
     def add(self, fm: FeedbackMatrix) -> None:
         self.steps += 1
-        self._y_sum += fm.y
+        tally = self._tallies.setdefault(fm.record, [0, {}, {}, {}])
+        tally[0] += 1
         easy = () if fm.easy_set is None else (fm.easy_set,)
-        for counts, terms in zip(self._counts, (easy, fm.path_terms, fm.lam)):
-            per_term = counts.setdefault(fm.unit, {})
+        for counts, terms in zip(tally[1:], (easy, fm.path_terms, fm.lam)):
             for term, m in terms:
-                per_term[term] = per_term.get(term, 0) + m
+                counts[term] = counts.get(term, 0) + m
 
     def certificate(self) -> DualCertificate:
         """The averaged dual of the steps so far, not yet measured:
-        y_i = -delta/n + mean y, each term sum_unit unit * count / steps."""
-
-        def averaged(counts: dict) -> tuple:
-            total: dict = {}
-            for unit, per_term in counts.items():
+        y_i = -delta/n + mean y, each term sum_record unit * count / steps."""
+        y_sum = Fraction(0)
+        totals: tuple[dict, dict, dict] = ({}, {}, {})
+        for case, (steps, *counts) in self._tallies.items():
+            y_sum += case.y * steps
+            for total, per_term in zip(totals, counts):
                 for term, m in per_term.items():
-                    total[term] = total.get(term, 0) + unit * m
-            return tuple((term, v / self.steps) for term, v in sorted(total.items()))
-
-        z, f, lam = map(averaged, self._counts)
+                    total[term] = total.get(term, 0) + case.unit * m
+        z, f, lam = (
+            tuple((term, v / self.steps) for term, v in sorted(total.items()))
+            for total in totals
+        )
         return DualCertificate(
             n=self.n, alpha=self.alpha, delta=self.delta, xi=self.xi,
-            y=(-self.delta / self.n + self._y_sum / self.steps,) * self.n,
+            y=(-self.delta / self.n + y_sum / self.steps,) * self.n,
             z=z, f=f, lam=lam, lambda_max_estimate=0.0, norm_scale=0.0,
         )
 
@@ -505,8 +488,7 @@ def mmwu_run(
     ``DualLedger``, whose certificate a full horizon returns once ``verify``
     accepts it.  Capped, oracle-failed and sketch-failed runs return
     Inconclusive, as does a run whose feedback exceeds its case's width
-    bound or comes from a case the schedule planned no bound for.  The
-    loop runs at every n: the brute-force bypass is decided by
+    bound.  The loop runs at every n: the brute-force bypass is decided by
     ``binary_search_solve`` alone.  The exact regime adds N itself to a
     dense A.  The sketch regime adds each step's structured part N - y I
     instead (X does not see a multiple of I), bounds ||A|| for the
@@ -587,22 +569,19 @@ def mmwu_run(
             return SeparatorFound(separator=sol, alpha=alpha, kappa=kappa, iteration=t)
 
         fm = outcome.feedback
-        bound = sched.case_bounds.get(fm.case)
-        if bound is None or fm.width_bound > bound * (1 + 1e-9):
-            why = (
-                f"feedback case {fm.case!r} has no planned width bound"
-                if bound is None
-                else f"width {fm.width_bound:.6g} exceeds the {fm.case} "
-                f"bound {bound:.6g}"
+        if fm.width_bound > fm.record.bound * (1 + 1e-9):
+            return Inconclusive(
+                reason=f"width {fm.width_bound:.6g} exceeds the {fm.case} "
+                f"bound {fm.record.bound:.6g} at iteration {t}",
+                iterations_run=t,
             )
-            return Inconclusive(reason=f"{why} at iteration {t}", iterations_run=t)
         if dense_mode:
             nm = fm.assemble_dense()
             inner = emb.inner(nm)
         else:
             # N.X = y Tr X + (N - y I).X
             nm = fm.structured_sparse
-            inner = float(fm.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
+            inner = float(fm.record.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "

@@ -156,7 +156,14 @@ class OracleTrial:
 
 
 def _case_bound(fm: FeedbackMatrix, params: OracleParams) -> float:
-    return MMWUSchedule.case_width_bounds(params)[fm.case]
+    return params.feedback_cases[fm.case].bound
+
+
+def _budget(fm: FeedbackMatrix, params: OracleParams) -> F:
+    """sum(y) + xi n^2 z of one step, formed exactly from its parts."""
+    r = fm.record
+    m_s = 0 if fm.easy_set is None else fm.easy_set[1]
+    return r.n * r.y + params.xi * r.n * r.n * r.unit * m_s
 
 
 def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
@@ -165,12 +172,12 @@ def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
         kind=fm.case,
         instance=name,
         nonneg_ok=(
-            fm.unit > 0
+            fm.record.unit > 0
             and (fm.easy_set is None or fm.easy_set[1] >= 0)
             and all(m >= 0 for _, m in fm.path_terms)
             and all(m >= 0 for _, m in fm.lam)
         ),
-        budget_ok=fm.budget_total >= params.alpha,
+        budget_ok=_budget(fm, params) >= params.alpha,
         degree_ok=fm.degree_ok(g.weights),
         inner_surrogate=float(np.sum(dense * surrogate_gram)),
         inner_exact=float(np.sum(dense * exact_gram)),

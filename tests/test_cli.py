@@ -99,6 +99,31 @@ def test_solve_text_pipes_into_validate(tmp_path, capsys, monkeypatch):
     assert vout.strip() == "ok"
 
 
+def test_solve_into_a_closed_pipe_exits_zero_quietly(tmp_path, capsys, monkeypatch):
+    # a reader that stops early (`vsep solve | head -1`) closes the pipe:
+    # the write raises BrokenPipeError, which is not a validation reject
+    graph_file = tmp_path / "p5.txt"
+    graph_file.write_text(P5_TEXT)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(["solve", "--input", str(graph_file)])
+        # the descriptor now leads to devnull, so a last flush is quiet
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_json_byte_identical(tmp_path, capsys):
     # grid 4x4 embeds exactly; grid 9x9 (n = 81 > DENSE_CAP) is sketched
     trees = {}

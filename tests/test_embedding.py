@@ -19,6 +19,7 @@ from vsep.embedding import (
     DENSE_CAP,
     AccumulatedOperator,
     Embedding,
+    FeedbackCase,
     FeedbackMatrix,
     ScheduleError,
     approximation_violations,
@@ -79,14 +80,15 @@ def reference_dense(fm, scalar=True):
     """fm assembled from its exact coefficients unit * m by
     structured_entries, with one float() per entry; with ``scalar`` false,
     N - y I."""
+    r = fm.record
     spread = ()
     if fm.easy_set is not None:
-        spread = ((fm.easy_set[0], fm.unit * fm.easy_set[1]),)
-    return entries_to_dense(fm.n, structured_entries(
-        (fm.y,) * fm.n if scalar else (),
+        spread = ((fm.easy_set[0], r.unit * fm.easy_set[1]),)
+    return entries_to_dense(r.n, structured_entries(
+        (r.y,) * r.n if scalar else (),
         spread,
-        [(p, fm.unit * m) for p, m in fm.path_terms],
-        [(e, fm.unit * m) for e, m in fm.lam],
+        [(p, r.unit * m) for p, m in fm.path_terms],
+        [(e, r.unit * m) for e, m in fm.lam],
     ))
 
 
@@ -141,16 +143,12 @@ def test_path_term_cancels_against_edge_coefficient():
 def test_feedback_matrix_dense_and_inner():
     n = 5
     # coefficients 1/10, 1/7 and 2/9 in the common unit 1/630
+    case = FeedbackCase.build("custom", n, F(1), F(9, 16), F(1, 5), F(1, 630), 10.0)
     fm = FeedbackMatrix(
-        n=n,
-        alpha=F(1),
-        xi=F(9, 16),
-        y=F(1, 5),
-        unit=F(1, 630),
+        case,
         easy_set=((0, 1, 2), 63),
         path_terms=(((0, 2, 4), 90),),
         lam=(((1, 2), 140),),
-        case="custom",
         width_bound=10.0,
     )
     want = np.diag([0.2] * n)
@@ -166,37 +164,44 @@ def test_feedback_matrix_dense_and_inner():
     )
     assert math.isclose(float(np.sum(fm.assemble_dense() * x)), direct, rel_tol=1e-10)
 
-    assert fm.budget_total == n * F(1, 5) + F(9, 16) * 25 * F(1, 10)
-    assert fm.lambda_degrees()[1] == F(2, 9)
-    assert fm.lambda_degrees()[3] == 0
+    # n y = 1 = alpha: the budget holds with no easy set at all
+    assert (case.den, case.y_num, case.unit_num, case.min_easy) == (630, 126, 1, 0)
+    # lambda degrees: 2/9 at vertices 1 and 2, 0 elsewhere
     assert fm.degree_ok([1, 1, 1, 1, 1])
+    assert fm.degree_ok([1, 1, 1, 0, 1])
+    assert not fm.degree_ok([1, 0, 1, 1, 1])
 
 
 def test_feedback_matrix_validation():
-    ok = dict(n=3, alpha=F(0), xi=F(9, 16), y=F(0), unit=F(1))
-    zero = FeedbackMatrix(**ok)
+    case = FeedbackCase.build("custom", 3, F(0), F(9, 16), F(0), F(1), 0.0)
+    zero = FeedbackMatrix(case)
     assert zero.entries() == {}
-    assert zero.budget_total == 0
+    assert case.min_easy == 0  # budget: sum(y) = 0 >= alpha = 0
     assert np.array_equal(zero.assemble_dense(), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "unit": F(0)})
+        FeedbackCase.build("custom", 3, F(0), F(9, 16), F(0), F(0), 0.0)
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "easy_set": ((0, 0), 1)})
+        FeedbackMatrix(case, easy_set=((0, 0), 1))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "easy_set": ((0, 1), -1)})
+        FeedbackMatrix(case, easy_set=((0, 1), -1))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "path_terms": (((0, 1, 0), 1),)})
+        FeedbackMatrix(case, path_terms=(((0, 1, 0), 1),))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "path_terms": (((2,), 1),)})
+        FeedbackMatrix(case, path_terms=(((2,), 1),))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "path_terms": (((0, 1), F(1, 2)),)})
+        FeedbackMatrix(case, path_terms=(((0, 1), F(1, 2)),))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "lam": (((2, 1), 1),)})
+        FeedbackMatrix(case, lam=(((2, 1), 1),))
     with pytest.raises(ValueError):
-        FeedbackMatrix(**{**ok, "lam": (((1, 2), -1),)})
+        FeedbackMatrix(case, lam=(((1, 2), -1),))
+    # budget: sum(y) = 0 < alpha = 1; xi n^2 unit = 81/16 per easy-set copy
+    short = FeedbackCase.build("custom", 3, F(1), F(9, 16), F(0), F(1), 0.0)
+    assert short.min_easy == 1
     with pytest.raises(ValueError):
-        # budget: sum(y) = 0 < alpha = 1
-        FeedbackMatrix(**{**ok, "alpha": F(1)})
+        FeedbackMatrix(short)
+    with pytest.raises(ValueError):
+        FeedbackMatrix(short, easy_set=((0, 1), 0))
+    FeedbackMatrix(short, easy_set=((0, 1), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +221,7 @@ def make_random_feedback(rng, n):
     i, j = sorted(rng.permutation(n)[:2].tolist())
     lam.append(((int(i), int(j)), 3 * rng.integers(0, 5).item()))
     return FeedbackMatrix(
-        n=n,
-        alpha=F(0),
-        xi=F(9, 16),
-        y=y,
-        unit=F(1, 6),
+        FeedbackCase.build("custom", n, F(0), F(9, 16), y, F(1, 6), 10.0),
         path_terms=tuple(paths),
         lam=tuple(lam),
         width_bound=float(rng.integers(1, 10)),
@@ -241,7 +242,7 @@ def test_incremental_sparse_update_matches_accumulate():
         for key, v in fm.entries().items():
             total[key] = total.get(key, 0) + v * eta
         for i in range(n):
-            total[(i, i)] = total.get((i, i), 0) - fm.y * eta
+            total[(i, i)] = total.get((i, i), 0) - fm.record.y * eta
     want = entries_to_dense(n, total)
     assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
     for fm in history:

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import vsep.oracle as oracle_mod
-from vsep.embedding import Embedding, FeedbackMatrix, norm_bound, spectral_norm
+from vsep.embedding import (
+    Embedding, FeedbackCase, FeedbackMatrix, norm_bound, spectral_norm,
+)
 from vsep.graphs import (
     complete_graph,
     gnp_graph,
@@ -39,7 +41,6 @@ from vsep.oracle import (
     _compose,
     _harvest_violating,
 )
-from vsep.solver import MMWUSchedule
 from test_embedding import floats_are_exact
 
 F = Fraction
@@ -73,6 +74,7 @@ def test_params_derived_quantities():
     assert p.cut_threshold_scaled == 2 * F(1, 4) * 8 * 5
     assert p.separator_cost_bound == 2 * F(1, 4) * 8 * F(5, 2)
     assert p.norm_cap == 12.0
+    assert p.easy_threshold == 4.0  # xi n^2 / 4
 
 
 def test_params_validation():
@@ -118,12 +120,15 @@ def test_easy_case_collapsed_embedding():
     params = mk_params(n=n, alpha=3)
     fm = easy_case(emb, params)
     assert fm is not None and fm.case == "easy"
-    assert fm.y == -alpha / n
+    assert fm.record is params.feedback_cases["easy"]
+    assert fm.record.y == -alpha / n
     s, m = fm.easy_set
     assert s == tuple(range(n)) and m == 1
-    z = fm.unit
+    z = fm.record.unit
     assert z == 2 * alpha / (params.xi * n * n)
-    assert fm.budget_total == alpha  # -alpha + 2 alpha, exact
+    # budget -alpha + 2 alpha = alpha, exact: m = 1 is the least that holds
+    assert n * fm.record.y + params.xi * n * n * z * m == alpha
+    assert fm.record.min_easy == 1
 
     # spectrum of -a/n I + z K_V is {-a/n, -a/n + z n}; the latter is
     # (2/xi - 1) a/n = 7 a/n at c = 1/3
@@ -220,8 +225,9 @@ def test_matching_flow_feedback_telescopes():
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
     assert fm.case == "flow"
-    assert fm.y == F(5, 4)
-    assert fm.unit == F(1, 2 * params.beta_q)
+    assert fm.record is params.feedback_cases["flow"]
+    assert fm.record.y == F(5, 4)
+    assert fm.record.unit == F(1, 2 * params.beta_q)
     assert counters.outcome_tags == {"flow": 1}
 
     # independent telescoping: N = diag(alpha/n) - sum d_xy L_xy over
@@ -231,7 +237,7 @@ def test_matching_flow_feedback_telescopes():
     mass = {}
     for p, m in fm.path_terms:
         key = (min(p[0], p[-1]), max(p[0], p[-1]))
-        mass[key] = mass.get(key, F(0)) + fm.unit * m
+        mass[key] = mass.get(key, F(0)) + fm.record.unit * m
     for (i, j), m in mass.items():
         lap = np.zeros((4, 4))
         lap[i, i] = lap[j, j] = 1.0
@@ -242,7 +248,7 @@ def test_matching_flow_feedback_telescopes():
     # inner product telescopes to (alpha/n) sum||v||^2 - routed cost
     total_norms = float(np.sum(emb.norms_sq))
     routed = sum(
-        float(fm.unit * m) * emb.dist_sq(p[0], p[-1]) for p, m in fm.path_terms
+        float(fm.record.unit * m) * emb.dist_sq(p[0], p[-1]) for p, m in fm.path_terms
     )
     assert math.isclose(
         emb.inner(dense), 1.25 * total_norms - routed, rel_tol=1e-9
@@ -251,7 +257,7 @@ def test_matching_flow_feedback_telescopes():
 
     # edge coefficients stay within vertex weights, exactly
     assert fm.degree_ok(g.weights)
-    total_mass = fm.unit * sum(m for _, m in fm.path_terms)
+    total_mass = fm.record.unit * sum(m for _, m in fm.path_terms)
     assert fm.width_bound == pytest.approx(1.25 + 2 * float(total_mass))
 
 
@@ -411,10 +417,12 @@ def test_chain_feedback_coefficients():
     fm = _chain_feedback([(0, 1, 2), (3, 4)], params)
     assert fm.case == "chain"
     f = 2 * F(3) / (2 * F(2.0))
-    assert fm.unit == f
+    assert fm.record is params.feedback_cases["chain"]
+    assert fm.record.unit == f
     assert fm.path_terms == (((0, 1, 2), 1), ((3, 4), 1))
-    assert fm.y == F(1, 2)
-    assert fm.budget_total == 3
+    assert fm.record.y == F(1, 2)
+    # budget n y = 3 = alpha with no easy set
+    assert 6 * fm.record.y == 3 and fm.record.min_easy == 0
     # deg_F max is 2 (vertex 1), deg_D max is 1
     assert fm.width_bound == pytest.approx(0.5 + float(f) * 2 * 3)
 
@@ -433,7 +441,7 @@ def test_chain_feedback_coefficients():
     # the exact norm sits inside the certified width, which sits inside
     # the chain bound the schedule plans with
     assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
-    assert fm.width_bound <= MMWUSchedule.case_width_bounds(params)["chain"] * (1 + 1e-9)
+    assert fm.width_bound <= params.feedback_cases["chain"].bound * (1 + 1e-9)
 
 
 def test_inner_from_vectors_matches_gram():
@@ -449,7 +457,7 @@ def test_inner_from_vectors_matches_gram():
     chain_fm = _chain_feedback([(0, 1, 2), (3, 4)],
                                mk_params(n=6, alpha=3, delta_spread=2.0, path_min=2))
     custom = FeedbackMatrix(
-        n=6, alpha=alpha, xi=F(9, 16), y=F(1, 2), unit=F(1, 630),
+        FeedbackCase.build("custom", 6, alpha, F(9, 16), F(1, 2), F(1, 630), 0.0),
         easy_set=((0, 1, 5), 63), path_terms=(((0, 2, 4), 90),),
         lam=(((1, 2), 140),),
     )
@@ -460,7 +468,7 @@ def test_inner_from_vectors_matches_gram():
     assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
     for fm, emb in cases:
         want = float(np.sum(fm.assemble_dense() * (emb.vectors.T @ emb.vectors)))
-        split = (float(fm.y) * float(emb.norms_sq.sum())
+        split = (float(fm.record.y) * float(emb.norms_sq.sum())
                  + emb.inner(fm.structured_sparse))
         assert math.isclose(split, want, rel_tol=1e-10)
         assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
@@ -482,8 +490,8 @@ def test_structured_part_within_its_bound():
     rng = np.random.default_rng(19)
     for fm, emb in ((easy, collapsed), (flow, flow_emb), (chain_fm, None)):
         part = fm.structured_sparse.toarray()
-        y = float(fm.y)
-        assert np.allclose(part + y * np.eye(fm.n), fm.assemble_dense(),
+        y = float(fm.record.y)
+        assert np.allclose(part + y * np.eye(fm.record.n), fm.assemble_dense(),
                            rtol=0, atol=1e-15)
         norm = spectral_norm(part)
         bound = norm_bound(fm.structured_sparse)
@@ -491,8 +499,8 @@ def test_structured_part_within_its_bound():
         assert 0 < norm <= bound * (1 + 1e-12), fm.case
         if fm.case == "easy":
             size = len(fm.easy_set[0])
-            assert math.isclose(norm, float(fm.unit) * size, rel_tol=1e-12)
-            assert math.isclose(bound, 2 * float(fm.unit) * (size - 1),
+            assert math.isclose(norm, float(fm.record.unit) * size, rel_tol=1e-12)
+            assert math.isclose(bound, 2 * float(fm.record.unit) * (size - 1),
                                 rel_tol=1e-12)
         elif fm.case == "flow":
             assert math.isclose(bound, fm.width_bound - abs(y), rel_tol=1e-12)
@@ -500,7 +508,7 @@ def test_structured_part_within_its_bound():
             assert bound <= (fm.width_bound - abs(y)) * (1 + 1e-12), fm.case
         # the solver's N.X = y sum ||v_i||^2 + (N - y I).X
         if emb is None:
-            emb = Embedding(vectors=rng.standard_normal((3, fm.n)))
+            emb = Embedding(vectors=rng.standard_normal((3, fm.record.n)))
         split = y * float(emb.norms_sq.sum()) + emb.inner(fm.structured_sparse)
         assert math.isclose(split, emb.inner(fm.assemble_dense()), rel_tol=1e-12)
     # rows no term touches are empty: vertex 5 is on no path, and the
@@ -578,7 +586,7 @@ def test_chain_fires_on_scripted_matchings(monkeypatch):
     fm = out.feedback
     assert fm.case == "chain"
     assert sorted(p for p, _ in fm.path_terms) == [(0, 1, 4), (2, 3, 5)]
-    assert fm.unit == 2 * F(1) / (2 * F(2.0))
+    assert fm.record.unit == 2 * F(1) / (2 * F(2.0))
     for p, m in fm.path_terms:
         assert m == 1
         assert check_violating(p, emb, params.delta_spread)
@@ -588,7 +596,7 @@ def test_chain_fires_on_scripted_matchings(monkeypatch):
     # the emitted matrix's exact norm sits inside its certified width,
     # which sits inside the chain bound the schedule plans with
     assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
-    assert fm.width_bound <= MMWUSchedule.case_width_bounds(params)["chain"] * (1 + 1e-9)
+    assert fm.width_bound <= params.feedback_cases["chain"].bound * (1 + 1e-9)
 
 
 def test_chain_deduplicates_harvest(monkeypatch):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from vsep.embedding import (
-    DENSE_CAP, FeedbackMatrix, ScheduleError, norm_bound, spectral_norm,
+    DENSE_CAP, FeedbackCase, FeedbackMatrix, ScheduleError, norm_bound, spectral_norm,
 )
 from vsep.graphs import (
     SeparatorSolution,
@@ -28,7 +28,7 @@ from vsep.graphs import (
     with_weights,
 )
 import vsep.embedding
-from vsep.oracle import FeedbackOutcome, OracleError
+from vsep.oracle import FeedbackOutcome, OracleCounters, OracleError
 import vsep.solver as solver_mod
 from vsep.solver import (
     REFINE_STEPS,
@@ -183,7 +183,7 @@ def test_schedule_formulas_and_bounds():
     assert sched.eta * rho < 0.25  # alpha / (4 n rho), rho > alpha / n
     assert sched.consistency == pytest.approx(sched.eta * rho * sched.iterations)
 
-    bounds = sched.case_bounds
+    bounds = {name: case.bound for name, case in params.feedback_cases.items()}
     assert set(bounds) == {"easy", "flow", "chain"}
     # easy: (2/xi - 1) alpha / n = 7 alpha / n at c = 1/3
     assert bounds["easy"] == pytest.approx(7 * 4 / 16)
@@ -202,6 +202,64 @@ def test_schedule_consistency_cap(monkeypatch):
     monkeypatch.setattr(solver_mod, "CONSISTENCY_CAP", 1.0)
     with pytest.raises(ScheduleError):
         MMWUSchedule.plan(params, cfg)
+
+
+# (graph, alpha, config) of runs elsewhere in the suite: the staged heavy
+# K4, the grid of the schedule test, and the default grid 30x30, path 1000
+# and two_blobs 20/20/2 solves
+PLANNED = [
+    (with_weights(complete_graph(4), [64] * 4), 1,
+     SolverConfig(c=F(49, 100), c_prime=F(6, 25), epsilon=1.0)),
+    (grid_graph(4, 4), 4, SolverConfig(c_prime=F(1, 4), t_cap=100)),
+    (grid_graph(30, 30), 1, SolverConfig()),
+    (path_graph(1000), 3, SolverConfig(epsilon=0.25)),
+    (two_blobs_graph(20, 20, 2), 5, SolverConfig(c=F(1, 4))),
+]
+
+
+@pytest.mark.parametrize("g, alpha, cfg", PLANNED)
+def test_feedback_case_budget_is_tight_at_its_least_multiplicity(g, alpha, cfg):
+    params = make_oracle_params(g, alpha, cfg)
+    n, xi = g.n, params.xi
+    cases = params.feedback_cases
+    assert params.feedback_cases is cases  # formed once per run
+
+    def budget(case, m):
+        return n * case.y + xi * n * n * case.unit * m
+
+    assert {name: c.min_easy for name, c in cases.items()} == {
+        "easy": 1, "flow": 0, "chain": 0,
+    }
+    for name, case in cases.items():
+        assert case.name == name and case.n == n
+        assert F(case.y_num, case.den) == case.y
+        assert F(case.unit_num, case.den) == case.unit
+        assert budget(case, case.min_easy) >= params.alpha
+        FeedbackMatrix(case, easy_set=((0, 1), case.min_easy))
+        if case.min_easy > 0:
+            assert budget(case, case.min_easy - 1) < params.alpha
+            with pytest.raises(ValueError, match="violates"):
+                FeedbackMatrix(case, easy_set=((0, 1), case.min_easy - 1))
+    # the easy case's budget identity is exact: -alpha + 2 alpha = alpha
+    assert budget(cases["easy"], 1) == params.alpha
+
+
+# rho, eta (float.hex) and T of each PLANNED run, pinned bit for bit: a
+# change to a width-bound formula or to the order it is evaluated in fails
+PLANNED_SCHEDULES = [
+    ("0x1.e000000000000p+3", "0x1.23456789abcdfp-12", 79851),
+    ("0x1.c5201d6707a65p+6", "0x1.46d889d77a249p-18", 9108406),
+    ("0x1.621a0afdc58f2p+5", "0x1.307987508f7c9p-23", 172720130285),
+    ("0x1.7a79bec95ead3p+7", "0x1.67cdb39841a2cp-26", 439774580321),
+    ("0x1.43eef8f2f59f2p+7", "0x1.5099b23a693c8p-20", 88188541),
+]
+
+
+@pytest.mark.parametrize("planned, want", list(zip(PLANNED, PLANNED_SCHEDULES)))
+def test_schedule_bits_unchanged(planned, want):
+    g, alpha, cfg = planned
+    sched = MMWUSchedule.plan(make_oracle_params(g, alpha, cfg), cfg)
+    assert (sched.rho.hex(), sched.eta.hex(), sched.iterations) == want
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +407,7 @@ def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
     assert lams[:2] == [0.0, norm_bound(ops[1].matrix)]
     assert lams[3] == norm_bound(a)
     assert spectral_norm(a.toarray()) <= lams[3]
-    parts = sum(eta * (fm.width_bound - abs(float(fm.y))) for fm in feedback[:3])
+    parts = sum(eta * (fm.width_bound - abs(float(fm.record.y))) for fm in feedback[:3])
     assert lams[3] <= parts * (1 + 1e-12)
 
 
@@ -486,22 +544,56 @@ def test_mmwu_run_retries_only_a_spent_chain_budget(monkeypatch):
     assert out.reason == "oracle failed at iteration 2: scripted failure"
 
 
+def test_fraction_work_does_not_grow_with_steps(monkeypatch):
+    # heavy K4 at alpha = 1 (the staged run of test_acceptance), cut at
+    # two step caps: each step carries integers only, so the Fractions a
+    # run forms are its per-run constants, the same at either cap.
+    # Python 3.12 builds arithmetic results through _from_coprime_ints,
+    # which bypasses __new__, so both are counted
+    made = [0]
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    coprime = F.__dict__.get("_from_coprime_ints")
+    if coprime is not None:
+        def counting_coprime(cls, *args):
+            made[0] += 1
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+    g = with_weights(complete_graph(4), [64] * 4)
+    made_at, tags = [], []
+    for t_cap in (2300, 2400):
+        cfg = SolverConfig(c=F(49, 100), c_prime=F(6, 25), epsilon=1.0, t_cap=t_cap)
+        counters = OracleCounters()
+        made[0] = 0
+        out = mmwu_run(g, 1, cfg, seed=0, counters=counters)
+        made_at.append(made[0])
+        tags.append(counters.outcome_tags)
+        assert isinstance(out, Inconclusive) and out.iterations_run == t_cap
+    monkeypatch.undo()
+    # both runs take easy steps as well as flow steps
+    assert tags[0] == {"flow": 2187, "easy": 113}
+    assert tags[1]["easy"] > tags[0]["easy"]
+    assert made_at[0] == made_at[1], made_at
+
+
 @pytest.mark.parametrize(
     "case, width, reason",
     [
         ("flow", 1e9, r"width 1e\+09 exceeds the flow bound \S+ at iteration 0"),
-        ("custom", 0.0, "feedback case 'custom' has no planned width bound "
-                        "at iteration 0"),
     ],
 )
 def test_mmwu_run_ends_at_an_unplanned_width(monkeypatch, case, width, reason):
     # heavy K4 at alpha = 1 (the staged run of test_acceptance), with the
     # oracle scripted to answer one edge term of the given case and width
     def scripted(graph, emb, params, key, counters=None):
-        # budget n y = 4 * 1/4 = alpha
         return FeedbackOutcome(FeedbackMatrix(
-            n=4, alpha=params.alpha, xi=params.xi, y=F(1, 4), unit=F(1),
-            lam=(((0, 1), 1),), case=case, width_bound=width,
+            params.feedback_cases[case], lam=(((0, 1), 1),), width_bound=width,
         ))
 
     monkeypatch.setattr(solver_mod, "run_oracle", scripted)
@@ -595,14 +687,15 @@ def test_verify_rejects_each_broken_part(change, weights, message):
 def test_dual_ledger_averages_exactly():
     n, alpha, xi = 3, F(1), F(1, 4)
     # every step's budget n y + xi n^2 unit m_S is exactly alpha
+    easy = FeedbackCase.build("easy", n, alpha, xi, F(-1, 24), F(1, 2), 1.0)
+    flow = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 5), 1.0)
+    other = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 7), 1.0)
     steps = [
-        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(-1, 24), unit=F(1, 2),
-                       easy_set=((0, 1, 2), 1), case="easy"),
-        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(1, 3), unit=F(1, 5),
-                       path_terms=(((0, 1, 2), 2),), lam=(((0, 1), 1),), case="flow"),
-        FeedbackMatrix(n=n, alpha=alpha, xi=xi, y=F(1, 3), unit=F(1, 7),
-                       path_terms=(((0, 1, 2), 1), ((1, 2), 3)), lam=(((1, 2), 3),),
-                       case="flow"),
+        FeedbackMatrix(easy, easy_set=((0, 1, 2), 1)),
+        FeedbackMatrix(flow, path_terms=(((0, 1, 2), 2),), lam=(((0, 1), 1),)),
+        FeedbackMatrix(other, path_terms=(((0, 1, 2), 1), ((1, 2), 3)),
+                       lam=(((1, 2), 3),)),
+        FeedbackMatrix(flow, path_terms=(((0, 2), 1),)),
     ]
     ledger = DualLedger(n, alpha, alpha / 2, xi)
     for fm in steps:
@@ -618,7 +711,7 @@ def test_dual_ledger_averages_exactly():
     assert {k: v for k, v in cert.entries().items() if v} == nonzero
     assert cert.objective() == alpha - alpha / 2
     # path (0, 1, 2) appears under two units: one averaged coefficient
-    assert dict(cert.f)[(0, 1, 2)] == (F(2, 5) + F(1, 7)) / 3
+    assert dict(cert.f)[(0, 1, 2)] == (F(2, 5) + F(1, 7)) / 4
 
 
 # ---------------------------------------------------------------------------
