@@ -4,11 +4,12 @@ The solver never materializes its (dense, exponential) primal iterate;
 it works with a low-dimensional random sketch whose pairwise distances
 approximate the exact ones.  This demo builds one feedback
 matrix from its case record (the exact y and unit one case of one run
-shares) and integer multiplicities, then builds A from a few structured
-matrices as the solver's sketch regime does, A + eta * (N - y I) per
-step with N.structured_sparse (X does not see a multiple of I), bounds
-||A|| by its largest absolute row sum, as the solver does, and compares
-the sketch against the exact reference.
+shares) and integer multiplicities, and prints its one float form,
+N - y I, then builds A from a few structured matrices as the solver
+does in both regimes, A + eta * (N - y I) per step (X does not see a
+multiple of I), here with N.structured_sparse as the sketch regime
+stores it, bounds ||A|| by its largest absolute row sum, as the solver
+does, and compares the sketch against the exact reference.
 
 Run with: python3 demos/02_embeddings.py
 """
@@ -46,7 +47,8 @@ def structured_pieces() -> None:
     print(f"integers  y = {case.y_num}/{case.den}, unit = {case.unit_num}/{case.den}")
     print(f"budget    sum(y) + xi n^2 unit m_S >= alpha from m_S = {case.min_easy}; "
           f"this step has m_S = {fm.easy_set[1]}")
-    print(f"dense form:\n{fm.assemble_dense()}")
+    print(f"N - y I, the float form the solver adds to A:\n"
+          f"{fm.structured_sparse.toarray()}")
     print()
 
 

@@ -226,6 +226,8 @@ def _extract_separator_text(text: str) -> tuple[str, Optional[Fraction]]:
                 balance = Fraction(line.split(":", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
                 raise _InputError(f"unreadable balance line: {raw!r}")
+            if not (0 < balance < Fraction(1, 2)):
+                raise _InputError(f"balance line outside (0, 1/2): {raw!r}")
     return "\n".join(kept) + "\n", balance
 
 

@@ -12,7 +12,8 @@ symmetric A.  This module provides:
   integers only;
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.structured_sparse each step, leaving out the
-  scalar diagonal that X ignores, and starts it at :data:`NO_ENTRIES`;
+  scalar diagonal that X ignores (as its dense A does where the
+  embedding is exact), and starts it at :data:`NO_ENTRIES`;
   :func:`norm_bound` bounds its norm by its largest absolute row sum;
 * :func:`project_embedding`, a randomized sketch of the Gram columns of X:
   sign probes +-1/sqrt(d) (Achlioptas, JCSS 2003: the same JL bound as
@@ -196,11 +197,13 @@ class FeedbackMatrix:
     an integer over the record's denominator, and the budget
     sum(y) + xi n^2 z >= alpha is the integer test m_S >= ``min_easy``.
     ``width_bound`` is the certified spectral-norm bound of this step.
-    The solver adds one of two float forms to A:
-    ``assemble_dense()``, N as a dense array, where the embedding is
-    exact, and ``structured_sparse``, N - y I as CSR, which touches only
-    the vertices of the easy set, the paths and the edges, in the sketch
-    regime.
+    Its one float form is that of N - y I, :meth:`structured_floats`:
+    X does not see a multiple of I, so the solver adds no y I to A in
+    either regime, and mirrors these floats into a dense A where the
+    embedding is exact and into a CSR (``structured_sparse``, which
+    touches only the vertices of the easy set, the paths and the edges)
+    in the sketch regime.  A is then the same matrix, bit for bit, in
+    both.
     """
 
     record: FeedbackCase
@@ -246,45 +249,28 @@ class FeedbackMatrix:
         r = self.record
         return all(r.unit_num * d <= w * r.den for d, w in zip(deg, weights))
 
-    def _numerators(
-        self, scalar: bool = True
-    ) -> tuple[dict[tuple[int, int], int], int]:
-        """Upper-triangle entries (i <= j) as integer numerators over the
-        record's denominator, which is returned alongside; with ``scalar``
-        false, those of N - y I."""
+    def structured_floats(self) -> dict[tuple[int, int], float]:
+        """Upper-triangle entries (i <= j) of N - y I: integer numerators
+        over the record's denominator, each rounded to float once (int /
+        int division is correctly rounded), exact zeros dropped.  The
+        solver mirrors them into its dense A, and ``structured_sparse``
+        into a CSR."""
         r = self.record
         u = r.unit_num
         s, m_s = self.easy_set or ((), 0)
         num = structured_entries(
-            (r.y_num,) * r.n if scalar else (),
+            (),
             [(s, u * m_s)],
             [(p, u * m) for p, m in self.path_terms],
             [(e, u * m) for e, m in self.lam],
         )
-        return num, r.den
-
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """Exact upper-triangle entries (i <= j), exact zeros dropped."""
-        num, den = self._numerators()
-        return {key: Fraction(v, den) for key, v in num.items()}
-
-    def _floats(self, scalar: bool = True) -> dict[tuple[int, int], float]:
-        """Upper-triangle entries, each rounded to float once (int / int
-        division is correctly rounded)."""
-        num, den = self._numerators(scalar)
-        return {key: v / den for key, v in num.items()}
+        return {key: v / r.den for key, v in num.items()}
 
     @cached_property
     def structured_sparse(self) -> sp.csr_matrix:
-        """N - y I as CSR (both triangles), from the same exact numerators
-        with y left out: rows of vertices no term touches are empty."""
-        return _symmetric_csr(self.record.n, self._floats(scalar=False))
-
-    def assemble_dense(self) -> np.ndarray:
-        """N as a dense array, its exact entries each rounded to float
-        once, built directly: a scipy construction costs more than a whole
-        small-n iteration."""
-        return symmetric_dense(self.record.n, self._floats())
+        """N - y I as CSR (both triangles): rows of vertices no term
+        touches are empty."""
+        return _symmetric_csr(self.record.n, self.structured_floats())
 
 
 def symmetric_dense(

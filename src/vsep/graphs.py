@@ -491,6 +491,8 @@ def star_graph(leaves: int) -> WeightedGraph:
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
     """rows x cols grid, row-major vertex ids."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid needs rows, cols >= 1, got {rows} x {cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -504,6 +506,8 @@ def grid_graph(rows: int, cols: int) -> WeightedGraph:
 
 def gnp_graph(n: int, p: float, seed: int = 0) -> WeightedGraph:
     """Erdos-Renyi G(n, p) with a fixed-seed PRNG."""
+    if not 0 <= p <= 1:  # NaN fails too
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = random.Random(seed)
     edges = [
         (u, v)

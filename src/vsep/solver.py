@@ -76,7 +76,6 @@ SIGMA_FLOOR = 1e-4  # the separation margin is never halved below this
 PATH_EXPONENT = 0.25  # chain harvest target n^(1 - PATH_EXPONENT eps)
 THROUGHPUT_MARGIN = Fraction(1, 4)  # c'' of the throughput rationalization
 REPLICATION_CAP = 64  # default replicas per iteration at most
-CONSISTENCY_CAP = 1e9  # schedules with eta*rho*T above this are refused
 REFINE_STEPS = 2  # integer bisection steps after the geometric sweep
 
 
@@ -259,7 +258,9 @@ class MMWUSchedule:
     every emitted matrix against its case's bound and aborts on
     violation.  The regret algebra needs eta rho <= 1, which holds by
     construction: eta rho = alpha / (4 n rho), and rho is at least the
-    flow bound alpha/n + 2 beta > alpha/n, so eta rho < 1/4.
+    flow bound alpha/n + 2 beta > alpha/n, so eta rho < 1/4.  Nothing
+    else bounds the plan: a horizon above the iteration cap runs to the
+    cap and ends inconclusive.
     """
 
     delta: Fraction
@@ -276,11 +277,6 @@ class MMWUSchedule:
     def completes(self) -> bool:
         return self.iterations <= self.iteration_cap
 
-    @property
-    def consistency(self) -> float:
-        """eta * rho * T, the dimensionless budget of the regret algebra."""
-        return self.eta * self.rho * self.iterations
-
     @classmethod
     def plan(cls, params: OracleParams, config: SolverConfig) -> "MMWUSchedule":
         n = params.n
@@ -291,19 +287,13 @@ class MMWUSchedule:
         iterations = math.ceil(
             4 * n * n * rho * rho * log_guard(n) / float(delta) ** 2
         )
-        sched = cls(
+        return cls(
             delta=delta,
             rho=rho,
             eta=eta,
             iterations=iterations,
             iteration_cap=config.t_cap,
         )
-        if sched.consistency > CONSISTENCY_CAP:
-            raise ScheduleError(
-                f"schedule consistency eta*rho*T = {sched.consistency:.3g} "
-                f"exceeds the cap {CONSISTENCY_CAP:.3g}"
-            )
-        return sched
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +330,6 @@ class DualCertificate:
 
     def entries(self) -> dict[tuple[int, int], Fraction]:
         return structured_entries(self.y, self.z, self.f, self.lam)
-
-    def assemble_dense(self) -> np.ndarray:
-        return symmetric_dense(self.n, self.entries())
 
     def nonneg_ok(self) -> bool:
         return (
@@ -457,7 +444,7 @@ def verify(cert: DualCertificate, g: WeightedGraph, tol: float) -> DualCertifica
             f"dual objective {cert.objective()} != alpha - delta "
             f"= {cert.certified_lower_bound}"
         )
-    dense = cert.assemble_dense()
+    dense = symmetric_dense(cert.n, cert.entries())
     lam_max = largest_eigenvalue(dense)
     scale = spectral_norm(dense)
     bound = tol * max(scale, 1e-12)
@@ -489,11 +476,13 @@ def mmwu_run(
     accepts it.  Capped, oracle-failed and sketch-failed runs return
     Inconclusive, as does a run whose feedback exceeds its case's width
     bound.  The loop runs at every n: the brute-force bypass is decided by
-    ``binary_search_solve`` alone.  The exact regime adds N itself to a
-    dense A.  The sketch regime adds each step's structured part N - y I
-    instead (X does not see a multiple of I), bounds ||A|| for the
-    sketch's series by ``norm_bound(A)``, and forms N.X as
-    y sum_i ||v_i||^2 + (N - y I).X.  Its A starts with no entries, so
+    ``binary_search_solve`` alone.  Both regimes add each step's
+    structured part N - y I to A (X does not see a multiple of I), from
+    the same floats, so A is the same matrix in both, and both form N.X
+    as y sum_i ||v_i||^2 + (N - y I).X.  They differ in A's storage and
+    in the embedding call: the exact regime keeps A dense for ``eigh``;
+    the sketch regime keeps it sparse, bounds ||A|| for the sketch's
+    series by ``norm_bound(A)``, and starts with no entries, so
     scipy.sparse is first imported by the first such feedback's CSR: a
     run that stops at iteration 0, and every exact-regime run, needs
     numpy alone.
@@ -513,10 +502,10 @@ def mmwu_run(
     counters = counters if counters is not None else OracleCounters()
 
     dense_mode = embeds_exactly(n)
-    # A = eta * sum N, dense where the embedding is exact (eigh needs A
-    # dense); in the sketch regime CSR, updated from each step's sparse
-    # N - y I, so that no iteration touches an n x n array, and no CSR
-    # (nor scipy) before the first feedback
+    # A = eta * sum (N - y I) in both regimes: dense where the embedding
+    # is exact (eigh needs A dense); in the sketch regime CSR, so that no
+    # iteration touches an n x n array, and no CSR (nor scipy) before the
+    # first feedback
     a_eta = np.zeros((n, n)) if dense_mode else NO_ENTRIES
     ledger = DualLedger(n, alpha, sched.delta, params.xi)
     inner_sum = 0.0
@@ -575,13 +564,14 @@ def mmwu_run(
                 f"bound {fm.record.bound:.6g} at iteration {t}",
                 iterations_run=t,
             )
-        if dense_mode:
-            nm = fm.assemble_dense()
-            inner = emb.inner(nm)
-        else:
-            # N.X = y Tr X + (N - y I).X
-            nm = fm.structured_sparse
-            inner = float(fm.record.y) * float(emb.norms_sq.sum()) + emb.inner(nm)
+        # N - y I, the same floats in either storage
+        step = (
+            symmetric_dense(n, fm.structured_floats())
+            if dense_mode
+            else fm.structured_sparse
+        )
+        # N.X = y Tr X + (N - y I).X
+        inner = float(fm.record.y) * float(emb.norms_sq.sum()) + emb.inner(step)
         if inner > 0:
             raise CertificationError(
                 f"feedback lost its sign: N.X = {inner:.6g} > 0 "
@@ -589,7 +579,7 @@ def mmwu_run(
             )
 
         ledger.add(fm)
-        a_eta = a_eta + sched.eta * nm
+        a_eta = a_eta + sched.eta * step
         inner_sum += inner
 
     if not sched.completes:

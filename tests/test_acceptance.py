@@ -20,7 +20,7 @@ import pytest
 import scipy.sparse as sp
 
 import conftest
-from test_embedding import floats_are_exact
+from test_embedding import floats_are_exact, reference_dense
 from test_maxflow import (
     brute_min_cut,
     check_structural,
@@ -37,6 +37,7 @@ from vsep.embedding import (
     dense_reference,
     project_embedding,
     spectral_norm,
+    symmetric_dense,
 )
 from vsep.flow import max_flow
 from vsep.graphs import (
@@ -167,7 +168,7 @@ def _budget(fm: FeedbackMatrix, params: OracleParams) -> F:
 
 
 def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
-    dense = fm.assemble_dense()
+    dense = reference_dense(fm)
     return OracleTrial(
         kind=fm.case,
         instance=name,
@@ -254,7 +255,7 @@ def _drift_instance(name, g, cfg, alpha, iters, slow, idx, trials):
         trials.append(
             _record_feedback(fm, params, g, emb.gram(), exact_gram, name)
         )
-        a_eta = a_eta + eta * fm.assemble_dense()
+        a_eta = a_eta + eta * reference_dense(fm)
         width_sum += eta * fm.width_bound
 
 
@@ -342,10 +343,10 @@ def test_criterion_3_oracle_contract(oracle_trials):
 
 
 def test_feedback_floats_are_exact_entries_rounded_once(oracle_trials):
-    # every emitted N.assemble_dense() and N.structured_sparse, the two
-    # forms the solver adds to A, equal, bitwise, the matrices whose
-    # entries are structured_entries over the exact coefficients (without
-    # y for the second), each float()ed once
+    # every emitted N's float form N - y I, which the solver adds to A,
+    # mirrored dense and as CSR, equals, bitwise, the matrix whose entries
+    # are structured_entries over the exact coefficients without y, each
+    # float()ed once
     feedback = [t for t in oracle_trials if t.kind != "separator"]
     assert feedback
     assert all(t.floats_exact for t in feedback)
@@ -493,7 +494,7 @@ def test_criterion_6_regret_arithmetic(staged_run):
 
     # sum N / T = certificate matrix + (delta/n) I exactly: the
     # certificate's y is -delta/n + sum y / T, its z, f, lambda the averages
-    mean_n = cert.assemble_dense() + float(cert.delta / g.n) * np.eye(g.n)
+    mean_n = symmetric_dense(g.n, cert.entries()) + float(cert.delta / g.n) * np.eye(g.n)
     lhs = float(np.linalg.eigvalsh(mean_n).max())
     rhs = (
         diag.mean_inner / g.n
@@ -528,7 +529,7 @@ def test_staged_certificate_digest(staged_run):
     }
     text = json.dumps(tree, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "32ec179e601ad2b5b70c872b82c658762f1fa85389d467b801bc8dd7357cb9cb"
+        "5d5bf868d206826c3c9b57eac9edee2414c683d0a06f0c7bd135a3fc2b552f16"
     )
 
 

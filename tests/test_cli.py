@@ -74,6 +74,11 @@ def test_gen_errors(capsys):
         ["gen", "path", "4", "--max-weight", "100000"], capsys
     )
     assert code == 3  # above max(n,4)^3 = 64
+    # generator parameters out of range are bad input too
+    for argv in (["grid", "-1", "-5"], ["gnp", "5", "2.0"], ["gnp", "4", "nan"]):
+        code, out, err = run_cli(["gen", "--", *argv], capsys)
+        assert code == 3, argv
+        assert out == "" and err.startswith("input error: "), argv
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,22 @@ def test_validate_bad_vertex_id_exits_three(tmp_path, capsys, monkeypatch):
         )
         assert code == 3, c_line
         assert out == "" and err == f"input error: {message}\n", c_line
+
+
+def test_validate_rejects_an_out_of_range_balance_line(tmp_path, capsys, monkeypatch):
+    # the embedded line gets the (0, 1/2) check that --c gets, as bad
+    # input named with its line: once it was trusted, and printed "ok"
+    graph_file = tmp_path / "p6.txt"
+    graph_file.write_text(render_graph(path_graph(6)))
+    for value in ("-1", "0", "1/2", "3/4"):
+        line = f"balance: {value}"
+        code, out, err = run_cli(
+            ["validate", "--graph", str(graph_file)],
+            capsys, monkeypatch, stdin=f"A: 0 1 2 3 4 5\nB:\nC:\n{line}\n",
+        )
+        assert code == 3, value
+        assert out == ""
+        assert err == f"input error: balance line outside (0, 1/2): {line!r}\n"
 
 
 def test_validate_balance_priority(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from vsep.embedding import (
     projection_dimension,
     spectral_norm,
     structured_entries,
+    symmetric_dense,
     taylor_terms,
     _expm_action,
     _sign_probes,
@@ -76,28 +77,34 @@ def entries_to_dense(n, entries):
     return m
 
 
-def reference_dense(fm, scalar=True):
-    """fm assembled from its exact coefficients unit * m by
-    structured_entries, with one float() per entry; with ``scalar`` false,
-    N - y I."""
+def exact_entries(fm, scalar=True):
+    """fm's exact upper-triangle entries, from its coefficients unit * m
+    by structured_entries; with ``scalar`` false, those of N - y I."""
     r = fm.record
     spread = ()
     if fm.easy_set is not None:
         spread = ((fm.easy_set[0], r.unit * fm.easy_set[1]),)
-    return entries_to_dense(r.n, structured_entries(
+    return structured_entries(
         (r.y,) * r.n if scalar else (),
         spread,
         [(p, r.unit * m) for p, m in fm.path_terms],
         [(e, r.unit * m) for e, m in fm.lam],
-    ))
+    )
+
+
+def reference_dense(fm, scalar=True):
+    """fm assembled from its exact entries with one float() per entry;
+    with ``scalar`` false, N - y I."""
+    return entries_to_dense(fm.record.n, exact_entries(fm, scalar))
 
 
 def floats_are_exact(fm):
-    """Both float forms the solver adds to A equal their references
-    bitwise: N dense, and N - y I as CSR."""
-    return (np.array_equal(fm.assemble_dense(), reference_dense(fm))
-            and np.array_equal(fm.structured_sparse.toarray(),
-                               reference_dense(fm, scalar=False)))
+    """The float form the solver adds to A, N - y I, equals its reference
+    bitwise, mirrored dense (the exact regime) and as CSR (the sketch
+    regime)."""
+    want = reference_dense(fm, scalar=False)
+    return (np.array_equal(symmetric_dense(fm.record.n, fm.structured_floats()), want)
+            and np.array_equal(fm.structured_sparse.toarray(), want))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +162,15 @@ def test_feedback_matrix_dense_and_inner():
     want += 0.1 * spread_matrix(n, (0, 1, 2))
     want += (1 / 7) * path_matrix(n, (0, 2, 4))
     want -= (2 / 9) * edge_laplacian(n, 1, 2)
-    assert np.allclose(fm.assemble_dense(), want, atol=1e-12)
+    dense = fm.structured_sparse.toarray() + 0.2 * np.eye(n)
+    assert np.allclose(dense, want, atol=1e-12)
 
     x = np.arange(n * n, dtype=float).reshape(n, n)
     x = (x + x.T) / 2
     direct = sum(
         want[i, j] * x[i, j] for i in range(n) for j in range(n)
     )
-    assert math.isclose(float(np.sum(fm.assemble_dense() * x)), direct, rel_tol=1e-10)
+    assert math.isclose(float(np.sum(dense * x)), direct, rel_tol=1e-10)
 
     # n y = 1 = alpha: the budget holds with no easy set at all
     assert (case.den, case.y_num, case.unit_num, case.min_easy) == (630, 126, 1, 0)
@@ -175,9 +183,9 @@ def test_feedback_matrix_dense_and_inner():
 def test_feedback_matrix_validation():
     case = FeedbackCase.build("custom", 3, F(0), F(9, 16), F(0), F(1), 0.0)
     zero = FeedbackMatrix(case)
-    assert zero.entries() == {}
+    assert zero.structured_floats() == {}
     assert case.min_easy == 0  # budget: sum(y) = 0 >= alpha = 0
-    assert np.array_equal(zero.assemble_dense(), np.zeros((3, 3)))
+    assert np.array_equal(zero.structured_sparse.toarray(), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         FeedbackCase.build("custom", 3, F(0), F(9, 16), F(0), F(0), 0.0)
     with pytest.raises(ValueError):
@@ -239,10 +247,8 @@ def test_incremental_sparse_update_matches_accumulate():
     total: dict = {}
     for fm in history:
         a = a + float(eta) * fm.structured_sparse
-        for key, v in fm.entries().items():
+        for key, v in exact_entries(fm, scalar=False).items():
             total[key] = total.get(key, 0) + v * eta
-        for i in range(n):
-            total[(i, i)] = total.get((i, i), 0) - fm.record.y * eta
     want = entries_to_dense(n, total)
     assert np.allclose(a.toarray(), want, rtol=0, atol=1e-12)
     for fm in history:

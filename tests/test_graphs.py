@@ -17,6 +17,7 @@ from vsep.graphs import (
     complete_graph,
     connected_components,
     generate,
+    gnp_graph,
     grid_graph,
     make_graph,
     max_weight_bound,
@@ -352,6 +353,29 @@ def test_generator_shapes():
     g = grid_graph(4, 4)
     assert g.n == 16 and g.m == 24  # 2 * 4 * 3 horizontal + vertical
     assert complete_graph(4).m == 6
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: grid_graph(-1, -5), id="grid-1x-5"),  # was 5 bare vertices
+        pytest.param(lambda: grid_graph(0, 5), id="grid0x5"),
+        pytest.param(lambda: grid_graph(3, 0), id="grid3x0"),
+        pytest.param(lambda: gnp_graph(5, 2.0), id="gnp-p2"),
+        pytest.param(lambda: gnp_graph(5, -1), id="gnp-p-1"),
+        pytest.param(lambda: gnp_graph(4, float("nan")), id="gnp-nan"),
+        pytest.param(lambda: gnp_graph(4, float("inf")), id="gnp-inf"),
+    ],
+)
+def test_generators_reject_bad_parameters(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_generators_accept_their_edge_parameters():
+    assert grid_graph(1, 1).n == 1
+    assert gnp_graph(5, 0).m == 0
+    assert gnp_graph(5, 1) == complete_graph(5)
 
 
 def test_generate_dispatch_and_determinism():

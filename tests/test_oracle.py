@@ -14,6 +14,7 @@ import pytest
 import vsep.oracle as oracle_mod
 from vsep.embedding import (
     Embedding, FeedbackCase, FeedbackMatrix, norm_bound, spectral_norm,
+    symmetric_dense,
 )
 from vsep.graphs import (
     complete_graph,
@@ -41,7 +42,7 @@ from vsep.oracle import (
     _compose,
     _harvest_violating,
 )
-from test_embedding import floats_are_exact
+from test_embedding import exact_entries, floats_are_exact, reference_dense
 
 F = Fraction
 
@@ -132,7 +133,7 @@ def test_easy_case_collapsed_embedding():
 
     # spectrum of -a/n I + z K_V is {-a/n, -a/n + z n}; the latter is
     # (2/xi - 1) a/n = 7 a/n at c = 1/3
-    eigs = np.linalg.eigvalsh(fm.assemble_dense())
+    eigs = np.linalg.eigvalsh(reference_dense(fm))
     expect_low = float(-alpha / n)
     expect_high = float(-alpha / n + z * n)
     assert math.isclose(expect_high, float(7 * alpha / n), rel_tol=1e-12)
@@ -141,7 +142,7 @@ def test_easy_case_collapsed_embedding():
     assert math.isclose(fm.width_bound, expect_high, rel_tol=1e-12)
 
     # the fire condition bounds the inner product by -alpha/2
-    assert emb.inner(fm.assemble_dense()) <= -float(alpha) / 2
+    assert emb.inner(reference_dense(fm)) <= -float(alpha) / 2
 
 
 def test_easy_case_threshold_is_strict():
@@ -232,7 +233,7 @@ def test_matching_flow_feedback_telescopes():
 
     # independent telescoping: N = diag(alpha/n) - sum d_xy L_xy over
     # the decomposed endpoint masses
-    dense = fm.assemble_dense()
+    dense = reference_dense(fm)
     want = np.diag([1.25] * 4)
     mass = {}
     for p, m in fm.path_terms:
@@ -266,7 +267,7 @@ def test_matching_flow_feedback_orientation_independent():
     out_f = matching(g, emb, np.array([1.0, 0.0]), params)
     out_r = matching(g, emb, np.array([-1.0, 0.0]), params)
     assert isinstance(out_r, FeedbackOutcome)
-    assert out_r.feedback.entries() == out_f.feedback.entries()
+    assert exact_entries(out_r.feedback) == exact_entries(out_f.feedback)
     # reversed orientation reverses each recorded path
     fwd = sorted(p for p, _ in out_f.feedback.path_terms)
     rev = sorted(tuple(reversed(p)) for p, _ in out_r.feedback.path_terms)
@@ -352,7 +353,7 @@ def test_matching_exact_reversal_symmetry_sweep():
             assert fwd.separator == rev.separator
             assert fwd.cut_scaled == rev.cut_scaled
         elif isinstance(fwd, FeedbackOutcome):
-            assert fwd.feedback.entries() == rev.feedback.entries()
+            assert exact_entries(fwd.feedback) == exact_entries(rev.feedback)
         else:
             assert rev.pairs == tuple((y, x) for (x, y) in fwd.pairs)
     assert "MatchingOutcome" in kinds  # the sweep must exercise reversal
@@ -437,17 +438,17 @@ def test_chain_feedback_coefficients():
         end[a, a] = end[b, b] = 1
         end[a, b] = end[b, a] = -1
         want += float(f) * (hop - end)
-    assert np.allclose(fm.assemble_dense(), want, atol=1e-12)
+    assert np.allclose(reference_dense(fm), want, atol=1e-12)
     # the exact norm sits inside the certified width, which sits inside
     # the chain bound the schedule plans with
-    assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
+    assert spectral_norm(reference_dense(fm)) <= fm.width_bound * (1 + 1e-9)
     assert fm.width_bound <= params.feedback_cases["chain"].bound * (1 + 1e-9)
 
 
 def test_inner_from_vectors_matches_gram():
-    # the solver's N.X from the embedding vectors, in both regimes' forms
-    # (dense N, and y sum ||v_i||^2 plus the sparse N - y I), against the
-    # Frobenius product with the n x n Gram matrix
+    # the solver's N.X from the embedding vectors, y sum ||v_i||^2 plus
+    # (N - y I).X with N - y I in both regimes' storage (dense and CSR),
+    # against the Frobenius product of N with the n x n Gram matrix
     rng = np.random.default_rng(17)
     n, alpha = 5, F(3)
     collapsed = Embedding(vectors=np.ones((2, n)) / math.sqrt(2))
@@ -467,11 +468,11 @@ def test_inner_from_vectors_matches_gram():
     ]
     assert [fm.case for fm, _ in cases] == ["easy", "flow", "chain", "custom"]
     for fm, emb in cases:
-        want = float(np.sum(fm.assemble_dense() * (emb.vectors.T @ emb.vectors)))
-        split = (float(fm.record.y) * float(emb.norms_sq.sum())
-                 + emb.inner(fm.structured_sparse))
-        assert math.isclose(split, want, rel_tol=1e-10)
-        assert math.isclose(emb.inner(fm.assemble_dense()), want, rel_tol=1e-10)
+        want = float(np.sum(reference_dense(fm) * (emb.vectors.T @ emb.vectors)))
+        scalar = float(fm.record.y) * float(emb.norms_sq.sum())
+        dense = symmetric_dense(fm.record.n, fm.structured_floats())
+        for step in (dense, fm.structured_sparse):
+            assert math.isclose(scalar + emb.inner(step), want, rel_tol=1e-10)
 
 
 def test_structured_part_within_its_bound():
@@ -491,7 +492,7 @@ def test_structured_part_within_its_bound():
     for fm, emb in ((easy, collapsed), (flow, flow_emb), (chain_fm, None)):
         part = fm.structured_sparse.toarray()
         y = float(fm.record.y)
-        assert np.allclose(part + y * np.eye(fm.record.n), fm.assemble_dense(),
+        assert np.allclose(part + y * np.eye(fm.record.n), reference_dense(fm),
                            rtol=0, atol=1e-15)
         norm = spectral_norm(part)
         bound = norm_bound(fm.structured_sparse)
@@ -510,7 +511,7 @@ def test_structured_part_within_its_bound():
         if emb is None:
             emb = Embedding(vectors=rng.standard_normal((3, fm.record.n)))
         split = y * float(emb.norms_sq.sum()) + emb.inner(fm.structured_sparse)
-        assert math.isclose(split, emb.inner(fm.assemble_dense()), rel_tol=1e-12)
+        assert math.isclose(split, emb.inner(reference_dense(fm)), rel_tol=1e-12)
     # rows no term touches are empty: vertex 5 is on no path, and the
     # two-vertex path (3, 4) is identically zero
     assert np.diff(chain_fm.structured_sparse.indptr).tolist() == [2, 3, 2, 0, 0, 0]
@@ -595,7 +596,7 @@ def test_chain_fires_on_scripted_matchings(monkeypatch):
     assert floats_are_exact(fm)
     # the emitted matrix's exact norm sits inside its certified width,
     # which sits inside the chain bound the schedule plans with
-    assert spectral_norm(fm.assemble_dense()) <= fm.width_bound * (1 + 1e-9)
+    assert spectral_norm(reference_dense(fm)) <= fm.width_bound * (1 + 1e-9)
     assert fm.width_bound <= params.feedback_cases["chain"].bound * (1 + 1e-9)
 
 

@@ -11,12 +11,14 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vsep.embedding import (
-    DENSE_CAP, FeedbackCase, FeedbackMatrix, ScheduleError, norm_bound, spectral_norm,
+    DENSE_CAP, Embedding, FeedbackCase, FeedbackMatrix, norm_bound, spectral_norm,
+    symmetric_dense,
 )
 from vsep.graphs import (
     SeparatorSolution,
@@ -53,6 +55,7 @@ from vsep.solver import (
     verify,
     _most_balanced_extension,
 )
+from test_embedding import exact_entries
 
 F = Fraction
 
@@ -181,7 +184,6 @@ def test_schedule_formulas_and_bounds():
     want_t = math.ceil(4 * n * n * rho * rho * lg / float(sched.delta) ** 2)
     assert sched.iterations == want_t
     assert sched.eta * rho < 0.25  # alpha / (4 n rho), rho > alpha / n
-    assert sched.consistency == pytest.approx(sched.eta * rho * sched.iterations)
 
     bounds = {name: case.bound for name, case in params.feedback_cases.items()}
     assert set(bounds) == {"easy", "flow", "chain"}
@@ -195,13 +197,16 @@ def test_schedule_formulas_and_bounds():
     assert not sched.completes and sched.run_iterations == 100
 
 
-def test_schedule_consistency_cap(monkeypatch):
-    g = grid_graph(4, 4)
-    cfg = SolverConfig(c_prime=F(1, 4))
-    params = make_oracle_params(g, 4, cfg)
-    monkeypatch.setattr(solver_mod, "CONSISTENCY_CAP", 1.0)
-    with pytest.raises(ScheduleError):
-        MMWUSchedule.plan(params, cfg)
+def test_schedule_plans_a_million_vertex_path():
+    # eta rho T passes 10^9 on a path at alpha = 1 and n = 10^6, where a
+    # cap on it once aborted the solve after its sweep cut; the horizon
+    # runs to t_cap instead.  The oracle's constants read only g.n, so a
+    # stand-in with n alone spares building the path
+    cfg = SolverConfig()
+    params = make_oracle_params(SimpleNamespace(n=10**6), 1, cfg)
+    sched = MMWUSchedule.plan(params, cfg)
+    assert sched.eta * sched.rho * sched.iterations > 1e9
+    assert not sched.completes and sched.run_iterations == cfg.t_cap
 
 
 # (graph, alpha, config) of runs elsewhere in the suite: the staged heavy
@@ -367,6 +372,57 @@ def test_embedding_regime_boundary(monkeypatch):
         calls.update(dense=0, sketch=0)
         mmwu_run(path_graph(n), 2, cfg, seed=0)
         assert calls == want, n
+
+
+def test_both_regimes_hold_the_same_a(monkeypatch):
+    # X does not see a multiple of I, so neither regime adds y I to A:
+    # over one sequence of easy and flow steps, the exact regime's dense
+    # A equals the sketch regime's CSR A, bit for bit.  Both runs are the
+    # staged heavy K4 at 100 times its eta, whose first 40 steps take
+    # easy feedback from step 23 on (at the planned eta, from step 2 165).
+    # The second run is put in the sketch regime, with its sketch swapped
+    # for the exact embedding of its own A, so both oracles see the same
+    # X and answer with the same feedback
+    g = with_weights(complete_graph(4), [64] * 4)
+    cfg = SolverConfig(c=F(49, 100), c_prime=F(6, 25), epsilon=1.0, t_cap=40)
+    plan = MMWUSchedule.plan
+
+    def scaled(params, config):
+        sched = plan(params, config)
+        return replace(sched, eta=sched.eta * 100)
+
+    monkeypatch.setattr(MMWUSchedule, "plan", staticmethod(scaled))
+    exact, oracle = solver_mod.dense_reference, solver_mod.run_oracle
+    seen = []  # (A, feedback) of each iteration
+
+    def spy_exact(a):
+        seen.append([a])
+        return exact(a)
+
+    def sketch_as_exact(op, *args, **kwargs):
+        a = op.matrix.toarray() if op.matrix.nnz else np.zeros((op.n, op.n))
+        seen.append([a])
+        return Embedding(exact(a))
+
+    def spy_oracle(*args):
+        out = oracle(*args)
+        fm = out.feedback
+        seen[-1].append((fm.case, fm.easy_set, fm.path_terms, fm.lam))
+        return out
+
+    monkeypatch.setattr(solver_mod, "dense_reference", spy_exact)
+    monkeypatch.setattr(solver_mod, "project_embedding", sketch_as_exact)
+    monkeypatch.setattr(solver_mod, "run_oracle", spy_oracle)
+    mmwu_run(g, 1, cfg, seed=0)
+    dense_run, seen = seen, []
+    monkeypatch.setattr(solver_mod, "embeds_exactly", lambda n: False)
+    mmwu_run(g, 1, cfg, seed=0)
+    assert len(dense_run) == len(seen) == 40
+    for t, ((a_dense, fb_dense), (a_csr, fb_csr)) in enumerate(zip(dense_run, seen)):
+        assert a_dense.tobytes() == a_csr.tobytes(), t
+        assert fb_dense == fb_csr, t
+    assert {fb[0] for _, fb in seen} == {"easy", "flow"}
+    assert seen[-1][0].any()
 
 
 def test_sketch_operator_holds_only_what_the_feedback_moved(monkeypatch):
@@ -634,7 +690,7 @@ def test_dual_certificate_bookkeeping():
     assert cert.nonneg_ok()
     assert cert.lambda_degrees() == {0: F(1, 4), 1: F(1, 4)}
     assert cert.degree_ok(path_graph(2))
-    dense = cert.assemble_dense()
+    dense = symmetric_dense(cert.n, cert.entries())
     assert dense[0, 0] == pytest.approx(0.25)  # 1/2 - 1/4
     assert dense[0, 1] == pytest.approx(0.25)
 
@@ -702,7 +758,7 @@ def test_dual_ledger_averages_exactly():
         ledger.add(fm)
     expected: dict = {}
     for fm in steps:
-        for key, v in fm.entries().items():
+        for key, v in exact_entries(fm).items():
             expected[key] = expected.get(key, 0) + v / len(steps)
     for i in range(n):
         expected[(i, i)] = expected.get((i, i), 0) - alpha / 2 / n
