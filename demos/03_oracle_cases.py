@@ -55,7 +55,8 @@ def easy_case() -> None:
 
 def flow_case() -> None:
     # spread-out vectors over a heavy clique: every A-B route costs a
-    # lot, so routed flow converts into edge terms of the feedback
+    # lot, so the routed paths become the feedback; their edge loads,
+    # implied by the paths, cancel every hop and leave -unit L(D)
     print("== heavy clique -> routing feedback ==")
     g = with_weights(complete_graph(4), [50, 50, 50, 50])
     params = OracleParams(
@@ -69,9 +70,19 @@ def flow_case() -> None:
     out = run_oracle(g, emb, params, np.random.default_rng(0), OracleCounters())
     assert isinstance(out, FeedbackOutcome)
     fm = out.feedback
+    unit = fm.record.unit
+    loads, degree = {}, [0] * g.n
+    for path, m in fm.path_terms:
+        for a, b in zip(path, path[1:]):
+            e = (min(a, b), max(a, b))
+            loads[e] = loads.get(e, 0) + unit * m
+            degree[a] += unit * m
+            degree[b] += unit * m
     print(f"case         {fm.case}")
-    print(f"edge terms   {[(e, str(fm.record.unit * m)) for e, m in fm.lam]}")
-    print(f"degree <= w  {fm.degree_ok(g.weights)}")
+    print(f"paths        {[(p, str(unit * m)) for p, m in fm.path_terms]}")
+    print(f"edge loads   {[(e, str(v)) for e, v in sorted(loads.items())]}")
+    print(f"degree <= w  {all(d <= w for d, w in zip(degree, g.weights))}")
+    print(f"N - y I      {fm.structured_floats()}")
     print()
 
 

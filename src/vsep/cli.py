@@ -222,6 +222,8 @@ def _extract_separator_text(text: str) -> tuple[str, Optional[Fraction]]:
         if line.startswith(("A:", "B:", "C:")):
             kept.append(line)
         elif line.startswith("balance:"):
+            if balance is not None:
+                raise _InputError(f"second balance line: {raw!r}")
             try:
                 balance = Fraction(line.split(":", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
@@ -271,36 +273,32 @@ def _cmd_brute(args) -> int:
 
 def _parse_network(text: str) -> FlowNetwork:
     """Line format: 'n <nodes>' first, then 'a <u> <v> <cap>' arcs and
-    optional 's <node>' / 't <node>' (defaults 0 and n-1)."""
-    n = None
-    source = None
-    sink = None
+    optional 's <node>' / 't <node>' (defaults 0 and n-1).  Each of the
+    'n', 's' and 't' records may appear once."""
+    single: dict[str, int] = {}
     arcs: list[tuple[int, int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        tag = parts[0]
+        tag, *parts = line.split()
         try:
-            if tag == "n" and len(parts) == 2:
-                n = int(parts[1])
-            elif tag == "s" and len(parts) == 2:
-                source = int(parts[1])
-            elif tag == "t" and len(parts) == 2:
-                sink = int(parts[1])
-            elif tag == "a" and len(parts) == 4:
-                arcs.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            else:
-                raise _InputError(f"line {line_no}: unrecognized record {raw!r}")
+            values = [int(v) for v in parts]
         except ValueError:
             raise _InputError(f"line {line_no}: integer fields expected in {raw!r}")
+        if tag in ("n", "s", "t") and len(values) == 1:
+            if tag in single:
+                raise _InputError(f"line {line_no}: duplicate '{tag}' record")
+            single[tag] = values[0]
+        elif tag == "a" and len(values) == 3:
+            arcs.append(tuple(values))
+        else:
+            raise _InputError(f"line {line_no}: unrecognized record {raw!r}")
+    n = single.get("n")
     if n is None or n < 2:
         raise _InputError("network needs an 'n <nodes>' record with n >= 2")
     net = FlowNetwork(
-        num_nodes=n,
-        source=0 if source is None else source,
-        sink=n - 1 if sink is None else sink,
+        num_nodes=n, source=single.get("s", 0), sink=single.get("t", n - 1)
     )
     for u, v, cap in arcs:
         net.add_arc(u, v, cap)

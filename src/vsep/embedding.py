@@ -6,10 +6,11 @@ symmetric A.  This module provides:
 
 * :class:`FeedbackMatrix`, the structured symmetric matrices produced by
   the oracle: a scalar diagonal y plus one exact rational unit times
-  non-negative integer multiplicities of spread, path and edge terms,
-  where y, the unit and the budget test live in the step's
-  :class:`FeedbackCase`, built once per run and case, so a step holds
-  integers only;
+  non-negative integer multiplicities of spread and path terms, where y,
+  the unit and the budget test live in the step's :class:`FeedbackCase`,
+  built once per run and case, so a step holds integers only; a flow
+  step's edge terms are implied by its routed paths, and cancel their
+  hops;
 * :class:`AccumulatedOperator`, A as a sparse matrix; the solver keeps
   it current by A + eta * N.structured_sparse each step, leaving out the
   scalar diagonal that X ignores (as its dense A does where the
@@ -145,8 +146,11 @@ class FeedbackCase:
     case's a-priori spectral-norm bound, from which the schedule plans
     its width.  ``min_easy`` is the least easy-set multiplicity m_S >= 0
     with n y + xi n^2 unit m_S >= alpha, so a step meets the budget
-    exactly when its m_S is at least ``min_easy``.  Records compare by
-    identity: the solver's ledger keys its counts by the record.
+    exactly when its m_S is at least ``min_easy``.  ``routed`` marks the
+    flow case: a step's paths are the routes of one acyclic flow, and
+    its edge terms are that flow's edge loads, lambda_e = sum_{p hops
+    over e} m_p, which no step stores.  Records compare by identity: the
+    solver's ledger keys its counts by the record.
     """
 
     name: str
@@ -158,11 +162,12 @@ class FeedbackCase:
     den: int
     y_num: int
     unit_num: int
+    routed: bool = False
 
     @classmethod
     def build(
         cls, name: str, n: int, alpha: Rational, xi: Fraction,
-        y: Rational, unit: Rational, bound: float,
+        y: Rational, unit: Rational, bound: float, routed: bool = False,
     ) -> "FeedbackCase":
         y, unit = Fraction(y), Fraction(unit)
         if unit <= 0:
@@ -173,6 +178,7 @@ class FeedbackCase:
             name, n, y, unit, bound, min_easy, den,
             y.numerator * (den // y.denominator),
             unit.numerator * (den // unit.denominator),
+            routed,
         )
 
     def width(self, k: int) -> float:
@@ -185,7 +191,7 @@ class FeedbackCase:
 @dataclass(frozen=True, eq=False)
 class FeedbackMatrix:
     """One oracle feedback step
-    N = y I + unit * (m_S K_S + sum_p m_p T_p - sum_ij m_ij L_ij),
+    N = y I + unit * (m_S K_S + sum_p m_p T_p - sum_ij lambda_ij L_ij),
     kept in structured form.
 
     T_p is the path-inequality matrix of path p (sum of hop Laplacians
@@ -196,20 +202,23 @@ class FeedbackMatrix:
     carries only non-negative integer multiplicities m, so every entry is
     an integer over the record's denominator, and the budget
     sum(y) + xi n^2 z >= alpha is the integer test m_S >= ``min_easy``.
+    Only a routed record's steps have edge terms, and those are the
+    loads of their own paths, lambda_ij = sum_{p hops over ij} m_p: the
+    hop Laplacians cancel them, and N - y I = -unit L(D), the Laplacian
+    of the demand pairs (p_0, p_end) with weights m_p.
     ``width_bound`` is the certified spectral-norm bound of this step.
     Its one float form is that of N - y I, :meth:`structured_floats`:
     X does not see a multiple of I, so the solver adds no y I to A in
     either regime, and mirrors these floats into a dense A where the
     embedding is exact and into a CSR (``structured_sparse``, which
-    touches only the vertices of the easy set, the paths and the edges)
-    in the sketch regime.  A is then the same matrix, bit for bit, in
-    both.
+    touches only the vertices of the easy set, the paths, or a routed
+    step's path ends) in the sketch regime.  A is then the same matrix,
+    bit for bit, in both.
     """
 
     record: FeedbackCase
     easy_set: Optional[tuple[tuple[int, ...], int]] = None
     path_terms: tuple[tuple[tuple[int, ...], int], ...] = ()
-    lam: tuple[tuple[tuple[int, int], int], ...] = ()
     width_bound: float = 0.0
 
     def __post_init__(self):
@@ -226,10 +235,6 @@ class FeedbackMatrix:
                 raise ValueError("path must have at least 2 distinct vertices")
             if any(not 0 <= i < n for i in p):
                 raise ValueError("path vertex out of range")
-        for (i, j), m in self.lam:
-            _check_multiplicity(m)
-            if not (0 <= i < j < n):
-                raise ValueError("edge coefficients must use ordered vertex pairs")
         if m_s < self.record.min_easy:
             raise ValueError(
                 "feedback violates sum(y) + xi n^2 sum(z) >= alpha"
@@ -239,31 +244,25 @@ class FeedbackMatrix:
     def case(self) -> str:
         return self.record.name
 
-    def degree_ok(self, weights: Sequence[int]) -> bool:
-        """Each vertex's edge coefficients, unit * sum_j m_ij, sum to at
-        most its weight; compared as integers over the denominator."""
-        deg = [0] * self.record.n
-        for (i, j), m in self.lam:
-            deg[i] += m
-            deg[j] += m
-        r = self.record
-        return all(r.unit_num * d <= w * r.den for d, w in zip(deg, weights))
-
     def structured_floats(self) -> dict[tuple[int, int], float]:
         """Upper-triangle entries (i <= j) of N - y I: integer numerators
         over the record's denominator, each rounded to float once (int /
-        int division is correctly rounded), exact zeros dropped.  The
-        solver mirrors them into its dense A, and ``structured_sparse``
-        into a CSR."""
+        int division is correctly rounded), exact zeros dropped.  A
+        routed step's are those of -unit sum_p m_p L(p_0, p_end), formed
+        from the path ends in O(paths): the same integers as the full
+        expansion, whose hops cancel.  The solver mirrors them into its
+        dense A, and ``structured_sparse`` into a CSR."""
         r = self.record
         u = r.unit_num
-        s, m_s = self.easy_set or ((), 0)
-        num = structured_entries(
-            (),
-            [(s, u * m_s)],
-            [(p, u * m) for p, m in self.path_terms],
-            [(e, u * m) for e, m in self.lam],
-        )
+        if r.routed:
+            num = structured_entries(
+                (), (), (), [((p[0], p[-1]), u * m) for p, m in self.path_terms]
+            )
+        else:
+            s, m_s = self.easy_set or ((), 0)
+            num = structured_entries(
+                (), [(s, u * m_s)], [(p, u * m) for p, m in self.path_terms], ()
+            )
         return {key: v / r.den for key, v in num.items()}
 
     @cached_property

@@ -18,8 +18,10 @@ its capacities and terminal arcs.  A max flow is decomposed into paths
 the first time its paths or its acyclic flow are read.
 
 :class:`SplitNetwork` alone knows the split layout's node and arc
-numbers: it reads a max flow's cut, paths and edge flows back as vertex
-sides, vertex paths and per-edge loads of the graph.
+numbers: it reads a max flow's cut and paths back as vertex sides and
+vertex paths of the graph.  A path's hops are edges of the graph, so the
+load on each edge, the flow over its two arcs, is the amount of the
+paths that hop over it; the solver takes it from the paths.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import add, gt, index, not_, sub
+from operator import gt, index, not_, sub
 from typing import Optional, Sequence
 
 CAP_LIMIT = 1 << 62  # reject capacities that would not fit a fixed-width int
@@ -522,8 +524,9 @@ class SplitNetwork:
     Arc x is vertex x's internal arc; edge k = (u, v) of ``graph.edges``
     owns arcs n + 2k (u to v) and n + 2k + 1 (v to u); the source arcs
     and then the sink arcs follow, in sorted terminal order.  Callers read
-    a max flow of ``net`` in graph terms through :meth:`sides`,
-    :meth:`vertex_paths` and :meth:`edge_loads`.
+    a max flow of ``net`` in graph terms through :meth:`sides` and
+    :meth:`vertex_paths`; an edge's load is the amount of the vertex
+    paths that hop over it.
     """
 
     net: FlowNetwork
@@ -562,13 +565,6 @@ class SplitNetwork:
         """(original vertices, scaled amount) per decomposed path; each
         path starts in the A side and ends in the B side."""
         return [(tuple(v // 2 for v in p.nodes[1:-1:2]), p.amount) for p in result.paths]
-
-    def edge_loads(self, result: FlowResult) -> list[int]:
-        """Flow over both arcs of each edge of ``graph.edges``, read from
-        the acyclic ``result.flow``."""
-        n, end = self.n, self.net.skeleton.num_arcs
-        flow = result.flow
-        return list(map(add, flow[n:end:2], flow[n + 1 : end : 2]))
 
 
 def build_split_network(

@@ -158,7 +158,8 @@ class OracleParams:
         easy:  y = -alpha/n, unit z = 2 alpha / (xi n^2); bound
                alpha (2/xi - 1) / n, the top eigenvalue at |S| = n;
         flow:  y = alpha/n, unit 1/(2q); bound alpha/n + 2 beta
-               (endpoint mass is throughput-capped);
+               (endpoint mass is throughput-capped); its steps' paths
+               are routed, so their edge loads are implied;
         chain: y = alpha/n, unit f = 2 alpha / (path_min Delta); bound
                alpha/n + 12 alpha / Delta (each of the exactly path_min
                paths touches a vertex at most twice in hops, once as an
@@ -172,7 +173,9 @@ class OracleParams:
         chain = float(alpha / n) + per_path * 2 * (2 * self.path_min + self.path_min)
         f = 2 * alpha / (self.path_min * Fraction(self.delta_spread))
         return {
-            name: FeedbackCase.build(name, n, alpha, self.xi, y, unit, bound)
+            name: FeedbackCase.build(
+                name, n, alpha, self.xi, y, unit, bound, routed=name == "flow"
+            )
             for name, y, unit, bound in (
                 ("easy", -alpha / n, 2 * alpha / (self.xi * n * n), easy),
                 ("flow", alpha / n, Fraction(1, 2 * self.beta_q), flow),
@@ -311,7 +314,7 @@ def matching(
     )
     fire_at = 2 * float(params.alpha)
     if routed_cost >= fire_at + GUARD_BAND * max(1.0, fire_at):
-        fm = _flow_feedback(g, routes, net.edge_loads(result), params, flipped)
+        fm = _flow_feedback(routes, params, flipped)
         counters.note("flow")
         return FeedbackOutcome(feedback=fm)
 
@@ -336,19 +339,19 @@ def matching(
 
 
 def _flow_feedback(
-    g: WeightedGraph,
     routes: Sequence[tuple[tuple[int, ...], int]],
-    loads: Sequence[int],
     params: OracleParams,
     flipped: bool,
 ) -> FeedbackMatrix:
     """Assemble the flow-case feedback from the decomposed max flow.
 
-    Path terms come from the routed vertex paths and the edge
-    coefficients from the per-edge loads of the same acyclic flow, so the
-    assembled matrix telescopes exactly to diag(alpha/n) - L(D) with D
-    the endpoint-mass matrix.  Both are integer flow amounts in the unit
-    1/(2q) of the scaled network.
+    The step keeps the routed vertex paths, with their integer flow
+    amounts in the unit 1/(2q) of the scaled network.  The edge
+    coefficients of the same acyclic flow are its loads, each the amount
+    of the paths that hop over the edge, so the flow record (``routed``)
+    implies them: N telescopes exactly to diag(alpha/n) - L(D), with D
+    the endpoint-mass matrix, and the ledger forms the loads only for
+    the certificate.
     """
     path_terms = []
     deg_mass: dict[int, int] = {}
@@ -359,13 +362,11 @@ def _flow_feedback(
             path_terms.append((orig, amount))
             deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + amount
             deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
-    lam = [(edge, load) for edge, load in zip(g.edges, loads) if load]
     # ||L(D)|| <= 2 max endpoint mass, in the unit
     case = params.feedback_cases["flow"]
     return FeedbackMatrix(
         case,
         path_terms=tuple(path_terms),
-        lam=tuple(lam),
         width_bound=case.width(2 * max(deg_mass.values(), default=0)),
     )
 

@@ -162,6 +162,9 @@ class SolverConfig:
             and isinstance(self.replication, (int, type(None)))
         ):
             raise ValueError("t_cap, brute_cap and replication must be ints")
+        # a truthy string or number would silently turn the bypass on
+        if not isinstance(self.brute_bypass, bool):
+            raise ValueError("brute_bypass must be a bool")
         if self.t_cap < 1:
             raise ValueError("t_cap must be >= 1")
         if self.brute_cap < 0:
@@ -389,23 +392,25 @@ MMWUOutcome = Union[SeparatorFound, CertificateFound, Inconclusive]
 class DualLedger:
     """Exact dual sums of one run, kept as integers: ``add`` counts, per
     feedback case record (keyed by identity, so no Fraction is hashed),
-    the steps and the integer multiplicities of their z, f and lambda
-    terms.  ``certificate`` is the one place their Fractions are formed:
-    each record's y times its step count, and its unit times each count.
+    the steps and the integer multiplicities of their z and f terms.
+    ``certificate`` is the one place their Fractions are formed: each
+    record's y times its step count, its unit times each count, and for
+    a routed record the edge terms its paths imply, unit times each
+    edge's load sum_{p hops over e} count_p.
     """
 
     def __init__(self, n: int, alpha: Fraction, delta: Fraction, xi: Fraction):
         self.n, self.alpha, self.delta, self.xi = n, alpha, delta, xi
         self.steps = 0
-        # record -> [steps, z, f and lambda counts: term -> multiplicity]
+        # record -> [steps, z counts, f counts: term -> multiplicity]
         self._tallies: dict[FeedbackCase, list] = {}
 
     def add(self, fm: FeedbackMatrix) -> None:
         self.steps += 1
-        tally = self._tallies.setdefault(fm.record, [0, {}, {}, {}])
+        tally = self._tallies.setdefault(fm.record, [0, {}, {}])
         tally[0] += 1
         easy = () if fm.easy_set is None else (fm.easy_set,)
-        for counts, terms in zip(tally[1:], (easy, fm.path_terms, fm.lam)):
+        for counts, terms in zip(tally[1:], (easy, fm.path_terms)):
             for term, m in terms:
                 counts[term] = counts.get(term, 0) + m
 
@@ -414,9 +419,15 @@ class DualLedger:
         y_i = -delta/n + mean y, each term sum_record unit * count / steps."""
         y_sum = Fraction(0)
         totals: tuple[dict, dict, dict] = ({}, {}, {})
-        for case, (steps, *counts) in self._tallies.items():
+        for case, (steps, easy, paths) in self._tallies.items():
             y_sum += case.y * steps
-            for total, per_term in zip(totals, counts):
+            loads: dict[tuple[int, int], int] = {}
+            if case.routed:
+                for p, m in paths.items():
+                    for a, b in zip(p, p[1:]):
+                        e = (a, b) if a < b else (b, a)
+                        loads[e] = loads.get(e, 0) + m
+            for total, per_term in zip(totals, (easy, paths, loads)):
                 for term, m in per_term.items():
                     total[term] = total.get(term, 0) + case.unit * m
         z, f, lam = (

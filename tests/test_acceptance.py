@@ -20,7 +20,7 @@ import pytest
 import scipy.sparse as sp
 
 import conftest
-from test_embedding import floats_are_exact, reference_dense
+from test_embedding import floats_are_exact, hop_loads, reference_dense
 from test_maxflow import (
     brute_min_cut,
     check_structural,
@@ -167,8 +167,20 @@ def _budget(fm: FeedbackMatrix, params: OracleParams) -> F:
     return r.n * r.y + params.xi * r.n * r.n * r.unit * m_s
 
 
+def _degree_ok(loads, unit, weights) -> bool:
+    """Each vertex's edge coefficients, unit * sum of its edges' loads,
+    sum to at most its weight, exactly."""
+    deg = [0] * len(weights)
+    for (i, j), m in loads.items():
+        deg[i] += m
+        deg[j] += m
+    return all(unit * d <= w for d, w in zip(deg, weights))
+
+
 def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
     dense = reference_dense(fm)
+    # a routed step's edge terms are the loads its paths imply
+    loads = hop_loads(fm.path_terms) if fm.record.routed else {}
     return OracleTrial(
         kind=fm.case,
         instance=name,
@@ -176,10 +188,10 @@ def _record_feedback(fm, params, g, surrogate_gram, exact_gram, name):
             fm.record.unit > 0
             and (fm.easy_set is None or fm.easy_set[1] >= 0)
             and all(m >= 0 for _, m in fm.path_terms)
-            and all(m >= 0 for _, m in fm.lam)
+            and all(m >= 0 for m in loads.values())
         ),
         budget_ok=_budget(fm, params) >= params.alpha,
-        degree_ok=fm.degree_ok(g.weights),
+        degree_ok=_degree_ok(loads, fm.record.unit, g.weights),
         inner_surrogate=float(np.sum(dense * surrogate_gram)),
         inner_exact=float(np.sum(dense * exact_gram)),
         norm=spectral_norm(dense),

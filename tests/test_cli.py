@@ -262,6 +262,21 @@ def test_validate_rejects_an_out_of_range_balance_line(tmp_path, capsys, monkeyp
         assert err == f"input error: balance line outside (0, 1/2): {line!r}\n"
 
 
+def test_validate_rejects_a_second_balance_line(tmp_path, capsys, monkeypatch):
+    # A: 0 1 2 3 fits the cap floor(12/3) = 4 at 1/3 but not floor(12/5)
+    # = 2 at 2/5: the last line used to win silently, so one order
+    # printed "ok" and the other "reject".  Solve prints one balance line
+    graph_file = tmp_path / "p6.txt"
+    graph_file.write_text(render_graph(path_graph(6)))
+    for first, second in (("2/5", "1/3"), ("1/3", "2/5"), ("1/3", "1/3")):
+        code, out, err = run_cli(
+            ["validate", "--graph", str(graph_file)], capsys, monkeypatch,
+            stdin=f"A: 0 1 2 3\nB: 5\nC: 4\nbalance: {first}\nbalance: {second}\n",
+        )
+        assert code == 3 and out == "", (first, second)
+        assert err == f"input error: second balance line: 'balance: {second}'\n"
+
+
 def test_validate_balance_priority(tmp_path, capsys, monkeypatch):
     graph_file = tmp_path / "p5.txt"
     graph_file.write_text(P5_TEXT)
@@ -360,6 +375,27 @@ def test_flow_bad_input(capsys, monkeypatch):
         ["flow"], capsys, monkeypatch, stdin="n 2\nz 0 1\n"
     )
     assert code == 3
+    assert err == "input error: line 2: unrecognized record 'z 0 1'\n"
+    code, _, err = run_cli(["flow"], capsys, monkeypatch, stdin="n 2\na 0 x 1\n")
+    assert code == 3
+    assert err == "input error: line 2: integer fields expected in 'a 0 x 1'\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, tag",
+    [
+        # the second source used to win: flow from node 1, value 4
+        ("n 3\ns 0\ns 1\nt 2\na 0 1 5\na 1 2 4\n", 3, "s"),
+        ("n 3\nt 2\nt 1\na 0 1 5\na 1 2 4\n", 3, "t"),
+        # a late n used to flow to an isolated node 3: value 0
+        ("n 3\na 0 1 5\na 1 2 4\nn 4\n", 4, "n"),
+    ],
+    ids=["s", "t", "n"],
+)
+def test_flow_rejects_a_repeated_record(capsys, monkeypatch, text, line, tag):
+    code, out, err = run_cli(["flow"], capsys, monkeypatch, stdin=text)
+    assert code == 3 and out == ""
+    assert err == f"input error: line {line}: duplicate '{tag}' record\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ scipy.linalg.expm for dense ones.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -77,18 +78,31 @@ def entries_to_dense(n, entries):
     return m
 
 
+def hop_loads(path_terms):
+    """Each edge's load: the multiplicity of the paths that hop over it."""
+    loads = {}
+    for p, m in path_terms:
+        for a, b in zip(p, p[1:]):
+            e = (min(a, b), max(a, b))
+            loads[e] = loads.get(e, 0) + m
+    return loads
+
+
 def exact_entries(fm, scalar=True):
     """fm's exact upper-triangle entries, from its coefficients unit * m
-    by structured_entries; with ``scalar`` false, those of N - y I."""
+    by structured_entries, expanding every hop of every path and, for a
+    routed step, subtracting its paths' edge loads; with ``scalar``
+    false, those of N - y I."""
     r = fm.record
     spread = ()
     if fm.easy_set is not None:
         spread = ((fm.easy_set[0], r.unit * fm.easy_set[1]),)
+    loads = hop_loads(fm.path_terms) if r.routed else {}
     return structured_entries(
         (r.y,) * r.n if scalar else (),
         spread,
         [(p, r.unit * m) for p, m in fm.path_terms],
-        [(e, r.unit * m) for e, m in fm.lam],
+        [(e, r.unit * m) for e, m in loads.items()],
     )
 
 
@@ -149,19 +163,17 @@ def test_path_term_cancels_against_edge_coefficient():
 
 def test_feedback_matrix_dense_and_inner():
     n = 5
-    # coefficients 1/10, 1/7 and 2/9 in the common unit 1/630
+    # coefficients 1/10 and 1/7 in the common unit 1/630
     case = FeedbackCase.build("custom", n, F(1), F(9, 16), F(1, 5), F(1, 630), 10.0)
     fm = FeedbackMatrix(
         case,
         easy_set=((0, 1, 2), 63),
         path_terms=(((0, 2, 4), 90),),
-        lam=(((1, 2), 140),),
         width_bound=10.0,
     )
     want = np.diag([0.2] * n)
     want += 0.1 * spread_matrix(n, (0, 1, 2))
     want += (1 / 7) * path_matrix(n, (0, 2, 4))
-    want -= (2 / 9) * edge_laplacian(n, 1, 2)
     dense = fm.structured_sparse.toarray() + 0.2 * np.eye(n)
     assert np.allclose(dense, want, atol=1e-12)
 
@@ -174,10 +186,32 @@ def test_feedback_matrix_dense_and_inner():
 
     # n y = 1 = alpha: the budget holds with no easy set at all
     assert (case.den, case.y_num, case.unit_num, case.min_easy) == (630, 126, 1, 0)
-    # lambda degrees: 2/9 at vertices 1 and 2, 0 elsewhere
-    assert fm.degree_ok([1, 1, 1, 1, 1])
-    assert fm.degree_ok([1, 1, 1, 0, 1])
-    assert not fm.degree_ok([1, 0, 1, 1, 1])
+
+
+def test_routed_step_is_its_demand_pair_laplacian():
+    # a routed record's paths imply their edge loads: lambda_01 = 2,
+    # lambda_12 = 2 + 3 and lambda_23 = 3 cancel every hop, leaving
+    # N - y I = -unit (2 L_02 + 3 L_13) on the path ends alone
+    n = 5
+    case = FeedbackCase.build("flow", n, F(1), F(9, 16), F(1, 5), F(1, 6), 10.0,
+                              routed=True)
+    fm = FeedbackMatrix(case, path_terms=(((0, 1, 2), 2), ((3, 2, 1), 3)))
+    want = -(2 * edge_laplacian(n, 0, 2) + 3 * edge_laplacian(n, 1, 3)) / 6
+    assert np.array_equal(fm.structured_sparse.toarray(), want)
+    loads = {(0, 1): 2, (1, 2): 5, (2, 3): 3}
+    assert hop_loads(fm.path_terms) == loads
+    expanded = (2 * path_matrix(n, (0, 1, 2)) + 3 * path_matrix(n, (3, 2, 1))
+                - sum(m * edge_laplacian(n, *e) for e, m in loads.items())) / 6
+    assert np.allclose(expanded, want, rtol=0, atol=1e-15)
+    assert floats_are_exact(fm)
+    # vertex 4 is on no path and vertices 0 and 3 only end one
+    assert sorted(fm.structured_floats()) == [(0, 0), (0, 2), (1, 1), (1, 3),
+                                              (2, 2), (3, 3)]
+    # the same paths on a record that is not routed keep their hops
+    plain = FeedbackMatrix(replace(case, routed=False), path_terms=fm.path_terms)
+    assert np.allclose(plain.structured_sparse.toarray(),
+                       (2 * path_matrix(n, (0, 1, 2)) + 3 * path_matrix(n, (3, 2, 1))) / 6,
+                       rtol=0, atol=1e-15)
 
 
 def test_feedback_matrix_validation():
@@ -198,10 +232,6 @@ def test_feedback_matrix_validation():
         FeedbackMatrix(case, path_terms=(((2,), 1),))
     with pytest.raises(ValueError):
         FeedbackMatrix(case, path_terms=(((0, 1), F(1, 2)),))
-    with pytest.raises(ValueError):
-        FeedbackMatrix(case, lam=(((2, 1), 1),))
-    with pytest.raises(ValueError):
-        FeedbackMatrix(case, lam=(((1, 2), -1),))
     # budget: sum(y) = 0 < alpha = 1; xi n^2 unit = 81/16 per easy-set copy
     short = FeedbackCase.build("custom", 3, F(1), F(9, 16), F(0), F(1), 0.0)
     assert short.min_easy == 1
@@ -218,20 +248,19 @@ def test_feedback_matrix_validation():
 
 def make_random_feedback(rng, n):
     # y stays non-negative so sum(y) >= alpha = 0 always holds; path
-    # coefficients k/3 and edge coefficients k/2 in the unit 1/6
+    # coefficients k/3 in the unit 1/6, on a routed record (edge loads
+    # implied) or not (hops kept)
     y = F(rng.integers(0, 6).item(), rng.integers(1, 7).item())
     paths = []
-    for _ in range(rng.integers(0, 3)):
+    for _ in range(rng.integers(0, 4)):
         length = int(rng.integers(2, min(n, 5) + 1))
         p = tuple(int(v) for v in rng.permutation(n)[:length])
         paths.append((p, 2 * rng.integers(0, 4).item()))
-    lam = []
-    i, j = sorted(rng.permutation(n)[:2].tolist())
-    lam.append(((int(i), int(j)), 3 * rng.integers(0, 5).item()))
+    routed = bool(rng.integers(0, 2))
     return FeedbackMatrix(
-        FeedbackCase.build("custom", n, F(0), F(9, 16), y, F(1, 6), 10.0),
+        FeedbackCase.build("custom", n, F(0), F(9, 16), y, F(1, 6), 10.0,
+                           routed=routed),
         path_terms=tuple(paths),
-        lam=tuple(lam),
         width_bound=float(rng.integers(1, 10)),
     )
 

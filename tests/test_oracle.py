@@ -6,6 +6,7 @@ stated inline; spectral claims are cross-checked with numpy.linalg.eigh.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from vsep.embedding import (
     Embedding, FeedbackCase, FeedbackMatrix, norm_bound, spectral_norm,
     symmetric_dense,
 )
+from vsep.flow import build_split_network, max_flow
 from vsep.graphs import (
     complete_graph,
     gnp_graph,
@@ -40,9 +42,12 @@ from vsep.oracle import (
     _canonical_direction,
     _chain_feedback,
     _compose,
+    _flow_feedback,
     _harvest_violating,
 )
-from test_embedding import exact_entries, floats_are_exact, reference_dense
+from vsep.solver import DualLedger
+from test_embedding import exact_entries, floats_are_exact, hop_loads, reference_dense
+from test_maxflow import SPLIT_GRAPHS, edge_arc_loads
 
 F = Fraction
 
@@ -256,8 +261,13 @@ def test_matching_flow_feedback_telescopes():
     )
     assert routed >= 2 * float(params.alpha)
 
-    # edge coefficients stay within vertex weights, exactly
-    assert fm.degree_ok(g.weights)
+    # the edge loads the routed paths imply stay within vertex weights,
+    # exactly: unit * (load sum at i) <= w_i
+    deg = {}
+    for (i, j), m in hop_loads(fm.path_terms).items():
+        deg[i] = deg.get(i, 0) + m
+        deg[j] = deg.get(j, 0) + m
+    assert all(fm.record.unit * d <= g.weights[i] for i, d in deg.items())
     total_mass = fm.record.unit * sum(m for _, m in fm.path_terms)
     assert fm.width_bound == pytest.approx(1.25 + 2 * float(total_mass))
 
@@ -272,6 +282,62 @@ def test_matching_flow_feedback_orientation_independent():
     fwd = sorted(p for p, _ in out_f.feedback.path_terms)
     rev = sorted(tuple(reversed(p)) for p, _ in out_r.feedback.path_terms)
     assert fwd == rev
+
+
+def expanded_floats(path_terms, loads, unit):
+    """sum_p m_p T_p - sum_e lambda_e L_e, every hop and load expanded,
+    summed exactly and each entry scaled by ``unit`` and rounded once."""
+    e = {}
+
+    def add(i, j, v):
+        key = (min(i, j), max(i, j))
+        e[key] = e.get(key, 0) + v
+
+    for p, m in path_terms:
+        for a, b in zip(p, p[1:]):
+            add(a, a, m), add(b, b, m), add(a, b, -m)
+        add(p[0], p[0], -m), add(p[-1], p[-1], -m), add(p[0], p[-1], m)
+    for (i, j), lmb in loads:
+        add(i, i, -lmb), add(j, j, -lmb), add(i, j, lmb)
+    return {k: float(unit * v) for k, v in e.items() if v}
+
+
+def test_routed_flow_steps_match_their_expansion():
+    # the seeded split networks of test_split_networks_match_reference_dinic,
+    # each max flow made a flow step from its routes: the step's float
+    # form, formed from the path ends, is bit for bit the full expansion
+    # with lambda read off the edge arcs of the acyclic flow, and each
+    # graph's ledger holds lambda = the mean of unit * edge load
+    rng = random.Random(20261018)
+    ledgers, want_lam = {}, {}
+    for k in range(240):
+        g = rng.choice(SPLIT_GRAPHS)
+        base = SPLIT_GRAPHS.index(g)
+        if rng.random() < 0.5:
+            g = with_weights(g, [rng.randint(1, 9) for _ in range(g.n)])
+        order = rng.sample(range(g.n), g.n)
+        ka, kb = rng.randint(1, g.n // 3), rng.randint(1, g.n // 3)
+        p, q = rng.randint(1, 20), rng.randint(1, 20)
+        sn = build_split_network(g, order[:ka], order[ka : ka + kb], p, q)
+        result = max_flow(sn.net)
+        params = mk_params(n=g.n, beta_p=p, beta_q=q)
+        fm = _flow_feedback(sn.vertex_paths(result), params, flipped=k % 2 == 1)
+        assert fm.record.routed and fm.path_terms
+        loads = [(e, m) for e, m in zip(g.edges, edge_arc_loads(g, result)) if m]
+        got = fm.structured_floats()
+        want = expanded_floats(fm.path_terms, loads, fm.record.unit)
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in want.items()
+        }
+        ledger = ledgers.setdefault(base, DualLedger(g.n, F(1), F(1, 2), params.xi))
+        ledger.add(fm)
+        lam = want_lam.setdefault(base, {})
+        for e, m in loads:
+            lam[e] = lam.get(e, 0) + fm.record.unit * m
+    assert min(led.steps for led in ledgers.values()) >= 20
+    for base, ledger in ledgers.items():
+        want = tuple((e, v / ledger.steps) for e, v in sorted(want_lam[base].items()))
+        assert ledger.certificate().lam == want
 
 
 def test_matching_decomposes_only_when_paths_are_read(monkeypatch):
@@ -460,7 +526,6 @@ def test_inner_from_vectors_matches_gram():
     custom = FeedbackMatrix(
         FeedbackCase.build("custom", 6, alpha, F(9, 16), F(1, 2), F(1, 630), 0.0),
         easy_set=((0, 1, 5), 63), path_terms=(((0, 2, 4), 90),),
-        lam=(((1, 2), 140),),
     )
     cases = [(easy, collapsed), (flow, flow_emb)] + [
         (fm, Embedding(vectors=rng.standard_normal((3, 6))))

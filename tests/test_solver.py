@@ -114,6 +114,13 @@ def test_config_rejects_float_counts(name, bad):
         SolverConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("bad", ["no", 0.0, 1, None])
+def test_config_rejects_a_non_bool_bypass(bad):
+    # "no" is truthy, so it would turn the brute-force bypass on
+    with pytest.raises(ValueError, match="brute_bypass must be a bool"):
+        SolverConfig(brute_bypass=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["epsilon", "sigma", "certification_tol"])
 def test_config_rejects_non_finite(name, bad):
@@ -407,7 +414,7 @@ def test_both_regimes_hold_the_same_a(monkeypatch):
     def spy_oracle(*args):
         out = oracle(*args)
         fm = out.feedback
-        seen[-1].append((fm.case, fm.easy_set, fm.path_terms, fm.lam))
+        seen[-1].append((fm.case, fm.easy_set, fm.path_terms))
         return out
 
     monkeypatch.setattr(solver_mod, "dense_reference", spy_exact)
@@ -646,10 +653,10 @@ def test_fraction_work_does_not_grow_with_steps(monkeypatch):
 )
 def test_mmwu_run_ends_at_an_unplanned_width(monkeypatch, case, width, reason):
     # heavy K4 at alpha = 1 (the staged run of test_acceptance), with the
-    # oracle scripted to answer one edge term of the given case and width
+    # oracle scripted to answer one one-hop path of the given case and width
     def scripted(graph, emb, params, key, counters=None):
         return FeedbackOutcome(FeedbackMatrix(
-            params.feedback_cases[case], lam=(((0, 1), 1),), width_bound=width,
+            params.feedback_cases[case], path_terms=(((0, 1), 1),), width_bound=width,
         ))
 
     monkeypatch.setattr(solver_mod, "run_oracle", scripted)
@@ -744,13 +751,12 @@ def test_dual_ledger_averages_exactly():
     n, alpha, xi = 3, F(1), F(1, 4)
     # every step's budget n y + xi n^2 unit m_S is exactly alpha
     easy = FeedbackCase.build("easy", n, alpha, xi, F(-1, 24), F(1, 2), 1.0)
-    flow = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 5), 1.0)
-    other = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 7), 1.0)
+    flow = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 5), 1.0, routed=True)
+    other = FeedbackCase.build("flow", n, alpha, xi, F(1, 3), F(1, 7), 1.0, routed=True)
     steps = [
         FeedbackMatrix(easy, easy_set=((0, 1, 2), 1)),
-        FeedbackMatrix(flow, path_terms=(((0, 1, 2), 2),), lam=(((0, 1), 1),)),
-        FeedbackMatrix(other, path_terms=(((0, 1, 2), 1), ((1, 2), 3)),
-                       lam=(((1, 2), 3),)),
+        FeedbackMatrix(flow, path_terms=(((0, 1, 2), 2),)),
+        FeedbackMatrix(other, path_terms=(((0, 1, 2), 1), ((2, 1), 3))),
         FeedbackMatrix(flow, path_terms=(((0, 2), 1),)),
     ]
     ledger = DualLedger(n, alpha, alpha / 2, xi)
@@ -768,6 +774,13 @@ def test_dual_ledger_averages_exactly():
     assert cert.objective() == alpha - alpha / 2
     # path (0, 1, 2) appears under two units: one averaged coefficient
     assert dict(cert.f)[(0, 1, 2)] == (F(2, 5) + F(1, 7)) / 4
+    # lambda is each routed record's unit times the load its paths put on
+    # each edge, averaged and sorted: (2, 1) loads edge (1, 2)
+    assert cert.lam == (
+        ((0, 1), (F(2, 5) + F(1, 7)) / 4),
+        ((0, 2), F(1, 5) / 4),
+        ((1, 2), (F(2, 5) + F(4, 7)) / 4),
+    )
 
 
 # ---------------------------------------------------------------------------
