@@ -12,10 +12,13 @@ argparse only converts the types, and ``SolverConfig`` judges the
 values, each epsilon of the grid included, before any input is read, as
 ``check_seed`` judges solve's and bench's ``--seed``.
 
-Text solve output embeds the three-line A:/B:/C: block plus a
-``balance:`` line, so it pipes straight into ``validate``.  Structured
-output is canonical JSON and byte-identical for identical argv + seed;
-wall-clock timing appears only in text bench rows for that reason.
+Text solve and brute output embeds the three-line A:/B:/C: block plus a
+``balance:`` line, so it pipes straight into ``validate``, which reads
+those lines where they stand: an error names the line of its own input.
+Every text input is read through ``graphs.records``, so any record line
+takes a ``#`` comment.  Structured output is canonical JSON and
+byte-identical for identical argv + seed; wall-clock timing appears only
+in text bench rows for that reason.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from .flow import FlowError, FlowNetwork, max_flow
 from .graphs import (
     DEFAULT_BRUTE_FORCE_CAP,
     GENERATORS,
+    GraphFormatError,
     WeightedGraph,
     brute_force_opt,
     generate,
     max_weight_bound,
     parse_graph,
     parse_separator,
+    records,
     render_graph,
     render_separator,
     validate_separator,
@@ -61,10 +66,6 @@ EXIT_INPUT = 3
 EXIT_CERT = 4
 
 
-class _InputError(ValueError):
-    pass
-
-
 def _read_text(path: Optional[str]) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -72,7 +73,7 @@ def _read_text(path: Optional[str]) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -134,7 +135,7 @@ def _build_config(args) -> SolverConfig:
 def _cmd_gen(args) -> int:
     names, _ = GENERATORS[args.kind]
     if len(args.params) != len(names):
-        raise _InputError(
+        raise ValueError(
             f"generator '{args.kind}' needs parameters {' '.join(names)}, "
             f"got {len(args.params)}"
         )
@@ -144,7 +145,7 @@ def _cmd_gen(args) -> int:
 
         bound = max_weight_bound(g.n)
         if not (1 <= args.max_weight <= bound):
-            raise _InputError(f"max weight must lie in [1, {bound}] for n={g.n}")
+            raise ValueError(f"max weight must lie in [1, {bound}] for n={g.n}")
         rng = random.Random(args.seed)
         g = with_weights(g, [rng.randint(1, args.max_weight) for _ in range(g.n)])
     sys.stdout.write(render_graph(g))
@@ -214,22 +215,26 @@ def _opt_float(v) -> str:
 
 def _extract_separator_text(text: str) -> tuple[str, Optional[Fraction]]:
     """Pull the A:/B:/C: block (and a 'balance:' line if present) out of
-    arbitrary surrounding report text, so solve output pipes directly."""
-    kept = []
+    arbitrary surrounding report text, so solve and brute output pipe
+    directly.
+    Each side line keeps its own position and every other line is left
+    blank, so an error in the block names the line of the given text."""
+    kept = [""] * len(text.splitlines())
     balance = None
-    for raw in text.splitlines():
-        line = raw.strip()
+    for line_no, raw, line in records(text):
         if line.startswith(("A:", "B:", "C:")):
-            kept.append(line)
+            kept[line_no - 1] = line
         elif line.startswith("balance:"):
             if balance is not None:
-                raise _InputError(f"second balance line: {raw!r}")
+                raise GraphFormatError(f"second balance line: {raw!r}", line_no)
             try:
                 balance = Fraction(line.split(":", 1)[1].strip())
             except (ValueError, ZeroDivisionError):
-                raise _InputError(f"unreadable balance line: {raw!r}")
+                raise GraphFormatError(f"unreadable balance line: {raw!r}", line_no)
             if not (0 < balance < Fraction(1, 2)):
-                raise _InputError(f"balance line outside (0, 1/2): {raw!r}")
+                raise GraphFormatError(
+                    f"balance line outside (0, 1/2): {raw!r}", line_no
+                )
     return "\n".join(kept) + "\n", balance
 
 
@@ -266,7 +271,7 @@ def _cmd_brute(args) -> int:
             )
         )
         return EXIT_OK
-    sys.stdout.write(f"opt {cost}\n")
+    sys.stdout.write(f"opt {cost}\nbalance: {args.c}\n")
     sys.stdout.write(render_separator(sol))
     return EXIT_OK
 
@@ -277,26 +282,23 @@ def _parse_network(text: str) -> FlowNetwork:
     'n', 's' and 't' records may appear once."""
     single: dict[str, int] = {}
     arcs: list[tuple[int, int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, raw, line in records(text):
         tag, *parts = line.split()
         try:
             values = [int(v) for v in parts]
         except ValueError:
-            raise _InputError(f"line {line_no}: integer fields expected in {raw!r}")
+            raise GraphFormatError(f"integer fields expected in {raw!r}", line_no)
         if tag in ("n", "s", "t") and len(values) == 1:
             if tag in single:
-                raise _InputError(f"line {line_no}: duplicate '{tag}' record")
+                raise GraphFormatError(f"duplicate '{tag}' record", line_no)
             single[tag] = values[0]
         elif tag == "a" and len(values) == 3:
             arcs.append(tuple(values))
         else:
-            raise _InputError(f"line {line_no}: unrecognized record {raw!r}")
+            raise GraphFormatError(f"unrecognized record {raw!r}", line_no)
     n = single.get("n")
     if n is None or n < 2:
-        raise _InputError("network needs an 'n <nodes>' record with n >= 2")
+        raise ValueError("network needs an 'n <nodes>' record with n >= 2")
     net = FlowNetwork(
         num_nodes=n, source=single.get("s", 0), sink=single.get("t", n - 1)
     )

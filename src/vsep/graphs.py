@@ -6,6 +6,11 @@ The central objects are :class:`WeightedGraph` (immutable instance data) and
 reference used to judge solver output on small instances;
 ``sweep_separator`` is a deterministic one-flow cut that bounds the optimum
 from above at any size.
+
+Every line-oriented input text (graph, separator and the command line's
+flow network) is read through :func:`records`: ``#`` starts a comment on
+any line, and blank and comment lines still count, so each
+:class:`GraphFormatError` names the line of the user's own text.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .flow import SplitSkeleton, build_split_network, max_flow
 
@@ -24,7 +29,7 @@ DEFAULT_WEIGHT_EXPONENT = 3
 
 
 class GraphFormatError(ValueError):
-    """Malformed graph text.  Carries the 1-based offending line number."""
+    """Malformed input text.  Carries the 1-based offending line number."""
 
     def __init__(self, message: str, line_no: Optional[int] = None):
         if line_no is not None:
@@ -116,6 +121,24 @@ def make_graph(
 # file format
 # ---------------------------------------------------------------------------
 
+def records(text: str | bytes) -> Iterator[tuple[int, str, str]]:
+    """The records of line-oriented input text, as ``(line_no, raw,
+    line)``: ``line_no`` is 1-based over every line, ``raw`` the line as
+    given and ``line`` the record with its ``#`` comment and surrounding
+    blanks stripped.  Blank and comment-only lines yield nothing but still
+    count toward the line numbers, so an error names the user's line."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, raw, line
+
+
+# graph record tag -> its two integer fields, as the arity error names them
+_GRAPH_FIELDS = {"p": "exactly <n> <m>", "w": "<v> <weight>", "e": "<u> <v>"}
+
+
 def parse_graph(text: str | bytes) -> WeightedGraph:
     """Parse the line-oriented graph format.
 
@@ -124,41 +147,33 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
     unordered, unique, no self-loops).  ``#`` starts a comment.  Errors
     report the offending line number.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     n = None
     m_declared = None
     weights: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
+    for line_no, _, line in records(text):
+        tag, *fields = line.split()
+        if tag == "p" and n is not None:
+            raise GraphFormatError("duplicate 'p' header", line_no)
+        if tag != "p" and n is None:
+            raise GraphFormatError(f"'{tag}' record before 'p' header", line_no)
+        if tag not in _GRAPH_FIELDS:
+            raise GraphFormatError(f"unknown record tag '{tag}'", line_no)
+        if len(fields) != 2:
+            raise GraphFormatError(
+                f"'{tag}' record needs {_GRAPH_FIELDS[tag]}", line_no
+            )
+        try:
+            values = [int(field) for field in fields]
+        except ValueError:
+            raise GraphFormatError(f"'{tag}' record fields must be integers", line_no)
         if tag == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate 'p' header", line_no)
-            if len(parts) != 3:
-                raise GraphFormatError("'p' record needs exactly <n> <m>", line_no)
-            try:
-                n, m_declared = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("'p' record fields must be integers", line_no)
+            n, m_declared = values
             if n < 1 or m_declared < 0:
                 raise GraphFormatError("need n >= 1 and m >= 0", line_no)
-            continue
-        if n is None:
-            raise GraphFormatError(f"'{tag}' record before 'p' header", line_no)
-        if tag == "w":
-            if len(parts) != 3:
-                raise GraphFormatError("'w' record needs <v> <weight>", line_no)
-            try:
-                v, w = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("'w' record fields must be integers", line_no)
+        elif tag == "w":
+            v, w = values
             if not (0 <= v < n):
                 raise GraphFormatError(f"vertex {v} out of range [0, {n})", line_no)
             if v in weights:
@@ -169,24 +184,16 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
                     f"weight {w} outside [1, {bound}] for n={n}", line_no
                 )
             weights[v] = w
-        elif tag == "e":
-            if len(parts) != 3:
-                raise GraphFormatError("'e' record needs <u> <v>", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("'e' record fields must be integers", line_no)
+        else:
+            u, v = values
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", line_no)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u}, {v}) out of range", line_no)
             key = (min(u, v), max(u, v))
-            if key in edge_set:
+            if key in edges:
                 raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
-            edge_set.add(key)
-            edges.append(key)
-        else:
-            raise GraphFormatError(f"unknown record tag '{tag}'", line_no)
+            edges.add(key)
 
     if n is None:
         raise GraphFormatError("missing 'p' header")
@@ -262,10 +269,7 @@ def parse_separator(text: str, g: WeightedGraph, balance: Fraction) -> Separator
     vertex id outside [0, n), or one repeated within a side, is a format
     error on its line."""
     sides: dict[str, list[int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, _, line in records(text):
         if ":" not in line:
             raise GraphFormatError("separator line needs 'A:'/'B:'/'C:' prefix", line_no)
         tag, rest = line.split(":", 1)
@@ -547,26 +551,37 @@ def with_weights(g: WeightedGraph, weights: Sequence[int]) -> WeightedGraph:
     return WeightedGraph(n=g.n, edges=g.edges, weights=tuple(weights))
 
 
-# name -> (parameter names, builder(seed, *parameters)); parameters may
-# arrive as text, so each builder converts its own
+# name -> (parameter types by name, builder(seed, *parameters)); the
+# parameters may arrive as text, so generate converts each by its type
 GENERATORS = {
-    "path": (("n",), lambda seed, n: path_graph(int(n))),
-    "star": (("leaves",), lambda seed, leaves: star_graph(int(leaves))),
-    "grid": (("rows", "cols"), lambda seed, r, c: grid_graph(int(r), int(c))),
-    "gnp": (("n", "p"), lambda seed, n, p: gnp_graph(int(n), float(p), seed)),
+    "path": ({"n": int}, lambda seed, n: path_graph(n)),
+    "star": ({"leaves": int}, lambda seed, leaves: star_graph(leaves)),
+    "grid": ({"rows": int, "cols": int}, lambda seed, r, c: grid_graph(r, c)),
+    "gnp": ({"n": int, "p": float}, lambda seed, n, p: gnp_graph(n, p, seed)),
     "two_blobs": (
-        ("a", "b", "bridge"),
-        lambda seed, a, b, bridge: two_blobs_graph(int(a), int(b), int(bridge)),
+        {"a": int, "b": int, "bridge": int},
+        lambda seed, a, b, bridge: two_blobs_graph(a, b, bridge),
     ),
 }
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> WeightedGraph:
     """Build a named generator from its parameters by name; deterministic
-    for a fixed seed."""
+    for a fixed seed.  A parameter that does not convert to its type is
+    named with its generator."""
     if kind not in GENERATORS:
         raise ValueError(
             f"unknown generator kind '{kind}' (try one of {tuple(GENERATORS)})"
         )
-    names, build = GENERATORS[kind]
-    return build(seed, *(params[name] for name in names))
+    types, build = GENERATORS[kind]
+    values = []
+    for name, convert in types.items():
+        try:
+            values.append(convert(params[name]))
+        except ValueError:
+            raise ValueError(
+                f"generator '{kind}' parameter {name}: {params[name]!r} "
+                f"is not {_TYPE_NAMES[convert]}"
+            ) from None
+    return build(seed, *values)

@@ -358,10 +358,9 @@ def _flow_feedback(
     for orig, amount in routes:
         if flipped:
             orig = orig[::-1]
-        if len(orig) >= 2:
-            path_terms.append((orig, amount))
-            deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + amount
-            deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
+        path_terms.append((orig, amount))
+        deg_mass[orig[0]] = deg_mass.get(orig[0], 0) + amount
+        deg_mass[orig[-1]] = deg_mass.get(orig[-1], 0) + amount
     # ||L(D)|| <= 2 max endpoint mass, in the unit
     case = params.feedback_cases["flow"]
     return FeedbackMatrix(

@@ -4,14 +4,23 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vsep.cli import _build_config, build_parser, main
-from vsep.graphs import parse_graph, path_graph, render_graph, grid_graph
+from vsep.graphs import (
+    GraphFormatError,
+    grid_graph,
+    parse_graph,
+    parse_separator,
+    path_graph,
+    render_graph,
+)
 from vsep.solver import SolverConfig
 
 P5_TEXT = render_graph(path_graph(5))
@@ -79,6 +88,13 @@ def test_gen_errors(capsys):
         code, out, err = run_cli(["gen", "--", *argv], capsys)
         assert code == 3, argv
         assert out == "" and err.startswith("input error: "), argv
+    # and one that is not a number is named with its generator
+    for argv, message in (
+        (["grid", "2", "x"], "generator 'grid' parameter cols: 'x' is not an integer"),
+        (["gnp", "5", "y"], "generator 'gnp' parameter p: 'y' is not a number"),
+    ):
+        code, out, err = run_cli(["gen", *argv], capsys)
+        assert (code, out, err) == (3, "", f"input error: {message}\n"), argv
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +275,7 @@ def test_validate_rejects_an_out_of_range_balance_line(tmp_path, capsys, monkeyp
         )
         assert code == 3, value
         assert out == ""
-        assert err == f"input error: balance line outside (0, 1/2): {line!r}\n"
+        assert err == f"input error: line 4: balance line outside (0, 1/2): {line!r}\n"
 
 
 def test_validate_rejects_a_second_balance_line(tmp_path, capsys, monkeypatch):
@@ -274,7 +290,64 @@ def test_validate_rejects_a_second_balance_line(tmp_path, capsys, monkeypatch):
             stdin=f"A: 0 1 2 3\nB: 5\nC: 4\nbalance: {first}\nbalance: {second}\n",
         )
         assert code == 3 and out == "", (first, second)
-        assert err == f"input error: second balance line: 'balance: {second}'\n"
+        assert err == f"input error: line 5: second balance line: 'balance: {second}'\n"
+
+
+LEAD = "# a comment\n\n  # an indented one\n"
+SOLVE_REPORT = object()  # stands for vsep solve's text report on path 6
+
+
+# one numbering rule for every reader: blank and comment lines before a bad
+# record still count, so each error names the line of the user's own text
+@pytest.mark.parametrize(
+    "reader, text, expected",
+    [
+        ("parse_graph", LEAD + "p 6 1\n\ne 0 x\n",
+         "line 6: 'e' record fields must be integers"),
+        ("parse_separator", LEAD + "A: 0\n# B\nB: 2 3 4 5\nC: 1 9\n",
+         "line 7: vertex 9 out of range [0, 6)"),
+        ("flow", LEAD + "n 2\n\na 0 1 x\n",
+         "line 6: integer fields expected in 'a 0 1 x'"),
+        ("validate", LEAD + "A: 0\n# B\nB: 2 3 4 5\nC: 1 1\n",
+         "line 7: vertex 1 repeated in side 'C'"),
+        # sed 's/^C: .*/C: 1 99/' on solve's report: its C: line is line 20
+        ("validate", SOLVE_REPORT, "line 20: vertex 99 out of range [0, 6)"),
+        ("validate", LEAD + "A: 0\nB: 2 3 4 5\nC: 1\nbalance: x\n",
+         "line 7: unreadable balance line: 'balance: x'"),
+        ("validate", LEAD + "A: 0\nB: 2 3 4 5\nC: 1\n\nbalance: 1/2 # wide\n",
+         "line 8: balance line outside (0, 1/2): 'balance: 1/2 # wide'"),
+        # a 5-vertex side fits (1 - 1/6) * 6 but not the default 1/3's cap,
+        # so "ok" shows the commented balance line was read
+        ("validate", "A: 0 1 2 3 4\nB:\nC: 5\nbalance: 1/6  # c\n", "ok"),
+    ],
+    ids=[
+        "graph", "separator", "flow", "validate", "validate-report",
+        "balance-unreadable", "balance-outside", "balance-comment",
+    ],
+)
+def test_every_reader_names_the_users_line(
+    reader, text, expected, tmp_path, capsys, monkeypatch
+):
+    graph_file = tmp_path / "p6.txt"
+    graph_file.write_text(render_graph(path_graph(6)))
+    if text is SOLVE_REPORT:
+        code, report, _ = run_cli(["solve", "--input", str(graph_file)], capsys)
+        assert code == 0
+        text = re.sub(r"(?m)^C: .*$", "C: 1 99", report)
+    if reader.startswith("parse_"):
+        with pytest.raises(GraphFormatError) as info:
+            if reader == "parse_graph":
+                parse_graph(text)
+            else:
+                parse_separator(text, path_graph(6), Fraction(1, 3))
+        assert str(info.value) == expected
+        return
+    argv = ["flow"] if reader == "flow" else ["validate", "--graph", str(graph_file)]
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin=text)
+    if expected == "ok":
+        assert (code, out, err) == (0, "ok\n", "")
+    else:
+        assert (code, out, err) == (3, "", f"input error: {expected}\n")
 
 
 def test_validate_balance_priority(tmp_path, capsys, monkeypatch):
@@ -329,6 +402,21 @@ def test_brute_json(capsys, monkeypatch):
     tree = json.loads(out)
     assert tree["opt"] == 2
     assert len(tree["c"]) == 2
+
+
+def test_brute_text_pipes_into_validate(tmp_path, capsys, monkeypatch):
+    # brute's optimum at 1/4 on path 10 has a 7-vertex side, above the cap
+    # floor(20/3) = 6 of validate's default 1/3: its balance line says 1/4
+    graph_file = tmp_path / "p10.txt"
+    graph_file.write_text(render_graph(path_graph(10)))
+    code, out, _ = run_cli(
+        ["brute", "--input", str(graph_file), "--c", "1/4"], capsys
+    )
+    assert code == 0 and out.splitlines()[:2] == ["opt 1", "balance: 1/4"]
+    code, vout, _ = run_cli(
+        ["validate", "--graph", str(graph_file)], capsys, monkeypatch, stdin=out
+    )
+    assert (code, vout) == (0, "ok\n")
 
 
 def test_brute_cap_exceeded(capsys, monkeypatch):
