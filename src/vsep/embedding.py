@@ -450,9 +450,16 @@ def _expm_action(
 
 def _sign_probes(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """C-ordered n x d block of independent signs +-1/sqrt(d), one row per
-    vertex, from one boolean draw: 2s b - s is exactly +-s."""
+    vertex: 2s b - s is exactly +-s.  The bits b are those of one boolean
+    draw, which takes successive 32-bit words least significant bit
+    first; drawing the words and unpacking them is faster and leaves the
+    generator in the same state."""
     s = 1.0 / math.sqrt(d)
-    block = np.multiply(rng.integers(0, 2, size=(n, d), dtype=bool), 2.0 * s)
+    words = rng.integers(0, 1 << 32, size=-(-n * d // 32), dtype=np.uint32)
+    bits = np.unpackbits(
+        words.astype("<u4", copy=False).view(np.uint8), count=n * d, bitorder="little"
+    )
+    block = np.multiply(bits.reshape(n, d), 2.0 * s)
     block -= s
     return block
 
@@ -490,8 +497,8 @@ def project_embedding(
 
     Multiplies d sign probes +-1/sqrt(d) by exp(A/2) and trace-normalizes
     the result; independent signs carry the same Johnson-Lindenstrauss
-    bound as Gaussian probes (Achlioptas, JCSS 2003) and cost one boolean
-    draw.  The probes are drawn vertex-major, as a C-ordered n x d block
+    bound as Gaussian probes (Achlioptas, JCSS 2003) and cost one random
+    bit each.  The probes are drawn vertex-major, as a C-ordered n x d block
     that the series and the normalization update in place, and the
     embedding's ``vectors`` is its d x n transposed view.  exp(A/2) is
     the identity on the rows and columns of A that hold no entry, so the

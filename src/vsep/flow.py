@@ -17,6 +17,13 @@ built once per graph (:class:`SplitSkeleton`) and each network adds only
 its capacities and terminal arcs.  A max flow is decomposed into paths
 the first time its paths or its acyclic flow are read.
 
+Only Dinic's phase BFS visits every arc.  Each max flow is still checked
+in full, but every check visits only the arcs that can fail it: an arc's
+flow is its reverse residual, read off as one slice; feasibility visits
+the arcs that carry flow, since a zero flow is within bounds and moves no
+excess; and the cut capacity sums the arcs into the sink side, found
+from the sink-side nodes' own half-arc lists.
+
 :class:`SplitNetwork` alone knows the split layout's node and arc
 numbers: it reads a max flow's cut and paths back as vertex sides and
 vertex paths of the graph.  A path's hops are edges of the graph, so the
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import gt, index, not_, sub
+from operator import index, not_
 from typing import Optional, Sequence
 
 CAP_LIMIT = 1 << 62  # reject capacities that would not fit a fixed-width int
@@ -230,12 +237,13 @@ class _Dinic:
       walks back exactly to that arc's tail: the walk retreats there.
 
     ``to`` and ``adj`` are only read, so a network's skeleton lists are
-    shared rather than copied.
+    shared rather than copied.  ``res[2i] + res[2i + 1]`` stays arc i's
+    capacity, since every augment moves an amount from one to the other,
+    so arc i's flow is its reverse residual ``res[2i + 1]``.
     """
 
     def __init__(self, net: FlowNetwork):
         self.n = net.num_nodes
-        self.caps = net.caps
         k = net.skeleton.num_arcs if net.skeleton is not None else 0
         self.to, self.adj = _half_arcs(
             self.n, net.tails[k:], net.heads[k:], net.skeleton
@@ -321,7 +329,7 @@ class _Dinic:
         return level
 
     def arc_flows(self) -> list[int]:
-        return list(map(sub, self.caps, self.res[0::2]))
+        return self.res[1::2]
 
     def residual_reaches_sink(self, t: int) -> list[bool]:
         """Nodes with a residual path to t (reverse search over residual arcs)."""
@@ -357,9 +365,13 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     s_cut = tuple(compress(nodes, map(not_, reach)))
     flows = dinic.arc_flows()
     _check_feasible(net, flows)
-    # arcs from the source side (reach False) into the sink side (True)
-    at = reach.__getitem__
-    cut_cap = sum(compress(net.caps, map(gt, map(at, net.heads), map(at, net.tails))))
+    # arcs from the source side into the sink side: at each sink-side
+    # node, its reverse half-arcs 2i + 1 whose target, arc i's tail, is
+    # on the source side
+    caps, to, adj = net.caps, dinic.to, dinic.adj
+    cut_cap = sum(
+        caps[a >> 1] for v in t_cut for a in adj[v] if a & 1 and not reach[to[a]]
+    )
     if cut_cap != value:
         raise FlowError(
             f"internal check failed: cut capacity {cut_cap} != flow value {value}"
@@ -378,16 +390,14 @@ def _check_feasible(net: FlowNetwork, flows: Sequence[int]) -> None:
     m = net.num_arcs
     if len(flows) != m:
         raise FlowError("flow vector length does not match arc count")
-    caps = net.caps
-    if min(flows, default=0) < 0 or any(map(gt, flows, caps)):
-        for i, f in enumerate(flows):
-            if f < 0 or f > caps[i]:
-                raise FlowError(f"arc {i} flow {f} outside [0, cap]")
-    # only arcs that carry flow move excess
-    tails, heads = net.tails, net.heads
+    # a zero flow is within [0, cap] and moves no excess, so only the
+    # arcs that carry flow are visited, in index order
+    caps, tails, heads = net.caps, net.tails, net.heads
     excess = [0] * net.num_nodes
     for i in compress(range(m), flows):
         f = flows[i]
+        if f < 0 or f > caps[i]:
+            raise FlowError(f"arc {i} flow {f} outside [0, cap]")
         excess[tails[i]] -= f
         excess[heads[i]] += f
     for v in compress(range(net.num_nodes), excess):
@@ -414,10 +424,10 @@ def decompose(
     else:
         _check_feasible(net, flows)
         work = [int(f) for f in flows]
+    carrying = list(compress(range(net.num_arcs), work))  # flows are >= 0
     out_arcs: list[list[int]] = [[] for _ in range(net.num_nodes)]
-    for i in range(net.num_arcs):
-        if work[i] > 0:
-            out_arcs[net.tails[i]].append(i)
+    for i in carrying:
+        out_arcs[net.tails[i]].append(i)
     ptr = [0] * net.num_nodes
 
     def next_arc(v: int) -> Optional[int]:
@@ -469,7 +479,7 @@ def decompose(
         paths.append(FlowPath(nodes=tuple(nodes), amount=amt))
 
     # what is left is circulation, unless it still enters the source
-    if any(f for f, v in zip(work, net.heads) if v == s):
+    if any(work[i] and net.heads[i] == s for i in carrying):
         raise FlowError(f"flow into source {s} is left after the paths")
 
     # stripped is acyclic by construction and equals the sum of the paths

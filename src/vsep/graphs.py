@@ -98,7 +98,10 @@ class WeightedGraph:
         on first use and shared by every ``build_split_network`` call."""
         return SplitSkeleton.of(self)
 
+    @cached_property
     def adjacency(self) -> list[list[int]]:
+        """Each vertex's neighbours in edge order, built on first use and
+        shared by every reader, so no list may be mutated."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -304,7 +307,10 @@ def validate_separator(
     """Check a claimed separator. Returns (ok, diagnostic).
 
     The diagnostic names the first violated condition: partition,
-    crossing edge (with the edge), balance, or recorded cost.
+    crossing edge (with the edge), balance, or recorded cost.  Crossing
+    edges are looked for in the neighbour lists of the smaller of A and B;
+    only when one is found are the edges scanned, to name the first in
+    edge order.
     """
     balance = Fraction(balance)
     a, b, c = set(s.a_side), set(s.b_side), set(s.separator)
@@ -312,9 +318,11 @@ def validate_separator(
         return False, "sides are not disjoint"
     if a | b | c != set(range(g.n)):
         return False, "sides do not cover all vertices"
-    for u, v in g.edges:
-        if (u in a and v in b) or (u in b and v in a):
-            return False, f"edge ({u}, {v}) crosses A and B"
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if not all(map(large.isdisjoint, map(g.adjacency.__getitem__, small))):
+        for u, v in g.edges:
+            if (u in a and v in b) or (u in b and v in a):
+                return False, f"edge ({u}, {v}) crosses A and B"
     biggest = max(len(a), len(b))
     if biggest > (1 - balance) * g.n:
         return False, (
@@ -327,7 +335,7 @@ def validate_separator(
 
 def connected_components(g: WeightedGraph, removed: set[int]) -> list[list[int]]:
     """Components of G - removed, each sorted, ordered by smallest vertex."""
-    adj = g.adjacency()
+    adj = g.adjacency
     seen = set(removed)
     comps = []
     for start in range(g.n):
@@ -463,7 +471,7 @@ def sweep_separator(g: WeightedGraph, c: Fraction) -> Optional[SeparatorSolution
     c = Fraction(c)
     n = g.n
     k = math.ceil(c * n)
-    adj = g.adjacency()
+    adj = g.adjacency
     levels = _bfs_levels(adj, 0)
     if 2 * k > n or sum(map(len, levels)) < n:
         return None

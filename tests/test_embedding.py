@@ -6,6 +6,7 @@ module under test: closed-form results for diagonal matrices, and
 scipy.linalg.expm for dense ones.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -484,6 +485,28 @@ def test_series_kernel_keeps_the_bits_of_its_first_form():
         got = _sign_probes(np.random.default_rng(d), 7, d)
         assert np.array_equal(got, np.where(bits, s, -s))
         assert got.flags.c_contiguous
+
+
+# sha256 of the block's bytes, then the generator's next double and next
+# 32-bit word, recorded from the boolean draw the probes were first made by
+PINNED_PROBES = {
+    (1000, 421): ("137a3e1e5b1914c79d6a4d3e796c0394fc3ba9d32ac396078b4d7bda929d2a47",
+                  0.3533444951692686, 177470574),
+    (7, 5): ("a54d36115065c5e55abdacdd98a3867c5dba68533a4cb57e08718fcf3ccc73b7",
+             0.2697867137638703, 1322117304),
+    (33, 1): ("8016d9f999cce95e01ee43aebbcd9daab5ce920d5184525b77f44bbaaf72d7d9",
+              0.2697867137638703, 1322117304),
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(PINNED_PROBES))
+def test_sign_probes_keep_their_pinned_bits(n, d):
+    # the block and the generator's state after it, both at seed 0
+    rng = np.random.default_rng(0)
+    block = _sign_probes(rng, n, d)
+    got = (hashlib.sha256(block.tobytes()).hexdigest(), rng.random(),
+           int(rng.integers(0, 1 << 32, dtype=np.uint32)))
+    assert got == PINNED_PROBES[n, d]
 
 
 def touched_rows_operator(rng, n, rows, norm):

@@ -4,6 +4,8 @@ Expected optimum costs below are frozen from independent arguments
 stated next to each value, never from the implementation under test.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -194,6 +196,83 @@ def test_validate_rejects_bad_partition_and_balance():
     assert validate_separator(g, uncovered, THIRD) == (
         False, "sides do not cover all vertices"
     )
+
+
+def scan_validate(g, s, balance):
+    """Reference: ``validate_separator`` with crossing edges found by a
+    scan of every edge, in edge order."""
+    balance = Fraction(balance)
+    a, b, c = set(s.a_side), set(s.b_side), set(s.separator)
+    if a & b or a & c or b & c:
+        return False, "sides are not disjoint"
+    if a | b | c != set(range(g.n)):
+        return False, "sides do not cover all vertices"
+    for u, v in g.edges:
+        if (u in a and v in b) or (u in b and v in a):
+            return False, f"edge ({u}, {v}) crosses A and B"
+    biggest = max(len(a), len(b))
+    if biggest > (1 - balance) * g.n:
+        return False, f"balance violated: max side {biggest} > (1 - {balance}) * {g.n}"
+    if s.cost != g.weight_of(c):
+        return False, f"recorded cost {s.cost} != w(C) = {g.weight_of(c)}"
+    return True, "ok"
+
+
+def test_validation_agrees_with_the_edge_scan():
+    rng = random.Random(20261022)
+    graphs = [
+        two_blobs_graph(12, 10, 3),
+        two_blobs_graph(30, 30, 3),
+        complete_graph(9),
+        grid_graph(5, 7),
+        path_graph(17),
+        gnp_graph(25, 0.2, seed=3),
+        make_graph(6, []),
+    ]
+    cases = []
+    for _ in range(400):
+        g = rng.choice(graphs)
+        labels = [rng.choice("AAABBC") for _ in range(g.n)]
+        sides = {t: [v for v in range(g.n) if labels[v] == t] for t in "ABC"}
+        sol = SeparatorSolution.build(g, sides["A"], sides["B"], sides["C"], THIRD)
+        roll = rng.random()
+        if roll < 0.1:  # a vertex on two sides
+            v = rng.randrange(g.n)
+            sol = replace(sol, separator=tuple(sorted({*sol.separator, v})))
+        elif roll < 0.2:  # a vertex on none
+            v = rng.randrange(g.n)
+            sol = SeparatorSolution.build(
+                g, [x for x in sides["A"] if x != v], [x for x in sides["B"] if x != v],
+                [x for x in sides["C"] if x != v], THIRD,
+            )
+        elif roll < 0.3:
+            sol = replace(sol, cost=sol.cost + 1)
+        cases.append((g, sol, rng.choice([THIRD, Fraction(1, 10), Fraction(1, 2)])))
+    # several crossing edges; the first in edge order starts on the larger
+    # side, whichever of A and B that is.  two_blobs 12/10/3: 0..11 and
+    # 9..18 are cliques, and every edge from {4, 6} into the rest crosses.
+    # On the sparse graph, (1, 4) is the small side's first crossing edge
+    sparse = make_graph(7, [(0, 6), (1, 4), (2, 3), (5, 6)])
+    g = two_blobs_graph(12, 10, 3)
+    for graph, small, sep, first in (
+        (g, [4, 6], [9, 10], "edge (0, 4) crosses A and B"),
+        (sparse, [4, 6], [5], "edge (0, 6) crosses A and B"),
+    ):
+        large = [v for v in range(graph.n) if v not in small + sep]
+        for a_side, b_side in ((small, large), (large, small)):
+            sol = SeparatorSolution.build(graph, a_side, b_side, sep, THIRD)
+            assert validate_separator(graph, sol, THIRD) == (False, first)
+            cases.append((graph, sol, THIRD))
+    # the bridge cut: accepted, or rejected on balance or cost alone
+    bridge = SeparatorSolution.build(g, range(9), range(12, g.n), [9, 10, 11], THIRD)
+    cases += [(g, bridge, THIRD), (g, bridge, Fraction(3, 5)),
+              (g, replace(bridge, cost=2), THIRD)]
+    seen = set()
+    for g, sol, balance in cases:
+        want = scan_validate(g, sol, balance)
+        assert validate_separator(g, sol, balance) == want
+        seen.add(want[1].split()[0])
+    assert seen == {"ok", "edge", "sides", "balance", "recorded"}
 
 
 def test_connected_components():
@@ -392,6 +471,6 @@ def test_two_blobs_structure():
     g = two_blobs_graph(5, 6, 2)
     assert g.n == 9
     # shared vertices 3, 4 touch everything
-    adj = g.adjacency()
+    adj = g.adjacency
     assert set(adj[3]) | {3} == set(range(9))
     assert set(adj[4]) | {4} == set(range(9))

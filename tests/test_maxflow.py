@@ -353,6 +353,75 @@ def test_decompose_rejects_infeasible():
     assert [(p.nodes, p.amount) for p in paths] == [((0, 1, 2), 2)]
 
 
+@pytest.mark.parametrize(
+    "flows, message",
+    [
+        ([1, 1, 1, -1], "arc 3 flow -1 outside [0, cap]"),
+        ([3, 3, 3, 0], "arc 0 flow 3 outside [0, cap]"),
+        # node 1 is not conserved either, but every bound is checked first
+        ([2, 1, 5, 0], "arc 2 flow 5 outside [0, cap]"),
+        ([2, 1, 2, 0], "flow not conserved at node 1"),
+        ([0, 1, 1, 0], "flow not conserved at node 1"),
+    ],
+)
+def test_feasibility_check_names_the_first_fault(flows, message):
+    # 0 -> 1 -> 2 -> 3 at capacity 2, and 0 -> 2 at capacity 1
+    net = FlowNetwork(4, 0, 3, [0, 1, 2, 0], [1, 2, 3, 2], [2, 2, 2, 1])
+    with pytest.raises(FlowError) as info:
+        decompose(net, flows)
+    assert str(info.value) == message
+
+
+def residual_reach_from_source(net, flows):
+    """Nodes the source reaches over arcs with room or with flow to undo."""
+    out = [[] for _ in range(net.num_nodes)]
+    for u, v, cap, f in zip(net.tails, net.heads, net.caps, flows):
+        if f < cap:
+            out[u].append(v)
+        if f > 0:
+            out[v].append(u)
+    reach, stack = {net.source}, [net.source]
+    while stack:
+        for v in out[stack.pop()]:
+            if v not in reach:
+                reach.add(v)
+                stack.append(v)
+    return reach
+
+
+def test_cut_check_rejects_a_wrong_sink_side(monkeypatch):
+    # every minimum cut's sink side holds all the nodes that reach the
+    # sink, and none the source reaches: moving one such node across the
+    # cut leaves a cut dearer than the flow, which max_flow must reject
+    import vsep.flow
+
+    rng = random.Random(20261022)
+    original = vsep.flow._Dinic.residual_reaches_sink
+    moved = {"dropped": 0, "added": 0}
+    for _ in range(150):
+        net, _ = random_network(rng)
+        result = max_flow(net)
+        from_source = residual_reach_from_source(net, result.raw_flow)
+        drop = [v for v in result.t_cut if v != net.sink]
+        add = [v for v in result.s_cut if v in from_source and v != net.source]
+        for kind, nodes, side in (("dropped", drop, False), ("added", add, True)):
+            if not nodes:
+                continue
+            v = rng.choice(nodes)
+
+            def moved_reach(self, t, v=v, side=side):
+                reach = original(self, t)
+                reach[v] = side
+                return reach
+
+            monkeypatch.setattr(vsep.flow._Dinic, "residual_reaches_sink", moved_reach)
+            with pytest.raises(FlowError, match="internal check failed: cut capacity"):
+                max_flow(net)
+            monkeypatch.setattr(vsep.flow._Dinic, "residual_reaches_sink", original)
+            moved[kind] += 1
+    assert min(moved.values()) >= 20, moved
+
+
 def test_lazy_decomposition_checks_the_flow_once(monkeypatch):
     # max_flow checks its flow; reading the paths walks that same tuple
     # without checking it again
