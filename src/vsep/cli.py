@@ -279,9 +279,10 @@ def _cmd_brute(args) -> int:
 def _parse_network(text: str) -> FlowNetwork:
     """Line format: 'n <nodes>' first, then 'a <u> <v> <cap>' arcs and
     optional 's <node>' / 't <node>' (defaults 0 and n-1).  Each of the
-    'n', 's' and 't' records may appear once."""
-    single: dict[str, int] = {}
-    arcs: list[tuple[int, int, int]] = []
+    'n', 's' and 't' records may appear once.  A bad arc, source or sink
+    is reported at its own line."""
+    single: dict[str, tuple[int, int]] = {}  # tag -> (line_no, value)
+    arcs: list[tuple[int, list[int]]] = []
     for line_no, raw, line in records(text):
         tag, *parts = line.split()
         try:
@@ -291,19 +292,25 @@ def _parse_network(text: str) -> FlowNetwork:
         if tag in ("n", "s", "t") and len(values) == 1:
             if tag in single:
                 raise GraphFormatError(f"duplicate '{tag}' record", line_no)
-            single[tag] = values[0]
+            single[tag] = line_no, values[0]
         elif tag == "a" and len(values) == 3:
-            arcs.append(tuple(values))
+            arcs.append((line_no, values))
         else:
             raise GraphFormatError(f"unrecognized record {raw!r}", line_no)
-    n = single.get("n")
+    _, n = single.get("n", (None, None))
     if n is None or n < 2:
         raise ValueError("network needs an 'n <nodes>' record with n >= 2")
-    net = FlowNetwork(
-        num_nodes=n, source=single.get("s", 0), sink=single.get("t", n - 1)
-    )
-    for u, v, cap in arcs:
-        net.add_arc(u, v, cap)
+    s_line, source = single.get("s", (None, 0))
+    t_line, sink = single.get("t", (None, n - 1))
+    for name, line_no, node in (("source", s_line, source), ("sink", t_line, sink)):
+        if not 0 <= node < n:  # only a given record can be out of range
+            raise GraphFormatError(f"{name} {node} out of range [0, {n})", line_no)
+    net = FlowNetwork(num_nodes=n, source=source, sink=sink)
+    for line_no, (u, v, cap) in arcs:
+        try:
+            net.add_arc(u, v, cap)
+        except FlowError as exc:
+            raise GraphFormatError(str(exc), line_no) from None
     return net
 
 

@@ -17,6 +17,13 @@ built once per graph (:class:`SplitSkeleton`) and each network adds only
 its capacities and terminal arcs.  A max flow is decomposed into paths
 the first time its paths or its acyclic flow are read.
 
+A network is checked where its arcs come from.  Arcs a caller passes to
+:class:`FlowNetwork` or ``add_arc`` are checked one by one.  A split
+network's arcs are made from a graph that checked its own vertices,
+edges and weights, and from a throughput and terminals that
+:func:`build_split_network` checks, so they are valid as built and are
+not checked again.
+
 Only Dinic's phase BFS visits every arc.  Each max flow is still checked
 in full, but every check visits only the arcs that can fail it: an arc's
 flow is its reverse residual, read off as one slice; feasibility visits
@@ -55,9 +62,10 @@ class FlowNetwork:
     Arc lists passed to the constructor get the checks ``add_arc`` makes.
     Node ids and capacities must be integers (numpy integers included).
 
-    ``skeleton``, when set, is the :class:`SplitSkeleton` whose arcs are
-    this network's first arcs, in order; max flow then reuses its
-    prebuilt half-arc lists instead of rebuilding them.
+    ``skeleton`` is not a constructor argument: only
+    :func:`build_split_network` sets it, to the :class:`SplitSkeleton`
+    whose arcs are the network's first arcs, in order; max flow then
+    reuses its prebuilt half-arc lists instead of rebuilding them.
     """
 
     num_nodes: int
@@ -66,7 +74,9 @@ class FlowNetwork:
     tails: list[int] = field(default_factory=list)
     heads: list[int] = field(default_factory=list)
     caps: list[int] = field(default_factory=list)
-    skeleton: Optional[SplitSkeleton] = field(default=None, repr=False, compare=False)
+    skeleton: Optional[SplitSkeleton] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         try:
@@ -85,30 +95,19 @@ class FlowNetwork:
                 f"arc lists differ in length: {m} tails, "
                 f"{len(self.heads)} heads, {len(self.caps)} caps"
             )
-        n = self.num_nodes
-        skel = self.skeleton
-        k = 0 if skel is None else skel.num_arcs
-        if skel is not None and not (
-            n == skel.num_nodes
-            and self.tails[:k] == skel.tails
-            and self.heads[:k] == skel.heads
-        ):
-            raise FlowError("network does not start with its skeleton's arcs")
-        # a skeleton's arcs join vertices of a validated graph, so only the
-        # node ids after them need the range check.  A sum of plain ints is
-        # a plain int; anything else gets the per-arc check, which also
-        # accepts numpy integers.
-        tails, heads, caps = self.tails[k:], self.heads[k:], self.caps
-        if m and not (
-            type(sum(tails)) is int
-            and type(sum(heads)) is int
-            and type(sum(caps)) is int
-            and min(tails, default=0) >= 0 and max(tails, default=0) < n
-            and min(heads, default=0) >= 0 and max(heads, default=0) < n
-            and min(caps) >= 0 and max(caps) < CAP_LIMIT
-        ):
-            for u, v, cap in zip(self.tails, self.heads, caps):
-                self._check_arc(u, v, cap)
+        for u, v, cap in zip(self.tails, self.heads, self.caps):
+            self._check_arc(u, v, cap)
+
+    @classmethod
+    def _split(cls, skeleton: SplitSkeleton, tails, heads, caps) -> FlowNetwork:
+        """The split network on ``skeleton``, whose last two nodes are its
+        source and sink, with arcs its builder made valid: no arc check
+        runs again."""
+        net = cls.__new__(cls)
+        n = skeleton.num_nodes
+        net.num_nodes, net.source, net.sink = n, n - 2, n - 1
+        net.tails, net.heads, net.caps, net.skeleton = tails, heads, caps, skeleton
+        return net
 
     @property
     def num_arcs(self) -> int:
@@ -587,29 +586,33 @@ def build_split_network(
     """Build the scaled split network for routing flow from A to B.
 
     ``p``/``q`` is the per-terminal throughput; both must be positive
-    integers.  A and B must be disjoint.
+    integers.  A and B must be disjoint sets of the graph's vertices.
+    These inputs are checked here; the graph checked its own, so every arc
+    is valid as built and the network runs no arc check.
     """
+    try:
+        p, q = index(p), index(q)
+        a_set, b_set = set(map(index, a_side)), set(map(index, b_side))
+    except TypeError:
+        raise FlowError("throughput and terminal vertices must be integers") from None
     if p <= 0 or q <= 0:
         raise FlowError("throughput numerator and denominator must be positive")
-    a_set, b_set = set(a_side), set(b_side)
     if a_set & b_set:
         raise FlowError("A and B sides overlap")
     n = graph.n
     for x in a_set | b_set:
         if not (0 <= x < n):
             raise FlowError(f"terminal vertex {x} out of range")
-    finite_total = sum(graph.weights) * q + 2 * p * (len(a_set) + len(b_set))
-    sentinel = finite_total + 1
-    if sentinel >= CAP_LIMIT:
-        raise FlowError("scaled capacities overflow the integer range")
 
     # arc order: the skeleton's vertex and edge arcs, then source, then sink
     skel = graph.split_skeleton
-    caps = [int(w * q) for w in graph.weights]
+    caps = [index(w) * q for w in graph.weights]  # plain ints: no sum wraps
+    sentinel = sum(caps) + 2 * p * (len(a_set) + len(b_set)) + 1
+    if sentinel >= CAP_LIMIT:
+        raise FlowError("scaled capacities overflow the integer range")
     caps += [sentinel] * (skel.num_arcs - n)
     a_sorted, b_sorted = sorted(a_set), sorted(b_set)
     tails = skel.tails + [2 * n] * len(a_sorted) + [2 * b + 1 for b in b_sorted]
     heads = skel.heads + [2 * a for a in a_sorted] + [2 * n + 1] * len(b_sorted)
     caps += [2 * p] * (len(a_sorted) + len(b_sorted))
-    net = FlowNetwork(2 * n + 2, 2 * n, 2 * n + 1, tails, heads, caps, skel)
-    return SplitNetwork(net=net, n=n)
+    return SplitNetwork(net=FlowNetwork._split(skel, tails, heads, caps), n=n)

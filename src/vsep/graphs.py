@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .flow import SplitSkeleton, build_split_network, max_flow
@@ -48,13 +49,23 @@ def max_weight_bound(n: int) -> int:
     return max(n, 4) ** DEFAULT_WEIGHT_EXPONENT
 
 
+def _is_integer(x) -> bool:
+    try:
+        index(x)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with positive integer vertex weights.
 
     Edges are stored as sorted ``(u, v)`` pairs with ``u < v``, no
     duplicates, no self-loops.  ``weights[i]`` is the cost of deleting
-    vertex ``i``.
+    vertex ``i``.  ``n``, every endpoint and every weight must be an
+    integer, that is, accepted by ``operator.index`` (numpy integers
+    are, 2.0 is not); split networks are built on these checks.
     """
 
     n: int
@@ -64,6 +75,8 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        if not _is_integer(self.n):
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if len(self.weights) != self.n:
             raise ValueError("weight vector length does not match n")
         bound = max_weight_bound(self.n)
@@ -72,12 +85,16 @@ class WeightedGraph:
                 raise ValueError(
                     f"weight of vertex {v} is {w}, outside [1, {bound}]"
                 )
+            if not _is_integer(w):
+                raise ValueError(f"weight of vertex {v} is {w!r}, not an integer")
         seen = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) is not sorted in range")
+            if not (_is_integer(u) and _is_integer(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))

@@ -381,47 +381,35 @@ def check_violating(path: Sequence[int], emb: Embedding, delta_spread: float) ->
 
 def _compose(matchings: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, ...]]:
     """Full K-fold composition: survive-all chains keyed by endpoints."""
-    chains: dict[int, tuple[int, ...]] = {}
-    first = True
-    for m in matchings:
-        if first:
-            chains = {y: (x, y) for (x, y) in m}
-            first = False
-            continue
-        nxt: dict[int, tuple[int, ...]] = {}
-        for (x, y) in m:
-            if x in chains:
-                nxt[y] = chains[x] + (y,)
-        chains = nxt
-        if not chains:
-            break
+    if not matchings:
+        return []
+    chains = {y: (x, y) for (x, y) in matchings[0]}
+    for m in matchings[1:]:
+        chains = {y: chains[x] + (y,) for (x, y) in m if x in chains}
     return [chains[k] for k in sorted(chains)]
 
 
 def _harvest_violating(
     chains: Sequence[tuple[int, ...]], emb: Embedding, delta_spread: float
 ) -> list[tuple[int, ...]]:
-    """First distinct-vertex violating contiguous subpath of each chain.
+    """First distinct-vertex violating contiguous subpath of each chain,
+    shortest first from each start, earliest start first.
 
     Keeping only the violating core keeps every harvested path's own
     inequality intact, which the feedback matrix relies on.
     """
     out = []
-    for chain_nodes in chains:
-        ln = len(chain_nodes)
-        found = None
-        for i in range(ln - 2):
-            if found:
-                break
-            for j in range(i + 2, ln):
-                sub = chain_nodes[i : j + 1]
-                if len(set(sub)) != len(sub):
-                    continue
-                if check_violating(sub, emb, delta_spread):
-                    found = sub
-                    break
-        if found:
-            out.append(found)
+    for c in chains:
+        cores = (
+            sub
+            for i in range(len(c) - 2)
+            for j in range(i + 2, len(c))
+            if len(set(sub := c[i : j + 1])) == len(sub)
+            and check_violating(sub, emb, delta_spread)
+        )
+        core = next(cores, None)
+        if core is not None:
+            out.append(core)
     return out
 
 

@@ -470,6 +470,22 @@ def test_flow_bad_input(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 4\n# c\na 0 1 5\na 1 9 3\n", "line 4: arc (1, 9) out of range"),
+        ("n 4\na 0 1 5\n\na 1 2 -3\n", "line 4: negative capacity on arc (1, 2)"),
+        ("n 4\ns 7\na 0 1 5\n", "line 2: source 7 out of range [0, 4)"),
+        ("n 4\n# c\nt -1\na 0 1 5\n", "line 3: sink -1 out of range [0, 4)"),
+    ],
+    ids=["arc", "capacity", "source", "sink"],
+)
+def test_flow_network_errors_name_their_line(capsys, monkeypatch, text, message):
+    code, out, err = run_cli(["flow"], capsys, monkeypatch, stdin=text)
+    assert code == 3 and out == ""
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text, line, tag",
     [
         # the second source used to win: flow from node 1, value 4

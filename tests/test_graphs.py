@@ -8,9 +8,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import vsep.graphs as graphs_mod
+from vsep.flow import build_split_network, max_flow
 from vsep.graphs import (
     GraphFormatError,
     SeparatorSolution,
@@ -58,12 +60,29 @@ def test_make_graph_canonicalizes_edges():
         (3, ((1, 1),), (1, 1, 1), "self-loop"),
         (3, ((2, 1),), (1, 1, 1), "not sorted"),
         (3, ((0, 1), (0, 1)), (1, 1, 1), "duplicate"),
+        # split networks are built on these checks, not re-checked
+        (2, (), (1.5, 1), r"vertex 0 is 1\.5, not an integer"),
+        (2, (), (1, 2.0), r"vertex 1 is 2\.0, not an integer"),
+        (3, ((0.0, 1),), (1, 1, 1), r"edge \(0\.0, 1\) has a non-integer"),
+        (3.0, (), (1, 1, 1), "vertex count 3.0 is not an integer"),
     ],
 )
 def test_direct_construction_rejects(n, edges, weights, message):
     # parse_graph refuses these first; only direct construction gets here
     with pytest.raises(ValueError, match=message):
         WeightedGraph(n, edges, weights)
+
+
+def test_numpy_integer_weights_build_flow_and_validate():
+    plain = with_weights(grid_graph(4, 4), [1 + v % 3 for v in range(16)])
+    g = WeightedGraph(plain.n, plain.edges, tuple(map(np.int64, plain.weights)))
+    assert g == plain
+    sides = ([0, 1], [14, 15], 2, 3)
+    got = max_flow(build_split_network(g, *sides).net)
+    assert got == max_flow(build_split_network(plain, *sides).net)
+    sol = sweep_separator(g, THIRD)
+    assert sol == sweep_separator(plain, THIRD)
+    assert validate_separator(g, sol, THIRD) == (True, "ok")
 
 
 def test_round_trip_parse_render():

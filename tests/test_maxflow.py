@@ -585,6 +585,38 @@ def test_split_network_input_validation():
         build_split_network(g, [0], [5], p=1, q=1)
 
 
+@pytest.mark.parametrize(
+    "a_side, b_side, p, q",
+    [
+        ([0, 1], [1, 2], 1, 1),  # sides overlap
+        ([0], [2], 1, 0),  # throughput not positive
+        ([0], [2], 1.5, 1),  # throughput not an integer
+        ([0], [2], 1, 1.5),
+        ([0], [2], 2.0, 1),
+        ([1.5], [2], 1, 1),  # terminal not an integer
+        ([0], [1.5], 1, 1),
+        ([0], [2.0], 1, 1),
+        ([-1], [2], 1, 1),  # terminal out of range
+        # sentinel 3q + 2p(1 + 1) + 1 = CAP_LIMIT
+        ([0], [2], (CAP_LIMIT - 4) // 4, 1),
+    ],
+)
+def test_split_network_rejects_bad_inputs(a_side, b_side, p, q):
+    with pytest.raises(FlowError):
+        build_split_network(path_graph(3), a_side, b_side, p, q)
+
+
+def test_split_network_accepts_numpy_integers_and_the_largest_sentinel():
+    # the sentinel, 3q + 2p(1 + 1) + 1, is CAP_LIMIT - 4; numpy inputs
+    # become plain ints, so no capacity or sum of them wraps at 64 bits
+    g = path_graph(3)
+    p = (CAP_LIMIT - 4) // 4 - 1
+    sn = build_split_network(g, [np.int64(0)], [np.int32(2)], np.int64(p), np.int64(1))
+    assert max(sn.net.caps) == CAP_LIMIT - 4
+    assert all(type(c) is int for c in sn.net.caps)
+    assert max_flow(sn.net).value == 1
+
+
 SPLIT_GRAPHS = (
     path_graph(60),
     grid_graph(8, 8),
@@ -665,9 +697,12 @@ def test_split_networks_share_one_skeleton():
     assert g.split_skeleton is skel
 
 
-def test_network_must_start_with_its_skeleton():
-    g = path_graph(3)
-    sn = build_split_network(g, [0], [2], p=1, q=1)
+def test_only_the_split_builder_sets_a_skeleton():
+    # a skeleton is no constructor argument, so no caller can pair a
+    # network with arcs that are not its skeleton's
+    sn = build_split_network(path_graph(3), [0], [2], p=1, q=1)
     net = sn.net
-    with pytest.raises(FlowError):
-        FlowNetwork(net.num_nodes, 6, 7, net.tails[1:], net.heads[1:], net.caps[1:], net.skeleton)
+    arcs = (net.tails, net.heads, net.caps)
+    with pytest.raises(TypeError):
+        FlowNetwork(net.num_nodes, 6, 7, *arcs, net.skeleton)
+    assert FlowNetwork(net.num_nodes, 6, 7, *arcs).skeleton is None
